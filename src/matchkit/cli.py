@@ -479,6 +479,37 @@ def _extract_config_path(argv):
     return None
 
 
+def _typed_config(sub_parser, overrides):
+    """Config values passed through each flag's own type and choices.
+
+    A value is converted from its text, as if it were given on the command
+    line, so {"n_trees": 2.5} is rejected like --n-trees 2.5; a list stands
+    for a comma-separated value.  Keys the subcommand lacks pass unchanged
+    and are reported after parsing.
+    """
+    actions = {action.dest: action for action in sub_parser._actions}
+    typed = dict(overrides)
+    for key, value in overrides.items():
+        action = actions.get(key)
+        if action is None or (value is None and action.default is None):
+            continue
+        if action.type is None:
+            if not isinstance(value, str):
+                raise ValueError(f"config key {key!r}: expected a string, got {value!r}")
+        else:
+            text = ",".join(str(v) for v in value) if isinstance(value, list) else str(value)
+            try:
+                typed[key] = action.type(text)
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r}: invalid value {value!r}") from None
+        if action.choices is not None and typed[key] not in action.choices:
+            raise ValueError(f"config key {key!r}: {value!r} is not one of "
+                             f"{list(action.choices)}")
+    return typed
+
+
 def _write_manifest(path, command, config, input_path, seed, outputs, duration):
     doc = {
         "command": command,
@@ -513,7 +544,12 @@ def run_cli(argv=None) -> int:
         # into a fresh namespace, so main-parser defaults would be clobbered
         sub_name = argv[0] if argv and not argv[0].startswith("-") else None
         if sub_name in subcommands:
-            subcommands[sub_name].set_defaults(**overrides)
+            try:
+                typed = _typed_config(subcommands[sub_name], overrides)
+            except ValueError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            subcommands[sub_name].set_defaults(**typed)
 
     try:
         args = parser.parse_args(argv)

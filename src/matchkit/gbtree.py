@@ -10,6 +10,17 @@ of G*w + 1/2*(H + lam*(1-rho))*w^2 + lam*rho*|w|.  There is no per-leaf
 count penalty; pruning is controlled by min_gain and min_child_weight.
 Split-gain ties break on the smaller feature name, then the smaller
 threshold, which makes fitted trees independent of feature column order.
+
+The split search follows XGBoost's pre-sorted column blocks (Chen &
+Guestrin, KDD 2016).  Each fit sorts every feature column once with a
+stable argsort, and a node's per-feature row order is that order filtered
+to the node's rows: ties stay in ascending row order, as a stable sort of
+the node's own rows leaves them.  Cumulative gradient sums along those
+orders score every (feature, threshold) cell of a node in one pass.  An
+accumulate adds in sequence and each cell's gain takes the scalar
+formula's operations in the same order, so the fitted model is
+byte-identical to a scan that re-sorts every node and scores one threshold
+at a time (the oracle in tests/helpers.py).
 """
 
 from __future__ import annotations
@@ -67,6 +78,10 @@ class GbtConfig:
     seed: int = 0
 
     def check(self) -> None:
+        for name in ("learning_rate", "min_child_weight", "lam", "rho", "min_gain"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -149,48 +164,63 @@ def split_gain(G_L: float, H_L: float, G_R: float, H_R: float, lam: float, rho: 
                   - _leaf_score(G_L + G_R, H_L + H_R, lam, rho))
 
 
-def _grow(x: np.ndarray, g: np.ndarray, h: np.ndarray, rows: np.ndarray,
-          depth: int, cfg: GbtConfig, names: tuple[str, ...]) -> TreeNode:
-    G = float(np.sum(g[rows]))
-    H = float(np.sum(h[rows]))
-    if depth >= cfg.max_depth or rows.size < 2:
-        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
+def _best_split(x_t: np.ndarray, g: np.ndarray, order: np.ndarray, G: float,
+                cfg: GbtConfig, names: tuple[str, ...]) -> tuple[int, float] | None:
+    """(feature, threshold) of the best split of one node, or None.
 
-    parent_score = _leaf_score(G, H, cfg.lam, cfg.rho)
-    best: tuple[float, str, float, int] | None = None  # (gain, name, threshold, feature)
-    for f in range(x.shape[1]):
-        col = x[rows, f]
-        order = np.argsort(col, kind="stable")
-        sv = col[order]
-        cg = np.cumsum(g[rows][order])
-        ch = np.cumsum(h[rows][order])
-        for k in np.nonzero(sv[:-1] != sv[1:])[0]:
-            H_L = float(ch[k])
-            H_R = H - H_L
-            if H_L < cfg.min_child_weight or H_R < cfg.min_child_weight:
-                continue
-            G_L = float(cg[k])
-            gain = 0.5 * (_leaf_score(G_L, H_L, cfg.lam, cfg.rho)
-                          + _leaf_score(G - G_L, H_R, cfg.lam, cfg.rho)
-                          - parent_score)
-            threshold = (float(sv[k]) + float(sv[k + 1])) / 2.0
-            candidate = (gain, names[f], threshold, f)
-            if gain > cfg.min_gain and (
-                best is None
-                or gain > best[0]
-                or (gain == best[0] and (candidate[1], candidate[2]) < (best[1], best[2]))
-            ):
-                best = candidate
+    order[f] holds the node's rows sorted by feature f, so cell (f, k) of
+    the cumulative gradient sums is the left child of a cut after the k-th
+    value.  With h = 1 the left hessian sum is the row count k + 1.  Each
+    cell gets the scalar formulas' operations in the same order, so its gain
+    is the one split_gain gives, bit for bit.
+    """
+    n_features, m = order.shape
+    sv = x_t[np.arange(n_features)[:, None], order]
+    G_L = g[order].cumsum(axis=1)[:, :-1]
+    G_R = G - G_L
+    H_L = np.arange(1.0, m)
+    H_R = m - H_L
+    l1 = cfg.lam * cfg.rho
+    l2 = cfg.lam * (1.0 - cfg.rho)
+    s_L = np.copysign(np.maximum(np.abs(G_L) - l1, 0.0), G_L)
+    s_R = np.copysign(np.maximum(np.abs(G_R) - l1, 0.0), G_R)
+    gain = 0.5 * (s_L * s_L / (H_L + l2) + s_R * s_R / (H_R + l2)
+                  - _leaf_score(G, float(m), cfg.lam, cfg.rho))
+    ok = ((sv[:, :-1] != sv[:, 1:]) & (gain > cfg.min_gain)
+          & ((H_L >= cfg.min_child_weight) & (H_R >= cfg.min_child_weight)))
+    if not ok.any():
+        return None
+    # Ties on gain break on the smaller feature name, then the smaller threshold.
+    fs, ks = np.nonzero(ok & (gain == gain[ok].max()))
+    thresholds = (sv[fs, ks] + sv[fs, ks + 1]) / 2.0
+    _, threshold, feature = min((names[f], float(t), int(f)) for f, t in zip(fs, thresholds))
+    return feature, threshold
 
-    if best is None:
-        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
-    _, _, threshold, feature = best
-    mask = x[rows, feature] < threshold
+
+def _grow(x_t: np.ndarray, g: np.ndarray, rows: np.ndarray, order: np.ndarray,
+          depth: int, cfg: GbtConfig, names: tuple[str, ...], out: np.ndarray) -> TreeNode:
+    """Grow the subtree over `rows` (ascending) and write its leaf weights into out[rows]."""
+    G = float(g[rows].sum())
+    split = None
+    if depth < cfg.max_depth and rows.size >= 2:
+        split = _best_split(x_t, g, order, G, cfg, names)
+    if split is None:
+        weight = leaf_weight(G, float(rows.size), cfg.lam, cfg.rho)
+        out[rows] = weight
+        return TreeNode(weight=weight)
+    feature, threshold = split
+    goes_left = x_t[feature] < threshold
+    left = goes_left[rows]
+    # Filtering keeps each feature's sorted order, so children never re-sort.
+    order_left = goes_left[order]
+    n_features = order.shape[0]
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_grow(x, g, h, rows[mask], depth + 1, cfg, names),
-        right=_grow(x, g, h, rows[~mask], depth + 1, cfg, names),
+        left=_grow(x_t, g, rows[left], order[order_left].reshape(n_features, -1),
+                   depth + 1, cfg, names, out),
+        right=_grow(x_t, g, rows[~left], order[~order_left].reshape(n_features, -1),
+                    depth + 1, cfg, names, out),
     )
 
 
@@ -238,14 +268,16 @@ def train_gbt(x, y, config: GbtConfig | None = None,
 
     base = float(y.mean())
     pred = np.full(x.shape[0], base)
-    h = np.ones(x.shape[0])
     rows = np.arange(x.shape[0])
+    x_t = np.ascontiguousarray(x.T)
+    # Sorted once per fit: row order of each feature, ties by row index.
+    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
     trees = []
     for _ in range(config.n_trees):
         g = pred - y
-        tree = _grow(x, g, h, rows, 0, config, feature_names)
-        trees.append(tree)
-        pred = pred + config.learning_rate * _apply_tree(tree, x)
+        leaf_out = np.empty(x.shape[0])
+        trees.append(_grow(x_t, g, rows, order, 0, config, feature_names, leaf_out))
+        pred = pred + config.learning_rate * leaf_out
     return GbtModel(base_score=base, trees=tuple(trees), config=config,
                     feature_names=feature_names)
 
@@ -308,6 +340,10 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
     x, y = _validate_xy(x, y)
     if len(lambda_grid) == 0 or len(rho_grid) == 0:
         raise ValueError("lambda_grid and rho_grid must be non-empty")
+    for name, grid in (("lambda_grid", lambda_grid), ("rho_grid", rho_grid)):
+        for value in grid:
+            if not math.isfinite(float(value)):
+                raise ValueError(f"{name} values must be finite, got {value}")
 
     n = x.shape[0]
     n_train = _chronological_split(n)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from matchkit.gbtree import GbtConfig, GbtModel, TreeNode, leaf_weight
 from matchkit.ingest import MatchTimeline, PointRecord
 
 
@@ -110,3 +113,82 @@ def oracle_leaf_argmin(G, H, lam, rho, coarse_step=1e-4, max_points=200_001):
         w0 = float(w_new[np.argmin(inc)])
         spacing = spacing / 1000.0
     return w0
+
+
+def _scalar_leaf_score(G, H, lam, rho):
+    s = math.copysign(max(abs(G) - lam * rho, 0.0), G)
+    return s * s / (H + lam * (1.0 - rho))
+
+
+def _scalar_grow(x, g, h, rows, depth, cfg, names):
+    """The split scan train_gbt replaced: a stable argsort of the node's own
+    rows for every feature, then one scalar gain per candidate threshold."""
+    G = float(np.sum(g[rows]))
+    H = float(np.sum(h[rows]))
+    if depth >= cfg.max_depth or rows.size < 2:
+        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
+
+    parent_score = _scalar_leaf_score(G, H, cfg.lam, cfg.rho)
+    best = None  # (gain, name, threshold, feature)
+    for f in range(x.shape[1]):
+        col = x[rows, f]
+        order = np.argsort(col, kind="stable")
+        sv = col[order]
+        cg = np.cumsum(g[rows][order])
+        ch = np.cumsum(h[rows][order])
+        for k in np.nonzero(sv[:-1] != sv[1:])[0]:
+            H_L = float(ch[k])
+            H_R = H - H_L
+            if H_L < cfg.min_child_weight or H_R < cfg.min_child_weight:
+                continue
+            G_L = float(cg[k])
+            gain = 0.5 * (_scalar_leaf_score(G_L, H_L, cfg.lam, cfg.rho)
+                          + _scalar_leaf_score(G - G_L, H_R, cfg.lam, cfg.rho)
+                          - parent_score)
+            threshold = (float(sv[k]) + float(sv[k + 1])) / 2.0
+            candidate = (gain, names[f], threshold, f)
+            if gain > cfg.min_gain and (
+                best is None
+                or gain > best[0]
+                or (gain == best[0] and (candidate[1], candidate[2]) < (best[1], best[2]))
+            ):
+                best = candidate
+
+    if best is None:
+        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
+    _, _, threshold, feature = best
+    mask = x[rows, feature] < threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        left=_scalar_grow(x, g, h, rows[mask], depth + 1, cfg, names),
+        right=_scalar_grow(x, g, h, rows[~mask], depth + 1, cfg, names),
+    )
+
+
+def _scalar_apply(node, x, rows, out):
+    if node.is_leaf:
+        out[rows] = node.weight
+        return
+    mask = x[rows, node.feature] < node.threshold
+    _scalar_apply(node.left, x, rows[mask], out)
+    _scalar_apply(node.right, x, rows[~mask], out)
+
+
+def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> GbtModel:
+    """Reference boosting loop over the scalar split scan, for `==` against train_gbt."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    names = tuple(feature_names or (f"f{i}" for i in range(x.shape[1])))
+    base = float(y.mean())
+    pred = np.full(x.shape[0], base)
+    h = np.ones(x.shape[0])
+    rows = np.arange(x.shape[0])
+    trees = []
+    for _ in range(config.n_trees):
+        tree = _scalar_grow(x, pred - y, h, rows, 0, config, names)
+        trees.append(tree)
+        out = np.empty(x.shape[0])
+        _scalar_apply(tree, x, rows, out)
+        pred = pred + config.learning_rate * out
+    return GbtModel(base_score=base, trees=tuple(trees), config=config, feature_names=names)

@@ -76,6 +76,22 @@ class TestExitCodes:
         assert code == 1
         assert "server" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags,field", [
+        (["--min-gain", "nan"], "min_gain"),
+        (["--min-child-weight", "inf"], "min_child_weight"),
+        (["--lambda-grid", "inf"], "lambda_grid"),
+        (["--lambda-grid", "0,nan"], "lambda_grid"),
+        (["--rho-grid", "nan"], "rho_grid"),
+    ])
+    def test_non_finite_gbt_settings(self, single_csv, tmp_path, capsys, flags, field):
+        code = run_cli(["train-gbt", "--input", single_csv,
+                        "--model-out", str(tmp_path / "m.json"),
+                        "--n-trees", "2"] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert field in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(["dbwp", "--input", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o.csv")])
@@ -276,6 +292,36 @@ class TestConfigFile:
                         "--config", str(tmp_path / "missing.json")])
         assert code == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("doc,key", [
+        ({"n_trees": 2.5}, "n_trees"),
+        ({"n_trees": True}, "n_trees"),
+        ({"lambda_grid": [0.0, "x"]}, "lambda_grid"),
+        ({"variant": "bogus"}, "variant"),
+        ({"model_out": 5}, "model_out"),
+    ])
+    def test_config_values_are_type_checked(self, single_csv, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        code = run_cli(["train-gbt", "--input", single_csv,
+                        "--model-out", str(tmp_path / "m.json"),
+                        "--config", str(cfg)] + GBT_FAST)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert key in err
+
+    def test_config_values_take_the_flag_type(self, single_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_trees": 3, "lambda_grid": [0, 1], "rho_grid": "0.5",
+                                   "min_gain": "0.01"}))
+        manifest = tmp_path / "m.manifest.json"
+        assert run_cli(["train-gbt", "--input", single_csv,
+                        "--model-out", str(tmp_path / "m.json"),
+                        "--manifest", str(manifest), "--config", str(cfg)]) == 0
+        doc = json.loads(manifest.read_text())["config"]
+        assert (doc["n_trees"], doc["lambda_grid"], doc["rho_grid"], doc["min_gain"]) == (
+            3, [0.0, 1.0], [0.5], 0.01)
 
     def test_non_object_config(self, single_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

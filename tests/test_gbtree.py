@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from helpers import leaf_objective, make_separable, oracle_leaf_argmin
+from helpers import leaf_objective, make_separable, oracle_leaf_argmin, oracle_train_gbt
 from matchkit.gbtree import (
     ABLATION_VARIANTS,
     AblationReport,
@@ -27,7 +27,7 @@ from matchkit.gbtree import (
     train_gbt,
     write_ablation_csv,
 )
-from matchkit.momentum import MomentumConfig
+from matchkit.momentum import MomentumConfig, build_feature_matrix, momentum_series
 
 
 class TestGradHess:
@@ -220,6 +220,79 @@ class TestTrainGbt:
         with pytest.raises(ValueError, match="rho"):
             GbtConfig(rho=1.5).check()
 
+    @pytest.mark.parametrize("field", ["learning_rate", "min_child_weight", "lam", "rho",
+                                       "min_gain"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_settings_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GbtConfig(**{field: value}).check()
+
+
+def _oracle_case(seed, n, n_features, levels=None):
+    """Seeded matrix; with `levels`, integer values in [0, levels) give repeats."""
+    rng = np.random.default_rng(seed)
+    if levels is None:
+        x = rng.normal(size=(n, n_features))
+    else:
+        x = rng.integers(0, levels, size=(n, n_features)).astype(float)
+    y = ((x[:, 0] + rng.normal(scale=1.0, size=n)) > np.median(x[:, 0])).astype(float)
+    return x, y
+
+
+class TestSplitSearchMatchesScalarScan:
+    """train_gbt equals the per-node, per-threshold scalar scan in tests/helpers.py."""
+
+    @pytest.mark.parametrize("seed,n,n_features,levels,cfg", [
+        (0, 90, 3, None, GbtConfig(n_trees=8, max_depth=3)),
+        (1, 120, 4, 3, GbtConfig(n_trees=8, max_depth=4)),
+        (2, 80, 2, 2, GbtConfig(n_trees=6, max_depth=3, lam=0.3, rho=0.25)),
+        (3, 100, 3, 6, GbtConfig(n_trees=8, max_depth=3, min_child_weight=7.5)),
+        (4, 100, 3, None, GbtConfig(n_trees=8, max_depth=4, min_gain=0.4)),
+        (5, 60, 3, 4, GbtConfig(n_trees=8, max_depth=3, lam=0.0, rho=0.0)),
+        (6, 60, 3, 4, GbtConfig(n_trees=8, max_depth=3, lam=0.0, rho=1.0)),
+        (7, 70, 2, None, GbtConfig(n_trees=5, max_depth=2, lam=10.0, rho=1.0,
+                                   min_child_weight=3.0, min_gain=0.01)),
+    ])
+    def test_equal_models(self, seed, n, n_features, levels, cfg):
+        x, y = _oracle_case(seed, n, n_features, levels)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+
+    def test_repeated_column_value_blocks(self):
+        # Long runs of one value and a constant column: cuts exist only
+        # between distinct neighbours.
+        x, y = _oracle_case(8, 100, 2, levels=3)
+        x = np.column_stack([x, np.repeat([0.0, 1.0], 50), np.full(100, 2.0)])
+        cfg = GbtConfig(n_trees=6, max_depth=3, min_child_weight=2.0)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+
+    @pytest.mark.parametrize("seed", [3, 24])
+    def test_tied_values_keep_row_order(self, seed):
+        # A cut's cumulative sum adds tied rows in row order, as a stable
+        # sort of the node's rows does.  On these seeds the order of numpy's
+        # default (unstable) argsort moves a gain by an ulp and the model.
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 4, size=(120, 3)).astype(float)
+        y = (rng.random(120) < 0.5).astype(float)
+        cfg = GbtConfig(n_trees=6, max_depth=3, lam=0.0, rho=0.0)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+
+    def test_identical_columns_break_ties_on_name(self):
+        x, y = _oracle_case(9, 80, 2, levels=5)
+        x = np.column_stack([x, x[:, 0]])  # column 2 duplicates column 0
+        names = ("zeta", "mid", "alpha")
+        cfg = GbtConfig(n_trees=5, max_depth=3)
+        model = train_gbt(x, y, cfg, names)
+        assert model == oracle_train_gbt(x, y, cfg, names)
+        assert model.trees[0].feature == 2  # "alpha" wins the exact gain tie
+        swapped = train_gbt(x, y, cfg, ("alpha", "mid", "zeta"))
+        assert swapped.trees[0].feature == 0
+
+    def test_match_feature_matrix(self, match_80):
+        fm = build_feature_matrix(match_80, momentum_series(match_80, MomentumConfig()), "both")
+        cfg = GbtConfig(n_trees=10, max_depth=4, lam=1.0, rho=0.5)
+        assert (train_gbt(fm.x, fm.y, cfg, fm.names)
+                == oracle_train_gbt(fm.x, fm.y, cfg, fm.names))
+
 
 class TestPredict:
     def test_empty_tree_list_gives_base(self):
@@ -294,6 +367,16 @@ class TestGridSearch:
         x, y = make_separable(100, seed=0)
         with pytest.raises(ValueError, match="non-empty"):
             grid_search(x, y, [], [0.5])
+
+    @pytest.mark.parametrize("grids,field", [
+        (([0.0, float("inf")], [0.5]), "lambda_grid"),
+        (([float("nan")], [0.5]), "lambda_grid"),
+        (([1.0], [0.5, float("nan")]), "rho_grid"),
+    ])
+    def test_non_finite_grid_rejected(self, grids, field):
+        x, y = make_separable(100, seed=0)
+        with pytest.raises(ValueError, match=f"{field} values must be finite"):
+            grid_search(x, y, *grids, GbtConfig(n_trees=2))
 
 
 SMALL_GRIDS = dict(lambda_grid=(0.0, 1.0), rho_grid=(0.0, 0.5))
