@@ -48,6 +48,7 @@ from .momentum import (
 )
 from .neural import (
     NEURAL_VARIANTS,
+    VARIANT_COLUMNS,
     NetConfig,
     train_deep_lstm,
     train_report_to_json,
@@ -56,8 +57,6 @@ from .neural import (
 from .winjud import WinjudParams, best_performance_times, winjud_scores, write_winjud_csv
 
 __all__ = ["build_parser", "run_cli", "main"]
-
-_VARIANT_WIDTHS = {"full": 3, "no_momentum": 1, "no_server": 2}
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -232,7 +231,7 @@ def _cmd_train_lstm(args):
     timeline = _pick_timeline(timelines, args.match_id)
     momentum = momentum_series(timeline, MomentumConfig())
     series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
-    config = _net_config(args, _VARIANT_WIDTHS[args.variant])
+    config = _net_config(args, len(VARIANT_COLUMNS[args.variant]))
     report = train_deep_lstm([(timeline, series, momentum)], config,
                              variant=args.variant, repeats=args.repeats)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -259,7 +258,7 @@ def _cmd_maml(args):
         raise ValueError("no support matches after the split")
     if not query_ids:
         raise ValueError("no query matches after the split; pass --query")
-    net = _net_config(args, _VARIANT_WIDTHS[args.variant])
+    net = _net_config(args, len(VARIANT_COLUMNS[args.variant]))
     config = MamlConfig(
         net=net,
         meta_lr=args.meta_lr,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -82,6 +83,12 @@ class GbtConfig:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        for name in ("n_trees", "max_depth"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:
@@ -249,6 +256,8 @@ def _validate_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {x.shape[0]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
     return x, y
@@ -452,10 +461,12 @@ def model_from_json(text: str) -> GbtModel:
     doc = json.loads(text)
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
+    config = GbtConfig(**doc["config"])
+    config.check()
     return GbtModel(
         base_score=doc["base_score"],
         trees=tuple(_node_from_obj(t) for t in doc["trees"]),
-        config=GbtConfig(**doc["config"]),
+        config=config,
         feature_names=tuple(doc["feature_names"]),
     )
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import random
 import re
 from dataclasses import dataclass, field, fields
@@ -227,9 +228,12 @@ def _parse_bool(value: str, name: str, row: int) -> bool:
 
 def _parse_float(value: str, name: str, row: int) -> float:
     try:
-        return float(value.strip())
+        number = float(value.strip())
     except ValueError:
         raise ValidationError(f"column {name!r} is not a number: {value!r}", row) from None
+    if not math.isfinite(number):
+        raise ValidationError(f"column {name!r} must be finite, got {value!r}", row)
+    return number
 
 
 def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTimeline]:

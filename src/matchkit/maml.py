@@ -7,13 +7,19 @@ under MSE, measures Huber loss of the adapted parameters on each task's
 validation split, and applies the mean of those gradients (the first-order
 approximation) to the initialization with Adam.  Held-out query tasks are
 then fine-tuned from the meta-initialization and scored by MSE, side by side
-with a same-budget fine-tune from the raw random initialization.
+with a same-budget fine-tune from the raw random initialization.  The exact
+meta-gradient exists only as a finite-difference oracle in the tests.
+
+A saved meta-state is format 2: the parameters use the fused LSTM gate
+layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`).  Format 1 held twelve
+per-gate arrays and is rejected.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -70,11 +76,14 @@ class MamlConfig:
     train_fraction: float = 0.8
     fine_tune_epochs: int = 5
     meta_iterations: int = 100
-    first_order: bool = True
     seed: int = 0
 
     def check(self) -> None:
         self.net.check()
+        for name in ("meta_lr", "inner_lr", "train_fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.meta_lr < 0:
             raise ValueError(f"meta_lr must be >= 0, got {self.meta_lr}")
         if self.inner_lr <= 0:
@@ -223,18 +232,24 @@ def gd_steps(params: dict[str, np.ndarray], grad_fn, lr: float, steps: int) -> d
     return current
 
 
+def _mse_gd(start: dict[str, np.ndarray], x, y, config: MamlConfig,
+            steps: int) -> dict[str, np.ndarray]:
+    """`steps` full-batch GD steps of MSE on (x, y) at inner_lr."""
+
+    def grad_fn(params):
+        net = ParallelNet(params, config.net)
+        _, grads = backward(net, x, y, loss_kind="mse", train_mode=False)
+        return grads
+
+    return gd_steps(start, grad_fn, config.inner_lr, steps)
+
+
 def inner_adapt(init: dict[str, np.ndarray], task: Task, config: MamlConfig) -> dict[str, np.ndarray]:
     """Adapt an initialization to one task: inner_epochs GD steps of MSE on
     the task's training split.  The initialization is never mutated."""
     config.check()
     (x_train, y_train), _ = split_task(task, config.train_fraction)
-
-    def grad_fn(params):
-        net = ParallelNet(params, config.net)
-        _, grads = backward(net, x_train, y_train, loss_kind="mse", train_mode=False)
-        return grads
-
-    return gd_steps(init, grad_fn, config.inner_lr, config.inner_epochs)
+    return _mse_gd(init, x_train, y_train, config, config.inner_epochs)
 
 
 def meta_train(tasks, config: MamlConfig) -> MetaState:
@@ -246,11 +261,6 @@ def meta_train(tasks, config: MamlConfig) -> MetaState:
     initialization with Adam at meta_lr (first-order approximation).
     """
     config.check()
-    if not config.first_order:
-        raise ValueError(
-            "only the first-order meta-gradient is implemented; the exact "
-            "meta-gradient is available for verification, not training"
-        )
     tasks = list(tasks)
     if len(tasks) < config.tasks_per_batch:
         raise ValueError(
@@ -287,13 +297,7 @@ def meta_train(tasks, config: MamlConfig) -> MetaState:
 def _fine_tune_mse(start_params: dict[str, np.ndarray], task: Task,
                    config: MamlConfig) -> float:
     (x_train, y_train), (x_val, y_val) = split_task(task, config.train_fraction)
-
-    def grad_fn(params):
-        net = ParallelNet(params, config.net)
-        _, grads = backward(net, x_train, y_train, loss_kind="mse", train_mode=False)
-        return grads
-
-    tuned = gd_steps(start_params, grad_fn, config.inner_lr, config.fine_tune_epochs)
+    tuned = _mse_gd(start_params, x_train, y_train, config, config.fine_tune_epochs)
     residual = forward_batch(ParallelNet(tuned, config.net), x_val) - y_val
     return float(np.mean(residual * residual))
 
@@ -328,7 +332,7 @@ def evaluate_queries(meta: MetaState, tasks, config: MamlConfig) -> tuple[QueryE
 
 def meta_state_to_json(meta: MetaState) -> str:
     doc = {
-        "format_version": 1,
+        "format_version": 2,
         "params": {k: v.tolist() for k, v in meta.params.items()},
         "loss_history": list(meta.loss_history),
         "config": asdict(meta.config),
@@ -339,7 +343,7 @@ def meta_state_to_json(meta: MetaState) -> str:
 def meta_state_from_json(text: str) -> MetaState:
     doc = json.loads(text)
     version = doc.get("format_version")
-    if version != 1:
+    if version != 2:
         raise ValueError(f"unsupported meta state format version: {version!r}")
     cfg_doc = dict(doc["config"])
     net = NetConfig(**cfg_doc.pop("net"))

@@ -7,12 +7,18 @@ state through an affine readout.  The scalar prediction is the sum of the two
 branch outputs.  Training is full-batch Adam on Huber loss (optionally mixed
 with a small MSE term); gradients come from handwritten backprop through
 time and are verifiable against central finite differences.
+
+The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
+`lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
+i, f, o, c, so a step is one pre-activation, one sigmoid over i, f, o and one
+tanh over c.  The sigmoid is 0.5*(1 + tanh(x/2)): branch-free, no overflow.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -29,6 +35,7 @@ __all__ = [
     "ParallelNet",
     "TrainReport",
     "NEURAL_VARIANTS",
+    "VARIANT_COLUMNS",
     "param_specs",
     "param_count",
     "init_net",
@@ -50,8 +57,13 @@ SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
 ADAM_EPS = 1e-8
 
-# Feature-drop variants mirroring the two-column ablation of the regressor.
-NEURAL_VARIANTS = ("full", "no_momentum", "no_server")
+# Feature columns of each variant; the drop variants mirror the two-column ablation.
+VARIANT_COLUMNS = {
+    "full": ("psychological", "strategic", "server_signed"),
+    "no_momentum": ("server_signed",),
+    "no_server": ("psychological", "strategic"),
+}
+NEURAL_VARIANTS = tuple(VARIANT_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,10 @@ class NetConfig:
     l2_mix: bool = False  # adds 0.05 * MSE to the Huber objective
 
     def check(self) -> None:
+        for name in ("dropout_rate", "huber_delta", "adam_lr", "adam_beta1", "adam_beta2"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -87,19 +103,12 @@ class NetConfig:
 def param_specs(config: NetConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Ordered (name, shape) pairs for every trainable array."""
     d, hd, hl = config.input_dim, config.hidden_dense, config.hidden_lstm
-    specs: list[tuple[str, tuple[int, ...]]] = [
+    return (
         ("dense_w1", (d, hd)), ("dense_b1", (hd,)),
         ("dense_w2", (hd, 1)), ("dense_b2", (1,)),
-    ]
-    for gate in ("i", "f", "o", "c"):
-        specs.append((f"w{gate}", (d, hl)))
-    for gate in ("i", "f", "o", "c"):
-        specs.append((f"u{gate}", (hl, hl)))
-    for gate in ("i", "f", "o", "c"):
-        specs.append((f"b{gate}", (hl,)))
-    specs.append(("rw", (hl, 1)))
-    specs.append(("rb", (1,)))
-    return tuple(specs)
+        ("lstm_w", (d, 4 * hl)), ("lstm_u", (hl, 4 * hl)), ("lstm_b", (4 * hl,)),
+        ("rw", (hl, 1)), ("rb", (1,)),
+    )
 
 
 def param_count(config: NetConfig) -> int:
@@ -123,7 +132,12 @@ def init_net(config: NetConfig) -> ParallelNet:
         if len(shape) == 1:
             params[name] = np.zeros(shape)
         else:
-            params[name] = rng.normal(0.0, 1.0 / np.sqrt(shape[0]), size=shape)
+            # Fused LSTM matrices are drawn one gate block at a time (i, f, o,
+            # c), so a seed gives the weights of separate per-gate arrays.
+            rows, cols = shape
+            blocks = 4 if name.startswith("lstm_") else 1
+            params[name] = np.hstack([rng.normal(0.0, 1.0 / np.sqrt(rows), size=(rows, cols // blocks))
+                                      for _ in range(blocks)])
     return ParallelNet(params, config)
 
 
@@ -148,12 +162,7 @@ def _selu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
@@ -185,20 +194,20 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     d1 = z1 * drop_scale
     dense_out = d1 @ p["dense_w2"] + p["dense_b2"]  # (B, 1)
 
-    h = np.zeros((B, cfg.hidden_lstm))
-    c = np.zeros((B, cfg.hidden_lstm))
+    H = cfg.hidden_lstm
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
     steps = []
     for t in range(T):
         xt = x[:, t, :]
-        gi = _sigmoid(xt @ p["wi"] + h @ p["ui"] + p["bi"])
-        gf = _sigmoid(xt @ p["wf"] + h @ p["uf"] + p["bf"])
-        go = _sigmoid(xt @ p["wo"] + h @ p["uo"] + p["bo"])
-        gc = np.tanh(xt @ p["wc"] + h @ p["uc"] + p["bc"])
+        a = xt @ p["lstm_w"] + h @ p["lstm_u"] + p["lstm_b"]
+        sig = _sigmoid(a[:, :3 * H])
+        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
+        gc = np.tanh(a[:, 3 * H:])
         c_new = gf * c + gi * gc
         tanh_c = np.tanh(c_new)
-        h_new = go * tanh_c
-        steps.append((xt, h, c, gi, gf, go, gc, c_new, tanh_c))
-        h, c = h_new, c_new
+        steps.append((xt, h, c, sig, gc, tanh_c))
+        h, c = go * tanh_c, c_new
     recurrent_out = h @ p["rw"] + p["rb"]  # (B, 1)
 
     pred = (dense_out + recurrent_out)[:, 0]
@@ -272,31 +281,18 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     grads["rb"] = dout.sum(axis=0)
     dh = dout @ p["rw"].T
     dc = np.zeros_like(dh)
-    for xt, h_prev, c_prev, gi, gf, go, gc, c_new, tanh_c in reversed(cache["steps"]):
-        dgo = dh * tanh_c
+    H = cfg.hidden_lstm
+    for xt, h_prev, c_prev, sig, gc, tanh_c in reversed(cache["steps"]):
+        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
         dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
-        dgi = dc * gc
-        dgc = dc * gi
-        dgf = dc * c_prev
-        dc_prev = dc * gf
-        da_i = dgi * gi * (1.0 - gi)
-        da_f = dgf * gf * (1.0 - gf)
-        da_o = dgo * go * (1.0 - go)
-        da_c = dgc * (1.0 - gc * gc)
-        grads["wi"] += xt.T @ da_i
-        grads["wf"] += xt.T @ da_f
-        grads["wo"] += xt.T @ da_o
-        grads["wc"] += xt.T @ da_c
-        grads["ui"] += h_prev.T @ da_i
-        grads["uf"] += h_prev.T @ da_f
-        grads["uo"] += h_prev.T @ da_o
-        grads["uc"] += h_prev.T @ da_c
-        grads["bi"] += da_i.sum(axis=0)
-        grads["bf"] += da_f.sum(axis=0)
-        grads["bo"] += da_o.sum(axis=0)
-        grads["bc"] += da_c.sum(axis=0)
-        dh = da_i @ p["ui"].T + da_f @ p["uf"].T + da_o @ p["uo"].T + da_c @ p["uc"].T
-        dc = dc_prev
+        # Pre-activation gradient of all four gates, columns i, f, o, c.
+        dsig = np.concatenate([dc * gc, dc * c_prev, dh * tanh_c], axis=1) * sig * (1.0 - sig)
+        da = np.concatenate([dsig, dc * gi * (1.0 - gc * gc)], axis=1)
+        grads["lstm_w"] += xt.T @ da
+        grads["lstm_u"] += h_prev.T @ da
+        grads["lstm_b"] += da.sum(axis=0)
+        dh = da @ p["lstm_u"].T
+        dc = dc * gf
     return loss, grads
 
 
@@ -372,9 +368,9 @@ def assemble_match_features(timeline: MatchTimeline, dbwp: DbwpSeries,
                             momentum: MomentumSeries, variant: str = "full"):
     """Per-point feature rows at the fluctuation-score indices, plus targets.
 
-    Full feature order: psychological, strategic, server_signed; the
-    `no_momentum` variant keeps only the server column and `no_server` keeps
-    only the two momentum columns.
+    The columns are `VARIANT_COLUMNS[variant]`: `full` has psychological,
+    strategic and server_signed; `no_momentum` keeps only the server column
+    and `no_server` only the two momentum columns.
     """
     if variant not in NEURAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {NEURAL_VARIANTS}")
@@ -383,13 +379,13 @@ def assemble_match_features(timeline: MatchTimeline, dbwp: DbwpSeries,
     n = len(timeline.points)
     if any(i < 0 or i >= n for i in dbwp.indices):
         raise ValueError("fluctuation series indices fall outside the timeline")
-    cols = []
-    if variant in ("full", "no_server"):
-        cols.append([momentum.psychological[i] for i in dbwp.indices])
-        cols.append([momentum.strategic[i] for i in dbwp.indices])
-    if variant in ("full", "no_momentum"):
-        cols.append([1.0 if timeline.points[i].server == 1 else -1.0 for i in dbwp.indices])
-    features = np.column_stack(cols)
+    idx = dbwp.indices
+    columns = {
+        "psychological": [momentum.psychological[i] for i in idx],
+        "strategic": [momentum.strategic[i] for i in idx],
+        "server_signed": [1.0 if timeline.points[i].server == 1 else -1.0 for i in idx],
+    }
+    features = np.column_stack([columns[name] for name in VARIANT_COLUMNS[variant]])
     targets = np.asarray(dbwp.dbwp, dtype=np.float64)
     return features, targets
 

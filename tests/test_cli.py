@@ -219,7 +219,7 @@ class TestTrainingCommands:
         assert rows[0] == ["match_id", "maml_mse", "scratch_mse"]
         assert sorted(r[0] for r in rows[1:]) == ["demo-1601", "demo-1701"]
         doc = json.loads(open(state).read())
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert len(doc["loss_history"]) == 5
 
     def test_maml_explicit_partition(self, pool_csv, tmp_path):

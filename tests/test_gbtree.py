@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -227,6 +228,18 @@ class TestTrainGbt:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GbtConfig(**{field: value}).check()
 
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth"])
+    def test_sizes_must_be_integers(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            GbtConfig(**{field: 2.5}).check()
+        GbtConfig(**{field: np.int64(2)}).check()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_features_rejected(self, value):
+        x = np.array([[0.0], [0.0], [value], [value]])
+        with pytest.raises(ValueError, match="features must be finite"):
+            train_gbt(x, np.array([1.0, 1.0, 0.0, 1.0]), GbtConfig(lam=0.0, rho=0.0))
+
 
 def _oracle_case(seed, n, n_features, levels=None):
     """Seeded matrix; with `levels`, integer values in [0, levels) give repeats."""
@@ -429,6 +442,13 @@ class TestSerialization:
         tampered = doc.replace('"format_version": 1', '"format_version": 9')
         with pytest.raises(ValueError, match="version"):
             model_from_json(tampered)
+
+    def test_config_is_checked_on_load(self):
+        x, y = make_separable(100, seed=8)
+        doc = json.loads(model_to_json(train_gbt(x, y, GbtConfig(n_trees=1))))
+        doc["config"]["lam"] = float("nan")
+        with pytest.raises(ValueError, match="lam must be finite"):
+            model_from_json(json.dumps(doc))
 
     def test_deterministic_document(self):
         x, y = make_separable(150, seed=2)

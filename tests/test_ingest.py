@@ -130,6 +130,14 @@ class TestLoadMatchCsv:
         with pytest.raises(ValidationError, match="0 or 1"):
             load_match_csv(make_csv(row(ace1="yes")))
 
+    @pytest.mark.parametrize("cells,column", [(dict(d1="nan"), "p1_distance_run"),
+                                              (dict(d2="inf"), "p2_distance_run"),
+                                              (dict(speed="-inf"), "speed_mph")])
+    def test_non_finite_number_rejected(self, cells, column):
+        with pytest.raises(ValidationError, match=f"'{column}' must be finite") as exc:
+            load_match_csv(make_csv(row(), row(point_no=2, elapsed="0:01:00", **cells)))
+        assert exc.value.row == 3
+
     def test_ace_and_double_fault_conflict(self):
         with pytest.raises(ValidationError, match="ace"):
             load_match_csv(make_csv(row(ace1=1, df1=1)))

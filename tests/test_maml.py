@@ -250,11 +250,6 @@ class TestMetaTrain:
         with pytest.raises(ValueError, match="batch"):
             meta_train(self.make_tasks(3), cfg)
 
-    def test_second_order_not_available(self):
-        cfg = tiny_config(first_order=False)
-        with pytest.raises(ValueError, match="first-order"):
-            meta_train(self.make_tasks(3), cfg)
-
     def test_identical_tasks_smoothed_monotone_loss(self):
         rng = np.random.default_rng(3)
         base = linear_task(0.7, 30, 6, rng, "same")
@@ -409,9 +404,10 @@ class TestSerializationAndReports:
             np.testing.assert_array_equal(back.params[k], meta.params[k])
         assert meta_state_to_json(back) == text
 
-    def test_version_guard(self):
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_version_guard(self, version):
         with pytest.raises(ValueError, match="version"):
-            meta_state_from_json(json.dumps({"format_version": 2}))
+            meta_state_from_json(json.dumps({"format_version": version}))
 
     def test_meta_eval_csv(self):
         rows = (QueryEval("m-1601", 0.25, 0.5), QueryEval("m-1701", 0.125, 1.0))
@@ -429,9 +425,12 @@ class TestConfigValidation:
         dict(fine_tune_epochs=-1), dict(tasks_per_batch=0),
         dict(meta_iterations=0), dict(train_fraction=0.0),
         dict(train_fraction=1.0),
+        dict(meta_lr=float("nan")), dict(meta_lr=float("inf")),
+        dict(inner_lr=float("nan")), dict(inner_lr=float("inf")),
+        dict(train_fraction=float("nan")),
     ])
     def test_bad_fields(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             tiny_config(**kw).check()
 
     def test_zero_meta_lr_is_legal(self):

@@ -47,14 +47,17 @@ def naive_forward(net, seq):
     z1 = np.array([lam * (v if v > 0 else alpha * (math.exp(v) - 1.0)) for v in a1])
     dense = float(z1 @ p["dense_w2"][:, 0] + p["dense_b2"][0])
 
-    h = np.zeros(cfg.hidden_lstm)
-    c = np.zeros(cfg.hidden_lstm)
+    H = cfg.hidden_lstm
+    w, u, b = ({gate: p[name][..., k * H:(k + 1) * H] for k, gate in enumerate("ifoc")}
+               for name in ("lstm_w", "lstm_u", "lstm_b"))
+    h = np.zeros(H)
+    c = np.zeros(H)
     for t in range(seq.shape[0]):
         xt = seq[t]
-        gi = 1.0 / (1.0 + np.exp(-(xt @ p["wi"] + h @ p["ui"] + p["bi"])))
-        gf = 1.0 / (1.0 + np.exp(-(xt @ p["wf"] + h @ p["uf"] + p["bf"])))
-        go = 1.0 / (1.0 + np.exp(-(xt @ p["wo"] + h @ p["uo"] + p["bo"])))
-        gc = np.tanh(xt @ p["wc"] + h @ p["uc"] + p["bc"])
+        gi = 1.0 / (1.0 + np.exp(-(xt @ w["i"] + h @ u["i"] + b["i"])))
+        gf = 1.0 / (1.0 + np.exp(-(xt @ w["f"] + h @ u["f"] + b["f"])))
+        go = 1.0 / (1.0 + np.exp(-(xt @ w["o"] + h @ u["o"] + b["o"])))
+        gc = np.tanh(xt @ w["c"] + h @ u["c"] + b["c"])
         c = gf * c + gi * gc
         h = go * np.tanh(c)
     recurrent = float(h @ p["rw"][:, 0] + p["rb"][0])
@@ -71,8 +74,8 @@ def public_loss(net, x, y):
 class TestConfigAndParams:
     def test_param_count_by_hand(self):
         cfg = NetConfig(input_dim=3, hidden_dense=4, hidden_lstm=2)
-        # dense: 3*4 + 4 + 4*1 + 1 = 21; lstm inputs 4*(3*2)=24,
-        # recurrences 4*(2*2)=16, biases 4*2=8; readout 2+1=3.
+        # dense: 3*4 + 4 + 4*1 + 1 = 21; lstm inputs 3*(4*2)=24,
+        # recurrences 2*(4*2)=16, biases 4*2=8; readout 2+1=3.
         assert param_count(cfg) == 21 + 24 + 16 + 8 + 3
 
     def test_init_matches_specs(self):
@@ -94,7 +97,7 @@ class TestConfigAndParams:
 
     def test_biases_start_at_zero(self):
         net = init_net(tiny_config())
-        for name in ("dense_b1", "dense_b2", "bi", "bf", "bo", "bc", "rb"):
+        for name in ("dense_b1", "dense_b2", "lstm_b", "rb"):
             assert not net.params[name].any()
 
     @pytest.mark.parametrize("kw", [
@@ -102,10 +105,32 @@ class TestConfigAndParams:
         dict(seq_len=0), dict(epochs=0), dict(dropout_rate=1.0),
         dict(dropout_rate=-0.1), dict(huber_delta=0.0), dict(adam_lr=0.0),
         dict(adam_beta1=1.0), dict(adam_beta2=0.0),
+        dict(adam_lr=float("nan")), dict(adam_lr=float("inf")),
+        dict(huber_delta=float("nan")), dict(huber_delta=float("inf")),
+        dict(dropout_rate=float("nan")), dict(adam_beta1=float("-inf")),
+        dict(adam_beta2=float("nan")),
     ])
     def test_config_validation(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             tiny_config(**kw).check()
+
+    def test_init_equals_per_gate_draws(self):
+        # The fused LSTM arrays hold the per-gate blocks drawn in the order
+        # dense_w1, dense_w2, w_i..w_c, u_i..u_c, rw, each at scale 1/sqrt(rows).
+        cfg = NetConfig(input_dim=3, hidden_dense=5, hidden_lstm=4, seed=17)
+        d, hd, hl = cfg.input_dim, cfg.hidden_dense, cfg.hidden_lstm
+        rng = np.random.default_rng(cfg.seed)
+        dense_w1 = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hd))
+        dense_w2 = rng.normal(0.0, 1.0 / np.sqrt(hd), size=(hd, 1))
+        w = [rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, hl)) for _ in "ifoc"]
+        u = [rng.normal(0.0, 1.0 / np.sqrt(hl), size=(hl, hl)) for _ in "ifoc"]
+        rw = rng.normal(0.0, 1.0 / np.sqrt(hl), size=(hl, 1))
+        p = init_net(cfg).params
+        assert np.array_equal(p["dense_w1"], dense_w1)
+        assert np.array_equal(p["dense_w2"], dense_w2)
+        assert np.array_equal(p["lstm_w"], np.concatenate(w, axis=1))
+        assert np.array_equal(p["lstm_u"], np.concatenate(u, axis=1))
+        assert np.array_equal(p["rw"], rw)
 
 
 class TestHuber:
@@ -247,7 +272,7 @@ class TestBackward:
         loss, grads = backward(net, x, y, loss_kind="mse")
         assert loss == pytest.approx(mse_of(), rel=1e-12)
         h = 1e-5
-        for name in ("dense_w1", "wi", "uf", "rw", "bc"):
+        for name in ("dense_w1", "lstm_w", "lstm_u", "rw", "lstm_b"):
             flat = net.params[name].reshape(-1)
             gflat = grads[name].reshape(-1)
             for i in range(flat.size):
@@ -349,7 +374,7 @@ class TestAdam:
         # m_hat = g, v_hat = g^2, so the update is lr * g / (|g| + eps).
         step = new_params["dense_w1"] - net.params["dense_w1"]
         np.testing.assert_allclose(step, 0.05 * np.ones_like(step), rtol=1e-6)
-        step2 = new_params["wi"] - net.params["wi"]
+        step2 = new_params["lstm_w"] - net.params["lstm_w"]
         np.testing.assert_allclose(step2, -0.05 * np.ones_like(step2), rtol=1e-6)
 
     def test_zero_gradient_leaves_params_unchanged(self):
