@@ -10,6 +10,7 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -523,9 +524,19 @@ def _write_manifest(path, command, config, input_path, seed, outputs, duration):
         fh.write("\n")
 
 
+@functools.cache
+def _shared_parser():
+    """The parser every run without --config uses, built once per process.
+
+    Parsing leaves a parser as it was; only set_defaults changes it, so a
+    --config run builds its own parser instead.
+    """
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subcommands, dests = build_parser()
+    parser, subcommands, dests = _shared_parser()
 
     config_path = _extract_config_path(argv)
     overrides = {}
@@ -543,6 +554,8 @@ def run_cli(argv=None) -> int:
         # into a fresh namespace, so main-parser defaults would be clobbered
         sub_name = argv[0] if argv and not argv[0].startswith("-") else None
         if sub_name in subcommands:
+            # set_defaults changes the parser: this run gets its own
+            parser, subcommands, dests = build_parser()
             try:
                 typed = _typed_config(subcommands[sub_name], overrides)
             except ValueError as exc:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._checks import require_finite, require_int
 from .ingest import MatchTimeline
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
@@ -79,16 +79,8 @@ class GbtConfig:
     seed: int = 0
 
     def check(self) -> None:
-        for name in ("learning_rate", "min_child_weight", "lam", "rho", "min_gain"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        for name in ("n_trees", "max_depth"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        require_finite(self, "learning_rate", "min_child_weight", "lam", "rho", "min_gain")
+        require_int(self, "n_trees", "max_depth")
         if self.n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
         if not 0.0 < self.learning_rate <= 1.0:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import random
 import re
@@ -20,6 +21,7 @@ __all__ = [
     "DEFAULT_SCHEMA",
     "parse_elapsed_time",
     "format_elapsed",
+    "prefix_counts",
     "load_match_csv",
     "write_timeline_csv",
     "generate_synthetic_match",
@@ -77,6 +79,15 @@ def format_elapsed(seconds: int) -> str:
     h, rem = divmod(int(seconds), 3600)
     m, s = divmod(rem, 60)
     return f"{h}:{m:02d}:{s:02d}"
+
+
+def prefix_counts(values, target) -> list[int]:
+    """counts[i] = occurrences of `target` in values[:i], for i = 0..len(values).
+
+    Any window [a, b) then holds counts[b] - counts[a] of them, so every
+    sliding-window count of a timeline is O(1) after one O(n) pass.
+    """
+    return list(itertools.accumulate((v == target for v in values), initial=0))
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._checks import require_finite, require_int
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -80,10 +80,9 @@ class MamlConfig:
 
     def check(self) -> None:
         self.net.check()
-        for name in ("meta_lr", "inner_lr", "train_fraction"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "meta_lr", "inner_lr", "train_fraction")
+        require_int(self, "inner_epochs", "tasks_per_batch", "fine_tune_epochs",
+                    "meta_iterations", "seed")
         if self.meta_lr < 0:
             raise ValueError(f"meta_lr must be >= 0, got {self.meta_lr}")
         if self.inner_lr <= 0:

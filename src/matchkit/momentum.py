@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import require_finite
 from .ingest import MatchTimeline
 
 __all__ = [
@@ -43,6 +44,8 @@ class MomentumConfig:
     unforced_error_penalty: float = -0.5
 
     def check(self) -> None:
+        require_finite(self, "set_factor", "game_factor", "b0_sets", "b0_games",
+                       "ace_bonus", "double_fault_penalty", "unforced_error_penalty")
         if self.set_factor <= 1:
             raise ValueError(f"set_factor must be > 1, got {self.set_factor}")
         if self.game_factor <= 1:

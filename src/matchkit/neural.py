@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from ._checks import require_finite, require_int
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -82,10 +82,8 @@ class NetConfig:
     l2_mix: bool = False  # adds 0.05 * MSE to the Huber objective
 
     def check(self) -> None:
-        for name in ("dropout_rate", "huber_delta", "adam_lr", "adam_beta1", "adam_beta2"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        require_finite(self, "dropout_rate", "huber_delta", "adam_lr", "adam_beta1", "adam_beta2")
+        require_int(self, "input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len", "seed")
         for name in ("input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

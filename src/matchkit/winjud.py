@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .ingest import MatchTimeline, format_elapsed
+from ._checks import require_finite, require_int
+from .ingest import MatchTimeline, format_elapsed, prefix_counts
 
 __all__ = [
     "WinjudParams",
@@ -31,6 +32,8 @@ class WinjudParams:
     beta: float = 0.5
 
     def check(self) -> None:
+        require_int(self, "w_v", "w_s")
+        require_finite(self, "beta")
         if self.w_v < 1:
             raise ValueError(f"w_v must be >= 1, got {self.w_v}")
         if self.w_s < 1:
@@ -63,14 +66,9 @@ def winjud_scores(timeline: MatchTimeline, params: WinjudParams | None = None) -
             f"timeline has {n} points but the windows require at least {w_max + 1}"
         )
 
-    victors = [p.point_victor for p in timeline.points]
-    servers = [p.server for p in timeline.points]
-    # Prefix counts: wins1[i] = # of player-1 point wins among the first i points.
-    wins1 = [0] * (n + 1)
-    srv1 = [0] * (n + 1)
-    for i in range(n):
-        wins1[i + 1] = wins1[i] + (victors[i] == 1)
-        srv1[i + 1] = srv1[i] + (servers[i] == 1)
+    # wins1[i] / srv1[i]: player-1 point wins / serves among the first i points.
+    wins1 = prefix_counts([p.point_victor for p in timeline.points], 1)
+    srv1 = prefix_counts([p.server for p in timeline.points], 1)
 
     indices, elapsed, s1, s2 = [], [], [], []
     for i in range(w_max, n):

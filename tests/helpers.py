@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 
+from matchkit.dbwp import DbwpParams, DbwpSeries, grid_time_derivative
 from matchkit.gbtree import GbtConfig, GbtModel, TreeNode, leaf_weight
 from matchkit.ingest import MatchTimeline, PointRecord
 
@@ -192,3 +193,55 @@ def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> GbtModel:
         _scalar_apply(tree, x, rows, out)
         pred = pred + config.learning_rate * out
     return GbtModel(base_score=base, trees=tuple(trees), config=config, feature_names=names)
+
+
+def oracle_grid_derivative(times_s, values, step_s):
+    """Node-by-node walk of the uniform grid: count nodes one at a time,
+    interpolate every node with a forward segment pointer, then difference.
+    Same formulas and operation order as `grid_time_derivative`."""
+    tau = [t - times_s[0] for t in times_s]
+    span = float(tau[-1])
+    n_nodes = 2
+    while (n_nodes - 1) * step_s < span:
+        n_nodes += 1
+    grid = [k * step_s for k in range(n_nodes)]
+    interp, seg = [], 0
+    for g in grid:
+        if g >= tau[-1]:
+            interp.append(values[-1])
+            continue
+        while tau[seg + 1] <= g:
+            seg += 1
+        slope = (values[seg + 1] - values[seg]) / (tau[seg + 1] - tau[seg])
+        interp.append(values[seg] + (g - tau[seg]) * slope)
+    deriv = [(interp[k + 1] - interp[k - 1]) / (2 * step_s) for k in range(1, n_nodes - 1)]
+    first = (interp[1] - interp[0]) / step_s
+    end = (interp[-1] - interp[-2]) / step_s
+    return grid, [first] + deriv + [end]
+
+
+def full_grid_dbwp(timeline, params: DbwpParams) -> DbwpSeries:
+    """dbwp series read off the whole grid of `grid_time_derivative`, with
+    every window re-counted point by point."""
+    w, step, pts = params.w_v, params.grid_step_s, timeline.points
+    indices = list(range(w, len(pts) - w + 1))
+    elapsed = [pts[i].elapsed_s for i in indices]
+    wins = [sum(1 for p in pts[i - w:i + w] if p.point_victor == params.player)
+            for i in indices]
+    centered = [(c - w) / (2 * w) for c in wins]
+    groups: dict[int, list[float]] = {}
+    for t, v in zip(elapsed, centered):
+        groups.setdefault(t, []).append(v)
+    knot_t = list(groups)
+    knot_v = []
+    for vals in groups.values():
+        total = 0.0
+        for v in vals:
+            total += v
+        knot_v.append(total / len(vals))
+    grid, deriv = grid_time_derivative(knot_t, knot_v, step)
+    last = len(grid) - 1
+    dbwp = [deriv[min(max(round((t - knot_t[0]) / step), 0), last)] for t in elapsed]
+    return DbwpSeries(indices=tuple(indices), elapsed_s=tuple(elapsed),
+                      win_rate=tuple(c / (2 * w) for c in wins), dbwp=tuple(dbwp),
+                      params=params)

@@ -92,6 +92,22 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert field in err
 
+    @pytest.mark.parametrize("command,flags,field", [
+        ("dbwp", ["--grid-step", "inf"], "grid_step_s"),
+        ("dbwp", ["--grid-step", "1e-300"], "grid_step_s"),
+        ("winjud", ["--beta", "nan"], "beta"),
+        ("momentum", ["--set-factor", "nan"], "set_factor"),
+        ("momentum", ["--ace-bonus", "inf"], "ace_bonus"),
+    ])
+    def test_unusable_scoring_settings(self, single_csv, tmp_path, capsys,
+                                       command, flags, field):
+        code = run_cli([command, "--input", single_csv,
+                        "--out", str(tmp_path / "o.csv")] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert field in err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(["dbwp", "--input", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o.csv")])
@@ -322,6 +338,24 @@ class TestConfigFile:
         doc = json.loads(manifest.read_text())["config"]
         assert (doc["n_trees"], doc["lambda_grid"], doc["rho_grid"], doc["min_gain"]) == (
             3, [0.0, 1.0], [0.5], 0.01)
+
+    @pytest.mark.parametrize("config_first", [True, False])
+    def test_config_does_not_leak_into_other_runs(self, single_csv, tmp_path, config_first):
+        # Runs without --config share one parser per process; a --config
+        # run must leave it unchanged, and must not be changed by it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"wv": 7, "beta": 0.25}))
+
+        def run(extra, name):
+            manifest = tmp_path / f"{name}.manifest.json"
+            assert run_cli(["winjud", "--input", single_csv, "--out", str(tmp_path / name),
+                            "--manifest", str(manifest)] + extra) == 0
+            doc = json.loads(manifest.read_text())["config"]
+            return doc["w_v"], doc["beta"]
+
+        runs = [(["--config", str(cfg)], "cfg.csv", (7, 0.25)), ([], "plain.csv", (5, 0.5))]
+        for extra, name, expected in (runs if config_first else runs[::-1]):
+            assert run(extra, name) == expected
 
     def test_non_object_config(self, single_csv, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -3,10 +3,12 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import random
+import time
 
 import pytest
 
-from helpers import make_timeline
+from helpers import full_grid_dbwp, make_timeline, oracle_grid_derivative
 from matchkit.dbwp import (
     DbwpParams,
     dbwp_scores,
@@ -119,6 +121,85 @@ class TestDbwpScores:
             with pytest.raises(ValueError):
                 bad.check()
 
+    @pytest.mark.parametrize("kw", [
+        dict(grid_step_s=float("inf")), dict(grid_step_s=float("nan")),
+        dict(w_v=2.5), dict(w_v=5.0),
+    ])
+    def test_non_finite_and_non_integer_fields_named(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            DbwpParams(**kw).check()
+
+    def test_tiny_step_is_bounded_by_input_size(self, match_300):
+        # A full grid at this step would hold ~1e13 nodes.
+        started = time.perf_counter()
+        series = dbwp_scores(match_300, DbwpParams(grid_step_s=1e-9))
+        assert time.perf_counter() - started < 1.0
+        assert len(series.dbwp) == len(series)
+        assert all(math.isfinite(d) for d in series.dbwp)
+
+    def test_grid_beyond_float_node_indices_rejected(self, match_300):
+        with pytest.raises(ValueError, match="too small"):
+            dbwp_scores(match_300, DbwpParams(grid_step_s=1e-300))
+
+
+def _time_variants(seed, n):
+    """A seeded match, a copy with many duplicate timestamps, and a copy
+    whose whole span is a few seconds (often shorter than one grid step)."""
+    tl = generate_synthetic_match(SyntheticSpec(n_points=n, seed=seed))
+    rng = random.Random(seed)
+    dup, short = [], []
+    t_dup = t_short = 0
+    for p in tl.points:
+        t_dup += rng.choice([0, 0, 1, 3, 17, 45])
+        t_short += rng.choice([0, 0, 0, 1])
+        dup.append(dataclasses.replace(p, elapsed_s=t_dup))
+        short.append(dataclasses.replace(p, elapsed_s=t_short))
+    return (tl, dataclasses.replace(tl, points=tuple(dup)),
+            dataclasses.replace(tl, points=tuple(short)))
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestSparseGridEvaluation:
+    """dbwp_scores evaluates only the grid nodes its points read; it must
+    agree to the last bit with the derivative over the whole grid."""
+
+    # 2.0 puts integer offsets on rounding ties (round half to even).
+    STEPS = (1.0, 0.1, 1 / 3, 0.37, 7.5, 1e3, 2.0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_full_grid_reference(self, seed):
+        for tl in _time_variants(seed, 40 + 15 * seed):
+            for step in self.STEPS:
+                for player in (1, 2):
+                    for w_v in (1, 2, 5):
+                        params = DbwpParams(w_v=w_v, grid_step_s=step, player=player)
+                        assert _outcome(dbwp_scores, tl, params) == \
+                            _outcome(full_grid_dbwp, tl, params), (seed, step, player, w_v)
+
+    @pytest.mark.parametrize("step", STEPS + (0.01,))
+    def test_grid_derivative_equals_node_walk(self, step):
+        rng = random.Random(int(step * 1000))
+        for _ in range(20):
+            times = [rng.choice([0, 5, 100])]
+            for _ in range(rng.randint(1, 40)):
+                times.append(times[-1] + rng.choice([1, 2, 7, 0.5, 1e-3, 30]))
+            values = [rng.uniform(-1.0, 1.0) for _ in times]
+            assert repr(grid_time_derivative(times, values, step)) == \
+                repr(oracle_grid_derivative(times, values, step))
+
+    @pytest.mark.parametrize("span", [21, 42, 161, 63, 119, 126])
+    def test_node_count_where_the_quotient_rounds(self, span):
+        # At step 0.7 these spans make ceil(span/step) + 1 one node too many
+        # (21, 42, 161) or too few (63, 119, 126); the float test corrects it.
+        expected = oracle_grid_derivative([0, span], [0.0, 1.0], 0.7)
+        assert repr(grid_time_derivative([0, span], [0.0, 1.0], 0.7)) == repr(expected)
+
 
 class TestGridDerivative:
     def test_exact_line(self):
@@ -155,6 +236,11 @@ class TestGridDerivative:
     def test_rejects_single_knot(self):
         with pytest.raises(ValueError, match="at least 2"):
             grid_time_derivative([0], [1.0], 1.0)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_unusable_step(self, step):
+        with pytest.raises(ValueError, match="step_s"):
+            grid_time_derivative([0, 5], [0.0, 1.0], step)
 
 
 class TestDbwpCsv:

@@ -428,6 +428,8 @@ class TestConfigValidation:
         dict(meta_lr=float("nan")), dict(meta_lr=float("inf")),
         dict(inner_lr=float("nan")), dict(inner_lr=float("inf")),
         dict(train_fraction=float("nan")),
+        dict(inner_epochs=1.5), dict(fine_tune_epochs=2.0), dict(tasks_per_batch=2.5),
+        dict(meta_iterations=5.0), dict(seed=1.5),
     ])
     def test_bad_fields(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):

@@ -122,6 +122,16 @@ class TestStrategicMomentum:
             with pytest.raises(ValueError):
                 bad.check()
 
+    @pytest.mark.parametrize("kw", [
+        dict(set_factor=float("nan")), dict(game_factor=float("inf")),
+        dict(b0_sets=float("nan")), dict(b0_games=float("inf")),
+        dict(ace_bonus=float("inf")), dict(double_fault_penalty=float("-inf")),
+        dict(unforced_error_penalty=float("nan")),
+    ])
+    def test_non_finite_fields_named(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            MomentumConfig(**kw).check()
+
 
 class TestPsychologicalMomentum:
     def test_first_point_of_each_game_is_one(self):

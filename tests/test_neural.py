@@ -109,6 +109,8 @@ class TestConfigAndParams:
         dict(huber_delta=float("nan")), dict(huber_delta=float("inf")),
         dict(dropout_rate=float("nan")), dict(adam_beta1=float("-inf")),
         dict(adam_beta2=float("nan")),
+        dict(epochs=2.5), dict(hidden_lstm=2.5), dict(input_dim=3.0),
+        dict(hidden_dense=4.5), dict(seq_len=6.0), dict(seed=0.5),
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):

@@ -62,6 +62,13 @@ class TestWinjudScores:
             with pytest.raises(ValueError):
                 bad.check()
 
+    @pytest.mark.parametrize("kw", [
+        dict(beta=float("nan")), dict(beta=float("inf")), dict(w_v=2.5), dict(w_s=3.0),
+    ])
+    def test_non_finite_and_non_integer_fields_named(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            WinjudParams(**kw).check()
+
 
 class TestWinjudProperties:
     def test_win_flip_monotonicity(self):
