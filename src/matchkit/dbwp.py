@@ -74,10 +74,7 @@ class DbwpSeries:
 
 def windowed_win_rate(timeline: MatchTimeline, i: int, w_v: int, player: int = 1) -> float:
     """Fraction of the 2*w_v points in [i-w_v, i+w_v) won by `player`."""
-    if w_v < 1:
-        raise ValueError(f"w_v must be >= 1, got {w_v}")
-    if player not in (1, 2):
-        raise ValueError(f"player must be 1 or 2, got {player}")
+    DbwpParams(w_v=w_v, player=player).check()
     n = len(timeline.points)
     if not w_v <= i <= n - w_v:
         raise ValueError(f"index {i} out of range: valid indices are [{w_v}, {n - w_v}]")

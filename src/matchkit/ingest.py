@@ -9,6 +9,9 @@ import math
 import random
 import re
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
+
+from ._checks import require_finite, require_int
 
 __all__ = [
     "IngestError",
@@ -64,7 +67,7 @@ def parse_elapsed_time(text: str) -> int:
     m = _CLOCK_RE.match(text.strip())
     if m is None:
         raise TimeFormatError(f"malformed clock string {text!r}: expected H:MM:SS")
-    hours, minutes, seconds = (int(g) for g in m.groups())
+    hours, minutes, seconds = map(int, m.groups())
     if minutes > 59:
         raise TimeFormatError(f"malformed clock string {text!r}: minutes field {minutes} not in [0, 59]")
     if seconds > 59:
@@ -122,12 +125,13 @@ class PointRecord:
             raise ValidationError(f"server must be 1 or 2, got {self.server}", row)
         if self.point_victor not in (1, 2):
             raise ValidationError(f"point_victor must be 1 or 2, got {self.point_victor}", row)
+        values = vars(self)
         for name in ("set_no", "game_no", "point_no"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be a positive integer, got {getattr(self, name)}", row)
+            if values[name] < 1:
+                raise ValidationError(f"{name} must be a positive integer, got {values[name]}", row)
         for name in ("elapsed_s", "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}", row)
+            if values[name] < 0:
+                raise ValidationError(f"{name} must be non-negative, got {values[name]}", row)
         if self.p1_sets + self.p2_sets > 5:
             raise ValidationError(f"p1_sets + p2_sets must be <= 5, got {self.p1_sets + self.p2_sets}", row)
         if self.p1_ace and self.p1_double_fault:
@@ -135,8 +139,8 @@ class PointRecord:
         if self.p2_ace and self.p2_double_fault:
             raise ValidationError("record flags both p2_ace and p2_double_fault", row)
         for name in ("p1_distance_run", "p2_distance_run"):
-            if getattr(self, name) < 0:
-                raise ValidationError(f"{name} must be non-negative, got {getattr(self, name)}", row)
+            if values[name] < 0:
+                raise ValidationError(f"{name} must be non-negative, got {values[name]}", row)
         if self.speed_mph is not None and self.speed_mph < 0:
             raise ValidationError(f"speed_mph must be non-negative, got {self.speed_mph}", row)
 
@@ -150,12 +154,20 @@ class MatchTimeline:
     meta: dict[str, str] = field(default_factory=dict)
 
     def check(self) -> None:
-        """Raise ValidationError if ordering or counter invariants are violated."""
+        """Raise ValidationError if a record, ordering or counter invariant is violated."""
         if not self.points:
             raise ValidationError(f"match {self.match_id!r} has no points")
-        prev = None
         for p in self.points:
             p.check()
+        self._check_sequence()
+
+    def _check_sequence(self) -> None:
+        """The invariants between consecutive points: ids, order and counters.
+
+        Assumes every record has passed its own check, as the loader's have.
+        """
+        prev = None
+        for p in self.points:
             if p.match_id != self.match_id:
                 raise ValidationError(
                     f"point carries match_id {p.match_id!r} inside timeline {self.match_id!r}"
@@ -219,6 +231,10 @@ _INT_FIELDS = ("set_no", "game_no", "point_no", "server", "point_victor",
 _BOOL_FIELDS = ("p1_ace", "p2_ace", "p1_double_fault", "p2_double_fault",
                 "p1_unf_err", "p2_unf_err")
 _FLOAT_FIELDS = ("p1_distance_run", "p2_distance_run")
+# PointRecord fields in declaration order, and the canonical column of each.
+_RECORD_FIELDS = tuple(f.name for f in fields(PointRecord))
+_CELL_FIELDS = tuple("elapsed_time" if f == "elapsed_s" else f for f in _RECORD_FIELDS)
+_FLAGS = {"0": False, "1": True}
 
 
 def _parse_int(value: str, name: str, row: int) -> int:
@@ -245,6 +261,46 @@ def _parse_float(value: str, name: str, row: int) -> float:
     if not math.isfinite(number):
         raise ValidationError(f"column {name!r} must be finite, got {value!r}", row)
     return number
+
+
+def _parse_clock_cell(value: str, row: int) -> int:
+    try:
+        return parse_elapsed_time(value)
+    except TimeFormatError as exc:
+        raise ValidationError(str(exc), row) from None
+
+
+def _parse_row(raw: list[str], idx: dict[str, int], colmap: dict[str, str], row: int) -> tuple:
+    """One row's values in record-field order, cell by cell.
+
+    Each cell is stripped and parsed on its own, so the first bad cell, in
+    the order clock, integers, flags, distances, speed, names the error.
+    """
+    values: dict[str, object] = {"match_id": raw[idx["match_id"]]}
+    values["elapsed_s"] = _parse_clock_cell(raw[idx["elapsed_time"]], row)
+    for f in _INT_FIELDS:
+        values[f] = _parse_int(raw[idx[f]], colmap[f], row)
+    for f in _BOOL_FIELDS:
+        values[f] = _parse_bool(raw[idx[f]], colmap[f], row)
+    for f in _FLOAT_FIELDS:
+        values[f] = _parse_float(raw[idx[f]], colmap[f], row)
+    speed = raw[idx["speed_mph"]].strip()
+    values["speed_mph"] = None if speed == "" else _parse_float(speed, colmap["speed_mph"], row)
+    return tuple(values[f] for f in _RECORD_FIELDS)
+
+
+def _record(values: tuple) -> PointRecord:
+    """A PointRecord from typed values in field order, not yet checked.
+
+    The frozen ``__init__`` stores each field with its own
+    ``object.__setattr__`` call; one ``__dict__`` update stores them all.
+    The result is an ordinary PointRecord, so ``==``, ``hash`` and
+    ``dataclasses.replace`` work as on one built by keyword.  The caller
+    must run ``check()`` on it.
+    """
+    record = object.__new__(PointRecord)
+    record.__dict__.update(zip(_RECORD_FIELDS, values))
+    return record
 
 
 def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTimeline]:
@@ -279,70 +335,94 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
     if missing:
         raise SchemaError(f"missing required columns: {', '.join(missing)}")
     idx = {f: position[colmap[f]] for f in DEFAULT_SCHEMA}
-    meta_idx = {c: position[c] for c in _META_COLUMNS if c in position}
+    meta_names = [c for c in _META_COLUMNS if c in position]
+    meta_pos = [position[c] for c in meta_names]
+    (c_id, c_set, c_game, c_point, c_clock, c_server, c_victor, c_s1, c_s2, c_g1, c_g2,
+     c_ace1, c_ace2, c_df1, c_df2, c_ue1, c_ue2, c_d1, c_d2, c_rally, c_speed) = (
+        idx[f] for f in _CELL_FIELDS)
+    flag = _FLAGS
+    isfinite = math.isfinite
 
-    rows: list[tuple[PointRecord, dict[str, str], int]] = []
+    # (sort key, record, player cells, file line) per data row
+    rows: list[tuple[tuple, PointRecord, list[str], int]] = []
     for lineno, raw in enumerate(reader, start=2):
         if not raw:
             continue
         if len(raw) < len(header):
             raise ValidationError(f"expected {len(header)} fields, got {len(raw)}", lineno)
-
-        def cell(f: str) -> str:
-            return raw[idx[f]]
-
-        values: dict[str, object] = {"match_id": cell("match_id")}
-        values["elapsed_s"] = _parse_clock_cell(cell("elapsed_time"), lineno)
-        for f in _INT_FIELDS:
-            values[f] = _parse_int(cell(f), colmap[f], lineno)
-        for f in _BOOL_FIELDS:
-            values[f] = _parse_bool(cell(f), colmap[f], lineno)
-        for f in _FLOAT_FIELDS:
-            values[f] = _parse_float(cell(f), colmap[f], lineno)
-        speed_raw = cell("speed_mph").strip()
-        values["speed_mph"] = None if speed_raw == "" else _parse_float(speed_raw, colmap["speed_mph"], lineno)
-
-        record = PointRecord(**values)
+        # int() and float() skip surrounding whitespace as .strip() would.
+        # A cell the builtins refuse (" 1" as a flag, a bad clock, nan) sends
+        # the row to _parse_row, which accepts it or raises the exact error.
+        try:
+            speed = raw[c_speed]
+            values = (
+                raw[c_id], int(raw[c_set]), int(raw[c_game]), int(raw[c_point]),
+                parse_elapsed_time(raw[c_clock]), int(raw[c_server]), int(raw[c_victor]),
+                int(raw[c_s1]), int(raw[c_s2]), int(raw[c_g1]), int(raw[c_g2]),
+                flag[raw[c_ace1]], flag[raw[c_ace2]], flag[raw[c_df1]], flag[raw[c_df2]],
+                flag[raw[c_ue1]], flag[raw[c_ue2]],
+                float(raw[c_d1]), float(raw[c_d2]), int(raw[c_rally]),
+                float(speed) if speed else None,
+            )
+            if not (isfinite(values[17]) and isfinite(values[18])
+                    and (values[20] is None or isfinite(values[20]))):
+                raise ValueError
+        except (ValueError, KeyError):
+            values = _parse_row(raw, idx, colmap, lineno)
+        record = _record(values)
         record.check(lineno)
-        rows.append((record, {c: raw[i] for c, i in meta_idx.items()}, lineno))
+        rows.append((values[:4], record, [raw[i] for i in meta_pos], lineno))
 
     if not rows:
         raise SchemaError("empty file: header but no data rows")
 
-    rows.sort(key=lambda r: (r[0].match_id, r[0].set_no, r[0].game_no, r[0].point_no))
+    rows.sort(key=lambda r: r[0])
     timelines: list[MatchTimeline] = []
     start = 0
     for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i][0].match_id != rows[start][0].match_id:
+        if i == len(rows) or rows[i][1].match_id != rows[start][1].match_id:
             chunk = rows[start:i]
             _check_chunk_order(chunk)
             timeline = MatchTimeline(
-                match_id=chunk[0][0].match_id,
-                points=tuple(r[0] for r in chunk),
-                meta={k: v for k, v in chunk[0][1].items() if v},
+                match_id=chunk[0][1].match_id,
+                points=tuple(r[1] for r in chunk),
+                meta={k: v for k, v in zip(meta_names, chunk[0][2]) if v},
             )
-            timeline.check()
+            timeline._check_sequence()  # each record was checked as it was read
             timelines.append(timeline)
             start = i
     return timelines
 
 
-def _parse_clock_cell(value: str, row: int) -> int:
-    try:
-        return parse_elapsed_time(value)
-    except TimeFormatError as exc:
-        raise ValidationError(str(exc), row) from None
-
-
-def _check_chunk_order(chunk: list[tuple[PointRecord, dict[str, str], int]]) -> None:
+def _check_chunk_order(chunk: list[tuple[tuple, PointRecord, list[str], int]]) -> None:
     # Duplicate (set, game, point) keys survive the sort; report the file row.
-    for (a, _, _), (b, _, row_b) in zip(chunk, chunk[1:]):
-        if (a.set_no, a.game_no, a.point_no) == (b.set_no, b.game_no, b.point_no):
+    for (key_a, _, _, _), (key_b, b, _, row_b) in zip(chunk, chunk[1:]):
+        if key_a == key_b:
             raise ValidationError(
                 f"duplicate point key (set {b.set_no}, game {b.game_no}, point {b.point_no}) "
                 f"in match {b.match_id!r}",
                 row_b,
             )
+
+
+def _optional_repr(value: float | None) -> str:
+    return "" if value is None else repr(value)
+
+
+def _cell_format(name: str):
+    """The function that turns a value of field `name` into its CSV cell."""
+    if name == "elapsed_s":
+        return format_elapsed
+    if name in _BOOL_FIELDS:
+        return {False: "0", True: "1"}.__getitem__
+    if name == "speed_mph":
+        return _optional_repr
+    return repr if name in _FLOAT_FIELDS else str
+
+
+# (column, value getter, cell format) of each written field after match_id.
+_WRITE_COLUMNS = tuple((DEFAULT_SCHEMA[cell], attrgetter(name), _cell_format(name))
+                       for name, cell in zip(_RECORD_FIELDS[1:], _CELL_FIELDS[1:]))
 
 
 def write_timeline_csv(timeline, dest) -> None:
@@ -354,36 +434,25 @@ def write_timeline_csv(timeline, dest) -> None:
             return
     timelines = [timeline] if isinstance(timeline, MatchTimeline) else list(timeline)
     writer = csv.writer(dest, lineterminator="\n")
-    columns = ["match_id", "player1", "player2"] + [
-        DEFAULT_SCHEMA[f.name] if f.name != "elapsed_s" else "elapsed_time"
-        for f in fields(PointRecord)
-        if f.name != "match_id"
-    ]
-    writer.writerow(columns)
+    # csv.writer quotes a cell that holds "\n" but not one that holds "\r",
+    # which a reader then takes for a line end: such timelines quote every cell.
+    quote_all = csv.writer(dest, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(["match_id", "player1", "player2"] + [c for c, _, _ in _WRITE_COLUMNS])
     for tl in timelines:
-        _write_timeline_rows(tl, writer)
+        _write_timeline_rows(tl, writer, quote_all)
 
 
-def _write_timeline_rows(timeline: MatchTimeline, writer) -> None:
+def _write_timeline_rows(timeline: MatchTimeline, writer, quote_all) -> None:
+    # One formatted column at a time; zip stops with the finite match_id column.
+    points = timeline.points
+    match_ids = [p.match_id for p in points]
     p1 = timeline.meta.get("player1", "")
     p2 = timeline.meta.get("player2", "")
-    for p in timeline.points:
-        row = [p.match_id, p1, p2]
-        for f in fields(PointRecord):
-            if f.name == "match_id":
-                continue
-            v = getattr(p, f.name)
-            if f.name == "elapsed_s":
-                row.append(format_elapsed(v))
-            elif isinstance(v, bool):
-                row.append("1" if v else "0")
-            elif v is None:
-                row.append("")
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(str(v))
-        writer.writerow(row)
+    columns = [match_ids, itertools.repeat(p1), itertools.repeat(p2)]
+    columns += [map(fmt, map(get, points)) for _, get, fmt in _WRITE_COLUMNS]
+    if "\r" in "".join([p1, p2, *match_ids]):
+        writer = quote_all
+    writer.writerows(zip(*columns))
 
 
 @dataclass(frozen=True)
@@ -400,6 +469,9 @@ class SyntheticSpec:
     match_id: str = "synthetic-0001"
 
     def check(self) -> None:
+        require_int(self, "n_points", "seed")
+        require_finite(self, "p_serve_win", "ace_rate", "double_fault_rate", "unf_err_rate",
+                       "mean_point_duration_s")
         if self.n_points < 1:
             raise ValueError(f"n_points must be >= 1, got {self.n_points}")
         if not 0.0 <= self.p_serve_win <= 1.0:

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from matchkit.dbwp import DbwpParams, DbwpSeries, grid_time_derivative
 from matchkit.gbtree import GbtConfig, GbtModel, TreeNode, leaf_weight
-from matchkit.ingest import MatchTimeline, PointRecord
+from matchkit.ingest import (
+    _META_COLUMNS,
+    DEFAULT_SCHEMA,
+    MatchTimeline,
+    PointRecord,
+    SchemaError,
+    TimeFormatError,
+    ValidationError,
+    parse_elapsed_time,
+)
 
 
 def make_timeline(victors, servers=None, elapsed=None, set_no=None, game_no=None,
@@ -245,3 +256,139 @@ def full_grid_dbwp(timeline, params: DbwpParams) -> DbwpSeries:
     return DbwpSeries(indices=tuple(indices), elapsed_s=tuple(elapsed),
                       win_rate=tuple(c / (2 * w) for c in wins), dbwp=tuple(dbwp),
                       params=params)
+
+
+# Reference CSV loader: load_match_csv in its cell-by-cell form, with a values
+# dict and a keyword-built record per row, and every record checked twice.
+# load_match_csv must give == timelines on every file, and the same exception
+# type, message and row on every bad one.
+
+_INT_FIELDS = ("set_no", "game_no", "point_no", "server", "point_victor",
+               "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count")
+_BOOL_FIELDS = ("p1_ace", "p2_ace", "p1_double_fault", "p2_double_fault",
+                "p1_unf_err", "p2_unf_err")
+_FLOAT_FIELDS = ("p1_distance_run", "p2_distance_run")
+
+
+def _parse_int(value: str, name: str, row: int) -> int:
+    try:
+        return int(value.strip())
+    except ValueError:
+        raise ValidationError(f"column {name!r} is not an integer: {value!r}", row) from None
+
+
+def _parse_bool(value: str, name: str, row: int) -> bool:
+    v = value.strip()
+    if v == "0":
+        return False
+    if v == "1":
+        return True
+    raise ValidationError(f"column {name!r} must be 0 or 1, got {value!r}", row)
+
+
+def _parse_float(value: str, name: str, row: int) -> float:
+    try:
+        number = float(value.strip())
+    except ValueError:
+        raise ValidationError(f"column {name!r} is not a number: {value!r}", row) from None
+    if not math.isfinite(number):
+        raise ValidationError(f"column {name!r} must be finite, got {value!r}", row)
+    return number
+
+
+def oracle_load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTimeline]:
+    """Load a point-by-point CSV into one MatchTimeline per match_id.
+
+    ``source`` is a binary or text stream (or a path string) of UTF-8,
+    comma-delimited, RFC-4180 CSV with a header row.  ``schema`` maps
+    canonical field names to file column names; unmapped fields fall back
+    to DEFAULT_SCHEMA.  Extra columns are ignored.  Timelines come back
+    sorted by match_id, points ordered by (set_no, game_no, point_no).
+    """
+    colmap = dict(DEFAULT_SCHEMA)
+    if schema:
+        unknown = sorted(set(schema) - set(DEFAULT_SCHEMA))
+        if unknown:
+            raise SchemaError(f"schema maps unknown canonical fields: {', '.join(unknown)}")
+        colmap.update(schema)
+
+    if isinstance(source, str):
+        with open(source, "rb") as fh:
+            return oracle_load_match_csv(fh, schema)
+    if isinstance(source.read(0), bytes):
+        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file: no header row") from None
+    position = {name: i for i, name in enumerate(header)}
+    missing = sorted(colmap[f] for f in DEFAULT_SCHEMA if colmap[f] not in position)
+    if missing:
+        raise SchemaError(f"missing required columns: {', '.join(missing)}")
+    idx = {f: position[colmap[f]] for f in DEFAULT_SCHEMA}
+    meta_idx = {c: position[c] for c in _META_COLUMNS if c in position}
+
+    rows: list[tuple[PointRecord, dict[str, str], int]] = []
+    for lineno, raw in enumerate(reader, start=2):
+        if not raw:
+            continue
+        if len(raw) < len(header):
+            raise ValidationError(f"expected {len(header)} fields, got {len(raw)}", lineno)
+
+        def cell(f: str) -> str:
+            return raw[idx[f]]
+
+        values: dict[str, object] = {"match_id": cell("match_id")}
+        values["elapsed_s"] = _parse_clock_cell(cell("elapsed_time"), lineno)
+        for f in _INT_FIELDS:
+            values[f] = _parse_int(cell(f), colmap[f], lineno)
+        for f in _BOOL_FIELDS:
+            values[f] = _parse_bool(cell(f), colmap[f], lineno)
+        for f in _FLOAT_FIELDS:
+            values[f] = _parse_float(cell(f), colmap[f], lineno)
+        speed_raw = cell("speed_mph").strip()
+        values["speed_mph"] = None if speed_raw == "" else _parse_float(speed_raw, colmap["speed_mph"], lineno)
+
+        record = PointRecord(**values)
+        record.check(lineno)
+        rows.append((record, {c: raw[i] for c, i in meta_idx.items()}, lineno))
+
+    if not rows:
+        raise SchemaError("empty file: header but no data rows")
+
+    rows.sort(key=lambda r: (r[0].match_id, r[0].set_no, r[0].game_no, r[0].point_no))
+    timelines: list[MatchTimeline] = []
+    start = 0
+    for i in range(1, len(rows) + 1):
+        if i == len(rows) or rows[i][0].match_id != rows[start][0].match_id:
+            chunk = rows[start:i]
+            _check_chunk_order(chunk)
+            timeline = MatchTimeline(
+                match_id=chunk[0][0].match_id,
+                points=tuple(r[0] for r in chunk),
+                meta={k: v for k, v in chunk[0][1].items() if v},
+            )
+            timeline.check()
+            timelines.append(timeline)
+            start = i
+    return timelines
+
+
+def _parse_clock_cell(value: str, row: int) -> int:
+    try:
+        return parse_elapsed_time(value)
+    except TimeFormatError as exc:
+        raise ValidationError(str(exc), row) from None
+
+
+def _check_chunk_order(chunk: list[tuple[PointRecord, dict[str, str], int]]) -> None:
+    # Duplicate (set, game, point) keys survive the sort; report the file row.
+    for (a, _, _), (b, _, row_b) in zip(chunk, chunk[1:]):
+        if (a.set_no, a.game_no, a.point_no) == (b.set_no, b.game_no, b.point_no):
+            raise ValidationError(
+                f"duplicate point key (set {b.set_no}, game {b.game_no}, point {b.point_no}) "
+                f"in match {b.match_id!r}",
+                row_b,
+            )

@@ -108,6 +108,20 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert field in err
 
+    @pytest.mark.parametrize("command", ["ingest", "winjud", "momentum", "dbwp", "correlate"])
+    def test_corrupt_row_is_one_stderr_line(self, single_csv, tmp_path, capsys, command):
+        rows = read_rows(single_csv)
+        rows[57][rows[0].index("rally_count")] = "x"  # file line 58
+        bad = tmp_path / "bad.csv"
+        with open(bad, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        argv = [command, "--input", str(bad)]
+        if command != "ingest":
+            argv += ["--out", str(tmp_path / "o.csv")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: row 58: column 'rally_count' is not an integer: 'x'"]
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(["dbwp", "--input", str(tmp_path / "nope.csv"),
                         "--out", str(tmp_path / "o.csv")])

@@ -47,6 +47,16 @@ class TestWindowedWinRate:
         assert windowed_win_rate(tl, 2, 2) == 1.0
         assert windowed_win_rate(tl, 4, 2) == 1.0
 
+    @pytest.mark.parametrize("w_v,player,message", [
+        (2.5, 1, "w_v must be an integer, got 2.5"),
+        (0, 1, "w_v must be >= 1, got 0"),
+        (2, 3, "player must be 1 or 2, got 3"),
+    ])
+    def test_bad_window_or_player_names_it(self, w_v, player, message):
+        tl = make_timeline(victors=[1] * 10)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            windowed_win_rate(tl, 3, w_v, player=player)
+
 
 class TestDbwpScores:
     def test_constant_winner_derivative_zero(self):

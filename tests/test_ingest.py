@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import io
+import random
 
 import pytest
 
+from helpers import oracle_load_match_csv
 from matchkit.ingest import (
     DEFAULT_SCHEMA,
     IngestError,
@@ -177,6 +181,15 @@ class TestRoundTrip:
         assert reloaded.meta == match_300.meta
         assert reloaded.points == match_300.points
 
+    def test_carriage_return_in_text_cells(self, match_80):
+        # A bare "\r" in a cell must be quoted, or the reader ends the row there.
+        renamed = [dataclasses.replace(p, match_id="a\rb") for p in match_80.points]
+        timeline = MatchTimeline("a\rb", tuple(renamed), {"player1": "x\ry", "player2": "z"})
+        buf = io.StringIO()
+        write_timeline_csv([match_80, timeline], buf)
+        buf.seek(0)
+        assert load_match_csv(buf) == [timeline, match_80]
+
     def test_round_trip_via_file(self, tmp_path, match_80):
         path = str(tmp_path / "out.csv")
         write_timeline_csv(match_80, path)
@@ -231,6 +244,19 @@ class TestSyntheticMatch:
         with pytest.raises(ValueError, match="ace_rate"):
             SyntheticSpec(n_points=5, ace_rate=-0.1).check()
 
+    @pytest.mark.parametrize("fields,name", [
+        (dict(n_points=2.5), "n_points"),
+        (dict(seed=1.5), "seed"),
+        (dict(mean_point_duration_s=float("nan")), "mean_point_duration_s"),
+        (dict(mean_point_duration_s=float("inf")), "mean_point_duration_s"),
+        (dict(p_serve_win=float("nan")), "p_serve_win"),
+        (dict(unf_err_rate=float("inf")), "unf_err_rate"),
+    ])
+    def test_spec_error_names_the_field(self, fields, name):
+        spec = SyntheticSpec(**{"n_points": 5, **fields})
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            generate_synthetic_match(spec)
+
 
 class TestRecordInvariants:
     def test_point_record_is_frozen(self, match_80):
@@ -256,3 +282,136 @@ class TestRecordInvariants:
         assert issubclass(SchemaError, IngestError)
         assert issubclass(ValidationError, IngestError)
         assert issubclass(IngestError, ValueError)
+
+
+def _csv_rows(timelines):
+    buf = io.StringIO()
+    write_timeline_csv(timelines, buf)
+    return list(csv.reader(io.StringIO(buf.getvalue())))
+
+
+def _csv_bytes(rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode()
+
+
+def _load_both(data, schema=None):
+    """(outcome of load_match_csv, outcome of the reference loader) on `data`.
+
+    An outcome is the list of timelines, or (type, message, row) of the error.
+    """
+    outcomes = []
+    for load in (load_match_csv, oracle_load_match_csv):
+        try:
+            outcomes.append(load(io.BytesIO(data), schema))
+        except IngestError as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "row", None)))
+    return outcomes
+
+
+def _matches(n_matches, n_points, seed):
+    return [generate_synthetic_match(SyntheticSpec(n_points=n_points, seed=seed + k,
+                                                   match_id=f"m-{seed}-{k}"))
+            for k in range(n_matches)]
+
+
+class TestMatchesReferenceLoader:
+    """load_match_csv against the row-by-row reference loader in tests/helpers.py."""
+
+    def assert_same(self, rows, schema=None):
+        new, reference = _load_both(_csv_bytes(rows), schema)
+        assert new == reference
+        if isinstance(reference, list):
+            assert [tl.meta for tl in new] == [tl.meta for tl in reference]
+        return new
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_match(self, seed):
+        (tl,) = self.assert_same(_csv_rows(_matches(1, 200, seed)))
+        assert tl == _matches(1, 200, seed)[0]
+
+    def test_multi_match_rows_out_of_order(self):
+        header, *body = _csv_rows(_matches(4, 90, seed=11))
+        # Player cells that differ by row: meta comes from each match's first point.
+        rng = random.Random(3)
+        for k, row in enumerate(body):
+            row[1:3] = rng.choice([(f"a{k}", f"b{k}"), ("", f"c{k}"), ("", "")])
+        rng.shuffle(body)
+        assert len(self.assert_same([header, *body])) == 4
+
+    def test_no_player_columns(self):
+        rows = _csv_rows(_matches(2, 50, seed=5))
+        keep = [k for k, name in enumerate(rows[0]) if name not in ("player1", "player2")]
+        (a, b) = self.assert_same([[row[k] for k in keep] for row in rows])
+        assert a.meta == b.meta == {}
+
+    def test_schema_remap(self):
+        rows = _csv_rows(_matches(2, 50, seed=6))
+        schema = {"point_victor": "winner", "elapsed_time": "clock", "speed_mph": "speed"}
+        rows[0] = [schema.get(name, name) for name in rows[0]]
+        self.assert_same(rows, schema)
+
+    def test_whitespace_padded_cells(self):
+        header, *body = _csv_rows(_matches(2, 60, seed=7))
+        rng = random.Random(8)
+        pads = ["", " ", "\t", "  "]
+        padded = [[cell if k == 0 else rng.choice(pads) + cell + rng.choice(pads)
+                   for k, cell in enumerate(row)] for row in body]
+        self.assert_same([header, *padded])
+
+    def test_empty_speed_and_extra_columns(self):
+        header, *body = _csv_rows(_matches(2, 60, seed=9))
+        speed = header.index("speed_mph")
+        for k, row in enumerate(body):
+            if k % 3 == 0:
+                row[speed] = ""
+        rows = [header + ["note", "speed_mph_2"]] + [row + ["x", "nan"] for row in body]
+        (a, _) = self.assert_same(rows)
+        assert a.points[0].speed_mph is None
+
+    # Cells every parser must treat exactly as the reference does.
+    JUNK = ("", " ", "x", "nan", "inf", "-1", "1.5", "3", "0:00:99", "1_0", "\u0661",
+            " 1", "0 ", "2", "0", "1e999", "-0", "+1")
+
+    @pytest.mark.parametrize("column", list(DEFAULT_SCHEMA.values()))
+    def test_every_junk_value_in_every_column(self, column):
+        header, *body = _csv_rows(_matches(2, 40, seed=21))
+        position = header.index(column)
+        rng = random.Random(column)
+        for junk in self.JUNK:
+            for target in rng.sample(range(len(body)), 3):
+                corrupted = [list(row) for row in body]
+                corrupted[target][position] = junk
+                self.assert_same([header, *corrupted])
+
+    def test_seeded_multi_cell_corruptions(self):
+        header, *body = _csv_rows(_matches(3, 30, seed=31))
+        rng = random.Random(32)
+        failures = 0
+        for _ in range(300):
+            corrupted = [list(row) for row in body]
+            rows = rng.sample(corrupted, 2)  # several bad cells in one row test their order
+            for _ in range(rng.randint(2, 6)):
+                rng.choice(rows)[rng.randrange(len(header))] = rng.choice(self.JUNK)
+            if rng.random() < 0.1:
+                del rng.choice(corrupted)[-1]  # a short row
+            failures += not isinstance(self.assert_same([header, *corrupted]), list)
+        assert failures > 200  # most corruptions must be refused, not just ignored
+
+    def test_loaded_record_equals_keyword_record(self):
+        (tl,) = load_match_csv(make_csv(row(speed="")))
+        (loaded,) = tl.points
+        built = PointRecord(
+            match_id="m1", set_no=1, game_no=1, point_no=1, elapsed_s=30, server=1,
+            point_victor=1, p1_sets=0, p2_sets=0, p1_games=0, p2_games=0,
+            p1_ace=False, p2_ace=False, p1_double_fault=False, p2_double_fault=False,
+            p1_unf_err=False, p2_unf_err=False, p1_distance_run=10.5,
+            p2_distance_run=12.25, rally_count=3, speed_mph=None,
+        )
+        assert loaded == built
+        assert hash(loaded) == hash(built)
+        assert repr(loaded) == repr(built)
+        assert dataclasses.replace(loaded, server=2) == dataclasses.replace(built, server=2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            loaded.server = 2
