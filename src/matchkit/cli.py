@@ -5,6 +5,11 @@ deterministic byte-level formatting, and records a run manifest (command,
 resolved configuration, input digests, seed, output paths, wall-clock
 duration) next to its primary output.  Identical inputs, flags, and seed
 produce byte-identical output files.
+
+On glibc, ``run_cli`` raises the allocator's mmap and trim thresholds once
+per process, so the LSTM's per-call arrays, freed together when a backward
+call returns, stay mapped for the next call instead of being handed back to
+the kernel and page-faulted in again.
 """
 
 from __future__ import annotations
@@ -534,7 +539,37 @@ def _shared_parser():
     return build_parser()
 
 
+# glibc mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process for reuse (glibc only).
+
+    The arrays a backward call frees together (tens of KiB each, megabytes in
+    all) leave a free heap top far over glibc's 128 KiB trim threshold, so
+    glibc hands it back to the kernel and the next call page-faults it in
+    again; a 64 MiB trim threshold keeps it.  Setting any parameter also pins
+    the mmap threshold, which glibc otherwise raises to the largest block
+    freed, at 128 KiB; at 32 MiB, blocks up to that size come from the kept
+    heap instead of a fresh mapping each time.  Elsewhere this does nothing.
+    """
+    try:
+        import ctypes
+        # TypeError: ctypes on Windows cannot open the process image (None)
+        mallopt = ctypes.CDLL(None).mallopt
+    except (ImportError, OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def run_cli(argv=None) -> int:
+    _keep_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands, dests = _shared_parser()
 

@@ -482,6 +482,10 @@ class SyntheticSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.mean_point_duration_s <= 0:
             raise ValueError(f"mean_point_duration_s must be positive, got {self.mean_point_duration_s}")
+        # a point lasts up to 1.5x the mean, and that duration is made an int
+        if not math.isfinite(1.5 * self.mean_point_duration_s):
+            raise ValueError("mean_point_duration_s must be under the largest float / 1.5, "
+                             f"got {self.mean_point_duration_s}")
 
 
 def generate_synthetic_match(spec: SyntheticSpec) -> MatchTimeline:

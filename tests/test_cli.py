@@ -1,8 +1,16 @@
 import csv
+import ctypes
 import json
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+from matchkit import cli
 from matchkit.cli import run_cli
 from matchkit.ingest import (
     SyntheticSpec,
@@ -405,3 +413,46 @@ class TestDeterminism:
             doc.pop("outputs")  # paths differ by construction here
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+def _no_libc(name):
+    raise OSError(f"cannot open {name!r}")
+
+
+class TestFreedHeapKept:
+    # train-lstm twice in a fresh interpreter: with freed memory returned to
+    # the kernel, the second run page-faults ~22,000 times; kept, ~20
+    FAULT_SCRIPT = textwrap.dedent("""
+        import contextlib, io, os, resource, sys
+        from matchkit.cli import run_cli
+        from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
+        tmp = sys.argv[1]
+        csv_path = os.path.join(tmp, "match.csv")
+        write_timeline_csv(generate_synthetic_match(
+            SyntheticSpec(n_points=300, seed=42, match_id="demo-1301")), csv_path)
+        argv = ["train-lstm", "--input", csv_path, "--out", os.path.join(tmp, "r.json"),
+                "--epochs", "20"]
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(argv) == 0
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        print(faults)
+    """)
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+    def test_second_run_does_not_fault_memory_back_in(self, tmp_path):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", self.FAULT_SCRIPT, str(tmp_path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000
+
+    @pytest.mark.parametrize("fake_cdll", [_no_libc, lambda name: object()],
+                             ids=["oserror", "no-mallopt"])
+    def test_without_mallopt_is_a_no_op(self, fake_cdll, single_csv, tmp_path, monkeypatch):
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert cli._keep_freed_heap.__wrapped__() is None
+        monkeypatch.setattr(cli, "_keep_freed_heap", cli._keep_freed_heap.__wrapped__)
+        assert run_cli(["dbwp", "--input", single_csv, "--out", str(tmp_path / "d.csv")]) == 0

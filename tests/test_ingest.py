@@ -251,6 +251,7 @@ class TestSyntheticMatch:
         (dict(mean_point_duration_s=float("inf")), "mean_point_duration_s"),
         (dict(p_serve_win=float("nan")), "p_serve_win"),
         (dict(unf_err_rate=float("inf")), "unf_err_rate"),
+        (dict(mean_point_duration_s=1.5e308), "mean_point_duration_s"),
     ])
     def test_spec_error_names_the_field(self, fields, name):
         spec = SyntheticSpec(**{"n_points": 5, **fields})
