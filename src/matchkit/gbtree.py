@@ -11,22 +11,37 @@ count penalty; pruning is controlled by min_gain and min_child_weight.
 Split-gain ties break on the smaller feature name, then the smaller
 threshold, which makes fitted trees independent of feature column order.
 
-The split search follows XGBoost's pre-sorted column blocks (Chen &
-Guestrin, KDD 2016).  Each fit sorts every feature column once with a
-stable argsort, and a node's per-feature row order is that order filtered
-to the node's rows: ties stay in ascending row order, as a stable sort of
-the node's own rows leaves them.  Cumulative gradient sums along those
-orders score every (feature, threshold) cell of a node in one pass.  An
-accumulate adds in sequence and each cell's gain takes the scalar
-formula's operations in the same order, so the fitted model is
-byte-identical to a scan that re-sorts every node and scores one threshold
-at a time (the oracle in tests/helpers.py).
+The split search follows XGBoost's pre-sorted column blocks and depth-wise
+growth (Chen & Guestrin, KDD 2016).  Each fit sorts every feature column
+once with a stable argsort, and a node's per-feature row order is that
+order filtered to the node's rows: ties stay in ascending row order, as a
+stable sort of the node's own rows leaves them.  Trees grow one depth at a
+time, and the cuts of all nodes of a depth are scored together, in blocks
+of nodes of similar size.  grid_search fits its (lam, rho) cells in one
+batch (a few for large inputs), since they share the rows and the presort:
+tree t of every cell grows together, and each new tree's leaf values go
+straight into the cells' validation scores.  train_gbt is the same grower
+with one cell.  Trees are grown as flat node arrays; train_gbt turns them
+into TreeNodes at the end.
+
+Fitted models are byte-identical to a scan that re-sorts every node and
+scores one threshold at a time (the oracle in tests/helpers.py), and a
+grid search equals one train_gbt per cell.  The rules that keep it so:
+
+- a node's G is np.sum over its rows in ascending row order;
+- G_L is a sequential cumsum along each (node, feature) segment, whose
+  padding lanes come only after the segment's end;
+- every gain and leaf weight takes the scalar formulas' operations in the
+  same order;
+- ties on gain break on the feature name's rank (equal names share one),
+  then the threshold, then the feature index.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -113,13 +128,24 @@ class TreeNode:
 
     def __post_init__(self):
         if self.is_leaf:
-            if not math.isfinite(self.weight):
-                raise ValueError(f"leaf weight must be finite, got {self.weight}")
-            if self.feature is not None or self.left is not None or self.right is not None:
-                raise ValueError("leaf carries split fields")
+            if not _finite_real(self.weight):
+                raise ValueError(f"leaf weight must be finite, got {self.weight!r}")
+            carried = [name for name in ("feature", "threshold", "left", "right")
+                       if getattr(self, name) is not None]
+            if carried:
+                raise ValueError(f"leaf carries split fields: {', '.join(carried)}")
         else:
             if self.feature is None or self.threshold is None or self.left is None or self.right is None:
                 raise ValueError("internal node missing split fields")
+            if (isinstance(self.feature, bool) or not isinstance(self.feature, numbers.Integral)
+                    or self.feature < 0):
+                raise ValueError(f"feature must be a non-negative integer, got {self.feature!r}")
+            if not _finite_real(self.threshold):
+                raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+
+
+def _finite_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -163,64 +189,259 @@ def split_gain(G_L: float, H_L: float, G_R: float, H_R: float, lam: float, rho: 
                   - _leaf_score(G_L + G_R, H_L + H_R, lam, rho))
 
 
-def _best_split(x_t: np.ndarray, g: np.ndarray, order: np.ndarray, G: float,
-                cfg: GbtConfig, names: tuple[str, ...]) -> tuple[int, float] | None:
-    """(feature, threshold) of the best split of one node, or None.
+# grid_search fits at most this many (cell, feature, row) elements in one
+# batch, so a large input costs about what one cell's fit costs, not one per cell.
+_BATCH_ELEMENTS = 2**20
+# The split search's padded blocks hold at most this many elements (more
+# only when one node is wider), so their buffers stay small whatever the
+# number of cells.
+_BLOCK_ELEMENTS = 8192
+# Element (cell*n + row) and value-rank indices are int32 below this, else int64.
+_INT32_INDICES = 2**31
 
-    order[f] holds the node's rows sorted by feature f, so cell (f, k) of
-    the cumulative gradient sums is the left child of a cut after the k-th
-    value.  With h = 1 the left hessian sum is the row count k + 1.  Each
-    cell gets the scalar formulas' operations in the same order, so its gain
-    is the one split_gain gives, bit for bit.
+
+class _Batch:
+    """What a batch of cells shares for a whole fit: the presort, the cells'
+    penalties and the split search's buffers, allocated once."""
+
+    def __init__(self, x: np.ndarray, lams, rhos, config: GbtConfig, names: tuple[str, ...]):
+        n, n_features = x.shape
+        n_cells = len(lams)
+        lams = np.asarray(lams, dtype=np.float64)
+        rhos = np.asarray(rhos, dtype=np.float64)
+        self.cfg = config
+        self.l1, self.l2 = lams * rhos, lams * (1.0 - rhos)
+        rank = {name: i for i, name in enumerate(sorted(set(names)))}
+        self.name_rank = np.array([rank[name] for name in names], dtype=np.intp)
+        self.x_t = np.ascontiguousarray(x.T)
+        # Sorted once per fit: row order of each feature, ties by row index.
+        order = np.argsort(x, axis=0, kind="stable").T
+        sorted_x = np.take_along_axis(self.x_t, order, axis=1)
+        # Dense value ranks, numbered across features: ranks[f*n + row] is the
+        # rank of x[row, f], and values[rank] the value.
+        starts = np.ones((n_features, n), dtype=bool)
+        np.not_equal(sorted_x[:, 1:], sorted_x[:, :-1], out=starts[:, 1:])
+        self.values = sorted_x[starts]
+        index = np.int32 if max(n_cells, n_features) * n < _INT32_INDICES else np.int64
+        ranks = np.empty((n_features, n), dtype=index)
+        np.put_along_axis(ranks, order, starts.cumsum(dtype=index).reshape(n_features, n) - 1,
+                          axis=1)
+        self.ranks = ranks.ravel()
+        # The root level: elements (cell*n + row) run node (one per cell), then
+        # feature, then sorted order; rows (cell*n + row) ascend in each node.
+        cells = np.arange(n_cells)
+        self.root = ((cells[:, None, None] * n + order).astype(index).ravel(),
+                     np.arange(n_cells * n, dtype=index), np.full(n_cells, n), cells)
+        self.side = np.empty(n_cells * n, dtype=np.int8)
+        self.block_size = max(_BLOCK_ELEMENTS, n_features * n)
+        self.lanes = np.arange(n)
+        self.h_left = np.arange(1.0, n)  # H_L of the cut after lane k is k + 1
+        self.shifts = np.arange(n_features)
+        self.pos = np.empty(self.block_size, dtype=np.intp)
+        self.rows = np.empty(self.block_size, dtype=index)
+        self.rank = np.empty(self.block_size, dtype=index)
+        self.g_left = np.empty(self.block_size)
+        self.cut = np.empty(self.block_size, dtype=bool)
+
+
+def _boost(x, y, lams, rhos, config: GbtConfig, names: tuple[str, ...]):
+    """Boost one model per (lams[c], rhos[c]) cell on the same rows, together.
+
+    The cells share x, y, names and every setting but lam and rho.  Round t
+    grows tree t of every cell and yields the round's trees as flat node
+    arrays (feature, threshold, left, right, weight) over all cells: node c
+    is cell c's root, and a leaf has feature -1.
     """
-    n_features, m = order.shape
-    sv = x_t[np.arange(n_features)[:, None], order]
-    G_L = g[order].cumsum(axis=1)[:, :-1]
-    G_R = G - G_L
-    H_L = np.arange(1.0, m)
-    H_R = m - H_L
-    l1 = cfg.lam * cfg.rho
-    l2 = cfg.lam * (1.0 - cfg.rho)
-    s_L = np.copysign(np.maximum(np.abs(G_L) - l1, 0.0), G_L)
-    s_R = np.copysign(np.maximum(np.abs(G_R) - l1, 0.0), G_R)
-    gain = 0.5 * (s_L * s_L / (H_L + l2) + s_R * s_R / (H_R + l2)
-                  - _leaf_score(G, float(m), cfg.lam, cfg.rho))
-    ok = ((sv[:, :-1] != sv[:, 1:]) & (gain > cfg.min_gain)
-          & ((H_L >= cfg.min_child_weight) & (H_R >= cfg.min_child_weight)))
-    if not ok.any():
-        return None
-    # Ties on gain break on the smaller feature name, then the smaller threshold.
-    fs, ks = np.nonzero(ok & (gain == gain[ok].max()))
-    thresholds = (sv[fs, ks] + sv[fs, ks + 1]) / 2.0
-    _, threshold, feature = min((names[f], float(t), int(f)) for f, t in zip(fs, thresholds))
-    return feature, threshold
+    batch = _Batch(x, lams, rhos, config, names)
+    pred = np.full((len(lams), x.shape[0]), float(y.mean()))
+    for _ in range(config.n_trees):
+        leaf_out = np.empty(pred.size)
+        yield _grow_round(batch, (pred - y).ravel(), leaf_out)
+        pred = pred + config.learning_rate * leaf_out.reshape(pred.shape)
 
 
-def _grow(x_t: np.ndarray, g: np.ndarray, rows: np.ndarray, order: np.ndarray,
-          depth: int, cfg: GbtConfig, names: tuple[str, ...], out: np.ndarray) -> TreeNode:
-    """Grow the subtree over `rows` (ascending) and write its leaf weights into out[rows]."""
-    G = float(g[rows].sum())
-    split = None
-    if depth < cfg.max_depth and rows.size >= 2:
-        split = _best_split(x_t, g, order, G, cfg, names)
-    if split is None:
-        weight = leaf_weight(G, float(rows.size), cfg.lam, cfg.rho)
-        out[rows] = weight
-        return TreeNode(weight=weight)
-    feature, threshold = split
-    goes_left = x_t[feature] < threshold
-    left = goes_left[rows]
-    # Filtering keeps each feature's sorted order, so children never re-sort.
-    order_left = goes_left[order]
-    n_features = order.shape[0]
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_grow(x_t, g, rows[left], order[order_left].reshape(n_features, -1),
-                   depth + 1, cfg, names, out),
-        right=_grow(x_t, g, rows[~left], order[~order_left].reshape(n_features, -1),
-                    depth + 1, cfg, names, out),
-    )
+def _grow_round(batch: _Batch, g: np.ndarray, leaf_out: np.ndarray):
+    """Grow one tree per cell, one depth at a time, and write leaf values into leaf_out."""
+    cfg, n = batch.cfg, batch.x_t.shape[1]
+    idx, rows, m, node_cell = batch.root
+    add = np.add.reduce
+    parts = []
+    base = 0
+    for depth in range(cfg.max_depth + 1):
+        n_nodes = m.size
+        # G by np.sum over the node's rows in ascending order, as the scalar scan takes it.
+        g_rows = g[rows]
+        ends = [0] + m.cumsum().tolist()
+        G = np.array([add(g_rows[a:b]) for a, b in zip(ends[:-1], ends[1:])])
+        node_l1, node_l2 = batch.l1[node_cell], batch.l2[node_cell]
+        feature = np.full(n_nodes, -1)
+        threshold = np.zeros(n_nodes)
+        if depth < cfg.max_depth and batch.name_rank.size:
+            open_nodes = (m >= 2).nonzero()[0]
+            if open_nodes.size:
+                _best_splits(batch, g, idx, G, m, node_cell, node_l1, node_l2, open_nodes,
+                             feature, threshold)
+        split = feature >= 0
+        denom = m + node_l2
+        if not (denom > 0).all():
+            raise ValueError(f"degenerate leaf: H + lam*(1-rho) = {denom.min()} is not positive")
+        weight = np.maximum(np.abs(G) - node_l1, 0.0)
+        np.copysign(weight, G, out=weight)
+        weight = -weight / denom
+        n_split = int(split.sum())
+        left = np.full(n_nodes, -1)
+        left[split] = np.arange(base + n_nodes, base + n_nodes + n_split)
+        right = np.where(split, left + n_split, -1)
+        parts.append((feature, threshold, left, right, weight))
+        nid = np.arange(n_nodes).repeat(m)
+        if n_split == 0:
+            leaf_out[rows] = weight[nid]
+            break
+        # Each row goes left (0) or right (1), or stays in a leaf (2).
+        row_side = np.where(split[nid],
+                            batch.x_t[feature[nid], rows - node_cell[nid] * n] >= threshold[nid],
+                            2).astype(np.int8)
+        in_leaf = row_side == 2
+        leaf_out[rows[in_leaf]] = weight[nid[in_leaf]]
+        if depth + 1 < cfg.max_depth:  # children at max_depth are leaves and never search
+            batch.side[rows] = row_side
+            element_side = batch.side[idx]
+            # Filtering keeps each feature's sorted order, so children never re-sort.
+            idx = np.concatenate((idx[element_side == 0], idx[element_side == 1]))
+        to_left, to_right = row_side == 0, row_side == 1
+        m_left = np.bincount(nid[to_left], minlength=n_nodes)[split]
+        m = np.concatenate((m_left, m[split] - m_left))
+        rows = np.concatenate((rows[to_left], rows[to_right]))
+        node_cell = np.concatenate((node_cell[split], node_cell[split]))
+        base += n_nodes
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _best_splits(batch: _Batch, g, idx, G, m, node_cell, l1, l2, nodes, feature, threshold):
+    """Write the best split of each of `nodes` into feature/threshold.
+
+    A level's elements idx (cell*n + row) run node, then feature, then
+    rank: node j's segment for feature f holds its m[j] rows in that
+    feature's sorted order.  G, m, node_cell, l1 and l2 are per node of the
+    level; `nodes` are the ones with at least two rows.  They go in blocks
+    of similar size, largest first.  A block lays its segments out as rows,
+    position k holding the segment's k-th element, and repeats each
+    segment's last element past its end.  Lane k is the cut after the k-th
+    value, and a sequential cumsum along a row gives its G_L.  Gains are
+    taken only at valid cuts (the values differ, both children are heavy
+    enough), each with the scalar formulas' operations in the same order,
+    so it is the gain split_gain gives, bit for bit.  A node without a
+    valid cut above min_gain keeps feature -1.
+    """
+    cfg, name_rank = batch.cfg, batch.name_rank
+    n_features, n = name_rank.size, batch.lanes.size
+    seg_start = (m * n_features).cumsum() - m * n_features
+    nodes = nodes[(-m[nodes]).argsort(kind="stable")]
+    G, m, l1, l2 = G[nodes], m[nodes], l1[nodes], l2[nodes]
+    parent = np.maximum(np.abs(G) - l1, 0.0)
+    parent *= parent
+    parent /= m + l2
+    per_node = np.array((G, l1, l2, m, parent))
+    # Per segment of `nodes`, in that order: its first and last element, and
+    # what turns an element's idx into its index in batch.ranks.
+    first_el = (seg_start[nodes, None] + batch.shifts * m[:, None]).ravel()
+    last_el = first_el + (m - 1).repeat(n_features)
+    to_rank = (batch.shifts * n - node_cell[nodes, None] * n).ravel()
+    start = 0
+    while start < nodes.size:
+        width = int(m[start])
+        n_lanes = width - 1  # the last value is never a cut
+        block = slice(start, start + max(1, batch.block_size // (n_features * width)))
+        sel = nodes[block]
+        segs = slice(start * n_features, (start + sel.size) * n_features)
+        start += sel.size
+        n_seg = sel.size * n_features
+        pos = batch.pos[:n_seg * width].reshape(n_seg, width)
+        np.add(first_el[segs, None], batch.lanes[:width], out=pos)
+        np.minimum(pos, last_el[segs, None], out=pos)
+        rows = idx.take(pos, out=batch.rows[:pos.size].reshape(pos.shape), mode="clip")
+        g_left = g.take(rows[:, :-1], mode="clip",
+                        out=batch.g_left[:n_seg * n_lanes].reshape(n_seg, n_lanes))
+        g_left.cumsum(axis=1, out=g_left)
+        np.add(rows, to_rank[segs, None], out=pos)
+        rank = batch.ranks.take(pos, out=batch.rank[:pos.size].reshape(pos.shape), mode="clip")
+        # Positions past a segment's end repeat its last value, so they hold no cut.
+        cut = np.not_equal(rank[:, :-1], rank[:, 1:],
+                           out=batch.cut[:n_seg * n_lanes].reshape(n_seg, n_lanes))
+        h_left = batch.h_left[:n_lanes]
+        if cfg.min_child_weight > 1.0:
+            cut &= h_left >= cfg.min_child_weight
+            cut &= (last_el - first_el)[segs, None] + 1 - h_left >= cfg.min_child_weight
+        lane = cut.ravel().nonzero()[0]
+        if lane.size == 0:
+            continue
+        # Lanes ascend, so each segment's and each node's cuts form one run.
+        seg_runs = cut.sum(axis=1)
+        node_runs = seg_runs.reshape(sel.size, n_features).sum(axis=1)
+        G_N, l1_N, l2_N, m_N, parent_N = per_node[:, block].repeat(node_runs, axis=1)
+        H_L = np.subtract(lane, np.arange(-1, n_seg * n_lanes - 1, n_lanes).repeat(seg_runs),
+                          dtype=np.float64)
+        G_L = g_left.ravel()[lane]
+        # s*s drops soft()'s sign, so |G| - l1 clipped at 0 squares the same.
+        right = G_N - G_L
+        np.abs(right, out=right)
+        right -= l1_N
+        np.maximum(right, 0.0, out=right)
+        right *= right
+        m_N -= H_L  # H_R
+        m_N += l2_N
+        right /= m_N
+        gain = np.abs(G_L, out=G_L)
+        gain -= l1_N
+        np.maximum(gain, 0.0, out=gain)
+        gain *= gain
+        H_L += l2_N
+        gain /= H_L
+        gain += right
+        gain -= parent_N
+        gain *= 0.5
+        # fmax skips NaN, which gain > min_gain also rejects.
+        node_runs = node_runs[node_runs > 0]
+        best = np.fmax.reduceat(gain, node_runs.cumsum() - node_runs)
+        best[~(best > cfg.min_gain)] = np.nan
+        hit = (gain == best.repeat(node_runs)).nonzero()[0]
+        if hit.size == 0:
+            continue
+        seg = seg_runs.cumsum().searchsorted(hit, side="right")
+        node, f = np.divmod(seg, n_features)
+        at = lane[hit] + seg  # the cut's left value in `rank`
+        thr = (batch.values[rank.ravel()[at]] + batch.values[rank.ravel()[at + 1]]) / 2.0
+        # Ties on gain break on the smaller feature name (equal names rank
+        # equal), then the smaller threshold, then the smaller feature.
+        pick = np.lexsort((f, thr, name_rank[f], node))
+        node, f, thr = node[pick], f[pick], thr[pick]
+        first = np.ones(node.size, dtype=bool)
+        np.not_equal(node[1:], node[:-1], out=first[1:])
+        feature[sel[node[first]]] = f[first]
+        threshold[sel[node[first]]] = thr[first]
+
+
+def _tree_node(tree, i: int = 0) -> TreeNode:
+    """The TreeNode rooted at node i of flat node lists (feature, threshold, left, right, weight)."""
+    feature, threshold, left, right, weight = tree
+    if feature[i] < 0:
+        return TreeNode(weight=weight[i])
+    return TreeNode(feature=feature[i], threshold=threshold[i],
+                    left=_tree_node(tree, left[i]), right=_tree_node(tree, right[i]))
+
+
+def _apply_trees(tree, x_t: np.ndarray, n_cells: int) -> np.ndarray:
+    """Leaf value of each row of x_t's columns in each cell's tree, shape (cells, rows)."""
+    feature, threshold, left, right, weight = tree
+    node = np.repeat(np.arange(n_cells)[:, None], x_t.shape[1], axis=1)
+    rows = np.arange(x_t.shape[1])
+    while True:
+        f = feature[node]
+        inner = f >= 0
+        if not inner.any():
+            return weight[node]
+        goes_left = x_t[f, rows] < threshold[node]
+        node = np.where(inner, np.where(goes_left, left[node], right[node]), node)
 
 
 def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -241,18 +462,23 @@ def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
 
 def _validate_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"features must be 2-D, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ValueError(f"labels shape {y.shape} does not match {x.shape[0]} rows")
+    y = _check_labels(y, x.shape[0])
     if x.shape[0] < 2:
         raise ValueError(f"need at least 2 rows, got {x.shape[0]}")
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
+    return x, y
+
+
+def _check_labels(y, n_rows: int) -> np.ndarray:
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (n_rows,):
+        raise ValueError(f"labels shape {y.shape} does not match {n_rows} rows")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("labels must be 0 or 1")
-    return x, y
+    return y
 
 
 def train_gbt(x, y, config: GbtConfig | None = None,
@@ -267,19 +493,9 @@ def train_gbt(x, y, config: GbtConfig | None = None,
         if len(feature_names) != x.shape[1]:
             raise ValueError("feature_names length does not match feature count")
 
-    base = float(y.mean())
-    pred = np.full(x.shape[0], base)
-    rows = np.arange(x.shape[0])
-    x_t = np.ascontiguousarray(x.T)
-    # Sorted once per fit: row order of each feature, ties by row index.
-    order = np.ascontiguousarray(np.argsort(x, axis=0, kind="stable").T)
-    trees = []
-    for _ in range(config.n_trees):
-        g = pred - y
-        leaf_out = np.empty(x.shape[0])
-        trees.append(_grow(x_t, g, rows, order, 0, config, feature_names, leaf_out))
-        pred = pred + config.learning_rate * leaf_out
-    return GbtModel(base_score=base, trees=tuple(trees), config=config,
+    trees = tuple(_tree_node(tuple(a.tolist() for a in tree))
+                  for tree in _boost(x, y, [config.lam], [config.rho], config, feature_names))
+    return GbtModel(base_score=float(y.mean()), trees=trees, config=config,
                     feature_names=feature_names)
 
 
@@ -310,7 +526,9 @@ def predict(model: GbtModel, rows) -> np.ndarray:
 def accuracy_score(model: GbtModel, x, y) -> float:
     """Fraction of rows whose prediction thresholded at 0.5 matches the label."""
     p = predict(model, x)
-    return float(np.mean((p >= 0.5) == (np.asarray(y) == 1.0)))
+    if p.size == 0:
+        raise ValueError("need at least 1 row to score")
+    return float(np.mean((p >= 0.5) == (_check_labels(y, p.shape[0]) == 1.0)))
 
 
 @dataclass(frozen=True)
@@ -332,9 +550,10 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
 
     The first 80% of rows form the training split and the last 20% are left
     untouched for test evaluation by the caller.  Within the training split,
-    the first 80% fit each grid cell and the last 20% score it.  The best
-    validation accuracy wins; ties break toward smaller lam, then smaller
-    rho.  The winner is refit on the whole training split.
+    the first 80% fit every grid cell, batched, and the last 20% score
+    them.  The best validation accuracy wins; ties break toward
+    smaller lam, then smaller rho.  The winner is refit on the whole
+    training split.
     """
     config = config or GbtConfig()
     config.check()
@@ -358,13 +577,24 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
     x_in, y_in = x_tr[:n_inner], y_tr[:n_inner]
     x_val, y_val = x_tr[n_inner:], y_tr[n_inner:]
 
-    best = None  # (accuracy, lam, rho); sorted iteration makes ties pick small lam/rho
-    for lam in sorted(set(float(v) for v in lambda_grid)):
-        for rho in sorted(set(float(v) for v in rho_grid)):
-            model = train_gbt(x_in, y_in, replace(config, lam=lam, rho=rho))
-            acc = accuracy_score(model, x_val, y_val)
-            if best is None or acc > best[0]:
-                best = (acc, lam, rho)
+    cells = [(lam, rho) for lam in sorted(set(float(v) for v in lambda_grid))
+             for rho in sorted(set(float(v) for v in rho_grid))]
+    for lam, rho in cells:
+        replace(config, lam=lam, rho=rho).check()
+    names = tuple(f"f{i}" for i in range(x.shape[1]))
+    x_val_t = np.ascontiguousarray(x_val.T)
+    scores = np.full((len(cells), x_val.shape[0]), float(y_in.mean()))
+    step = max(1, _BATCH_ELEMENTS // max(1, x_in.size))
+    for start in range(0, len(cells), step):
+        lams, rhos = zip(*cells[start:start + step])
+        batch_scores = scores[start:start + step]
+        for trees in _boost(x_in, y_in, lams, rhos, config, names):
+            batch_scores += config.learning_rate * _apply_trees(trees, x_val_t, len(lams))
+    correct = (np.clip(scores, 0.0, 1.0) >= 0.5) == (y_val == 1.0)
+    best = None  # (accuracy, lam, rho); sorted cells make ties pick small lam/rho
+    for (lam, rho), acc in zip(cells, correct.mean(axis=1).tolist()):
+        if best is None or acc > best[0]:
+            best = (acc, lam, rho)
 
     acc, lam, rho = best
     model = train_gbt(x_tr, y_tr, replace(config, lam=lam, rho=rho))
@@ -427,15 +657,19 @@ def _node_to_obj(node: TreeNode):
     }
 
 
-def _node_from_obj(obj) -> TreeNode:
+def _node_from_obj(obj, n_features: int) -> TreeNode:
+    if not isinstance(obj, dict):
+        raise ValueError(f"tree node must be an object, got {obj!r}")
+    fields = {name: obj.get(name) for name in ("feature", "threshold", "left", "right")}
     if "weight" in obj:
-        return TreeNode(weight=obj["weight"])
-    return TreeNode(
-        feature=obj["feature"],
-        threshold=obj["threshold"],
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
-    )
+        return TreeNode(weight=obj["weight"], **fields)
+    for side in ("left", "right"):
+        if fields[side] is not None:
+            fields[side] = _node_from_obj(fields[side], n_features)
+    node = TreeNode(**fields)
+    if node.feature >= n_features:
+        raise ValueError(f"feature {node.feature} is out of range for {n_features} features")
+    return node
 
 
 def model_to_json(model: GbtModel) -> str:
@@ -451,13 +685,21 @@ def model_to_json(model: GbtModel) -> str:
 
 def model_from_json(text: str) -> GbtModel:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("model document must be a JSON object")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
+    missing = [k for k in ("base_score", "config", "feature_names", "trees") if k not in doc]
+    if missing:
+        raise ValueError(f"model document missing fields: {', '.join(missing)}")
+    if not _finite_real(doc["base_score"]):
+        raise ValueError(f"base_score must be finite, got {doc['base_score']!r}")
     config = GbtConfig(**doc["config"])
     config.check()
+    n_features = len(doc["feature_names"])
     return GbtModel(
         base_score=doc["base_score"],
-        trees=tuple(_node_from_obj(t) for t in doc["trees"]),
+        trees=tuple(_node_from_obj(t, n_features) for t in doc["trees"]),
         config=config,
         feature_names=tuple(doc["feature_names"]),
     )

@@ -322,9 +322,17 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
     if isinstance(source, str):
         with open(source, "rb") as fh:
             return load_match_csv(fh, schema)
-    if isinstance(source.read(0), bytes):
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    if not isinstance(source.read(0), bytes):
+        return _read_timelines(source, colmap)
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="")
+    try:
+        return _read_timelines(text, colmap)
+    finally:
+        # A wrapper closes its stream when collected; the caller's stays open.
+        text.detach()
 
+
+def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     reader = csv.reader(source)
     try:
         header = next(reader)

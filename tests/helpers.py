@@ -5,11 +5,20 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from matchkit.dbwp import DbwpParams, DbwpSeries, grid_time_derivative
-from matchkit.gbtree import GbtConfig, GbtModel, TreeNode, leaf_weight
+from matchkit.gbtree import (
+    GbtConfig,
+    GbtModel,
+    GridSearchResult,
+    TreeNode,
+    accuracy_score,
+    leaf_weight,
+    train_gbt,
+)
 from matchkit.ingest import (
     _META_COLUMNS,
     DEFAULT_SCHEMA,
@@ -204,6 +213,32 @@ def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> GbtModel:
         _scalar_apply(tree, x, rows, out)
         pred = pred + config.learning_rate * out
     return GbtModel(base_score=base, trees=tuple(trees), config=config, feature_names=names)
+
+
+def oracle_grid_search(x, y, lambda_grid, rho_grid, config: GbtConfig) -> GridSearchResult:
+    """The per-cell grid search grid_search replaced: one train_gbt and one
+    accuracy_score per (lam, rho) cell in sorted order, then the refit."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = x.shape[0]
+    n_train = (n * 4) // 5
+    n_inner = (n_train * 4) // 5
+    x_tr, y_tr = x[:n_train], y[:n_train]
+    x_in, y_in = x_tr[:n_inner], y_tr[:n_inner]
+    x_val, y_val = x_tr[n_inner:], y_tr[n_inner:]
+
+    best = None  # (accuracy, lam, rho); sorted iteration makes ties pick small lam/rho
+    for lam in sorted(set(float(v) for v in lambda_grid)):
+        for rho in sorted(set(float(v) for v in rho_grid)):
+            model = train_gbt(x_in, y_in, replace(config, lam=lam, rho=rho))
+            acc = accuracy_score(model, x_val, y_val)
+            if best is None or acc > best[0]:
+                best = (acc, lam, rho)
+
+    acc, lam, rho = best
+    model = train_gbt(x_tr, y_tr, replace(config, lam=lam, rho=rho))
+    return GridSearchResult(best_lambda=lam, best_rho=rho, val_accuracy=acc,
+                            model=model, n_train=n_train)
 
 
 def oracle_grid_derivative(times_s, values, step_s):

@@ -164,7 +164,7 @@ class TestSeriesCommands:
                         "--ace-bonus", "0.0"]) == 0
         assert read_rows(base)[0] == ["point_index", "elapsed_s", "strategic",
                                       "psychological"]
-        assert open(base).read() != open(tweaked).read()
+        assert base.read_text() != tweaked.read_text()
 
     def test_correlate_prints_coefficients(self, single_csv, tmp_path, capsys):
         out = tmp_path / "corr.csv"
@@ -219,7 +219,7 @@ class TestTrainingCommands:
         code = run_cli(["train-gbt", "--input", single_csv,
                         "--model-out", str(model_path)] + GBT_FAST)
         assert code == 0
-        doc = json.loads(open(model_path).read())
+        doc = json.loads(Path(model_path).read_text())
         assert doc["format_version"] == 1
         assert "test accuracy" in capsys.readouterr().out
 
@@ -239,7 +239,7 @@ class TestTrainingCommands:
         code = run_cli(["train-lstm", "--input", single_csv, "--out", str(report_path),
                         "--loss-csv", str(loss_path)] + LSTM_FAST)
         assert code == 0
-        doc = json.loads(open(report_path).read())
+        doc = json.loads(Path(report_path).read_text())
         assert doc["variant"] == "full"
         assert doc["test_mse"] >= 0.0
         assert len(doc["epoch_losses"]) == 4
@@ -256,7 +256,7 @@ class TestTrainingCommands:
         rows = read_rows(out)
         assert rows[0] == ["match_id", "maml_mse", "scratch_mse"]
         assert sorted(r[0] for r in rows[1:]) == ["demo-1601", "demo-1701"]
-        doc = json.loads(open(state).read())
+        doc = json.loads(Path(state).read_text())
         assert doc["format_version"] == 2
         assert len(doc["loss_history"]) == 5
 
@@ -283,7 +283,7 @@ class TestManifest:
         code = run_cli(["winjud", "--input", single_csv, "--out", str(out),
                         "--manifest", str(manifest), "--beta", "0.25"])
         assert code == 0
-        doc = json.loads(open(manifest).read())
+        doc = json.loads(Path(manifest).read_text())
         assert doc["command"] == "winjud"
         assert doc["config"]["beta"] == 0.25
         assert doc["outputs"] == [str(out)]

@@ -6,9 +6,18 @@ import json
 import numpy as np
 import pytest
 
-from helpers import leaf_objective, make_separable, oracle_leaf_argmin, oracle_train_gbt
+from helpers import (
+    leaf_objective,
+    make_separable,
+    oracle_grid_search,
+    oracle_leaf_argmin,
+    oracle_train_gbt,
+)
+from matchkit import gbtree
 from matchkit.gbtree import (
     ABLATION_VARIANTS,
+    DEFAULT_LAMBDA_GRID,
+    DEFAULT_RHO_GRID,
     AblationReport,
     AblationRow,
     GbtConfig,
@@ -300,6 +309,53 @@ class TestSplitSearchMatchesScalarScan:
         swapped = train_gbt(x, y, cfg, ("alpha", "mid", "zeta"))
         assert swapped.trees[0].feature == 0
 
+    def test_no_features_gives_leaf_trees(self):
+        x, y = np.zeros((10, 0)), np.tile([0.0, 1.0, 1.0], 4)[:10]
+        cfg = GbtConfig(n_trees=3)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert (grid_search(x, y, [0.0, 1.0], [0.5], cfg)
+                == oracle_grid_search(x, y, [0.0, 1.0], [0.5], cfg))
+
+    @pytest.mark.parametrize("block", [1, 200])
+    def test_any_block_size(self, monkeypatch, block):
+        # Blocks smaller than a level, or than one node, give the same models.
+        monkeypatch.setattr(gbtree, "_BLOCK_ELEMENTS", block)
+        x, y = _oracle_case(11, 90, 3, levels=5)
+        cfg = GbtConfig(n_trees=4, max_depth=4)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert (grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg)
+                == oracle_grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg))
+
+    def test_threshold_rounding_to_the_lower_value(self):
+        # (1 + (1 + 2**-52)) / 2 rounds to 1.0, so the left child is empty.
+        x = np.array([[1.0], [np.nextafter(1.0, 2.0)], [3.0]])
+        y = np.array([0.0, 1.0, 1.0])
+        cfg = GbtConfig(n_trees=2, max_depth=3, lam=1.0, rho=0.5)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        for f in (train_gbt, oracle_train_gbt):  # an empty leaf without l2 is degenerate
+            with pytest.raises(ValueError, match="degenerate leaf"):
+                f(x, y, GbtConfig(n_trees=2, max_depth=3, lam=0.0, rho=0.0))
+
+    @pytest.mark.parametrize("lam,rho", [(0.3, 0.1), (0.1, 0.0), (0.7, 0.0), (0.03, 0.0)])
+    def test_mirrored_cuts_tie_exactly(self, lam, rho):
+        # The gradients are exact, so the cut after row 0 and the cut before
+        # row 7 tie only if H_R + l2 is (m - H_L) + l2, as split_gain takes it.
+        x = np.arange(8.0).reshape(-1, 1)
+        y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
+        cfg = GbtConfig(n_trees=1, max_depth=1, lam=lam, rho=rho)
+        model = train_gbt(x, y, cfg)
+        assert model == oracle_train_gbt(x, y, cfg)
+        assert model.trees[0].threshold == 0.5  # the tie goes to the smaller threshold
+
+    def test_wide_indices(self, monkeypatch):
+        # Fits too large for int32 element indices store them as int64.
+        monkeypatch.setattr(gbtree, "_INT32_INDICES", 0)
+        x, y = _oracle_case(10, 80, 3, levels=4)
+        cfg = GbtConfig(n_trees=4, max_depth=3)
+        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert (grid_search(x, y, [0.0, 1.0], [0.0, 0.5], cfg)
+                == oracle_grid_search(x, y, [0.0, 1.0], [0.0, 0.5], cfg))
+
     def test_match_feature_matrix(self, match_80):
         fm = build_feature_matrix(match_80, momentum_series(match_80, MomentumConfig()), "both")
         cfg = GbtConfig(n_trees=10, max_depth=4, lam=1.0, rho=0.5)
@@ -340,6 +396,33 @@ class TestPredict:
             TreeNode(feature=0, threshold=0.5, left=TreeNode(weight=0.0), right=None)
         with pytest.raises(ValueError, match="split fields"):
             TreeNode(weight=1.0, feature=2)
+        with pytest.raises(ValueError, match="split fields: threshold"):
+            TreeNode(weight=1.0, threshold=0.5)
+
+    @pytest.mark.parametrize("feature", [-1, True, 0.0, "0"])
+    def test_split_feature_must_be_a_non_negative_int(self, feature):
+        with pytest.raises(ValueError, match="feature must be a non-negative integer"):
+            TreeNode(feature=feature, threshold=0.5, left=TreeNode(weight=0.0),
+                     right=TreeNode(weight=1.0))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True])
+    def test_split_threshold_must_be_finite(self, threshold):
+        with pytest.raises(ValueError, match="threshold must be finite"):
+            TreeNode(feature=0, threshold=threshold, left=TreeNode(weight=0.0),
+                     right=TreeNode(weight=1.0))
+
+    def test_accuracy_labels_checked(self):
+        model = GbtModel(0.75, (), GbtConfig(), ("f0",))
+        x = np.zeros((3, 1))
+        assert accuracy_score(model, x, [1.0, 1.0, 0.0]) == 2 / 3
+        with pytest.raises(ValueError, match="labels shape"):
+            accuracy_score(model, x, [1.0])  # would broadcast over the 3 rows
+        with pytest.raises(ValueError, match="labels shape"):
+            accuracy_score(model, x, np.ones((3, 1)))
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            accuracy_score(model, x, [1.0, 2.0, 0.0])
+        with pytest.raises(ValueError, match="at least 1 row"):
+            accuracy_score(model, np.zeros((0, 1)), [])
 
 
 class TestGridSearch:
@@ -370,6 +453,30 @@ class TestGridSearch:
         x, y = make_separable(500, seed=0)
         result = grid_search(x, y, [0.0], [0.0], GbtConfig(n_trees=2))
         assert result.n_train == 400
+
+    def test_equals_per_cell_loop(self, match_80):
+        fm = build_feature_matrix(match_80, momentum_series(match_80, MomentumConfig()), "both")
+        cfg = GbtConfig(n_trees=10, max_depth=4)
+        assert (grid_search(fm.x, fm.y, DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID, cfg)
+                == oracle_grid_search(fm.x, fm.y, DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID, cfg))
+
+    def test_validation_row_on_a_threshold_goes_right(self):
+        # Inner-train rows 0.0 -> 0 and 2.0 -> 1 split at 1.0; the held-out
+        # rows sit on it and, like predict, must take the right branch.
+        x = np.r_[np.tile([0.0, 2.0], 8), np.full(9, 1.0)].reshape(-1, 1)
+        y = np.r_[np.tile([0.0, 1.0], 8), np.ones(9)]
+        cfg = GbtConfig(n_trees=1, max_depth=1, learning_rate=1.0)
+        result = grid_search(x, y, [0.0], [0.0], cfg)
+        assert result.val_accuracy == 1.0
+        assert result == oracle_grid_search(x, y, [0.0], [0.0], cfg)
+
+    def test_cells_split_into_batches(self, monkeypatch):
+        # Above the batch bound cells go in smaller batches, with the same result.
+        monkeypatch.setattr(gbtree, "_BATCH_ELEMENTS", 200)
+        x, y = make_separable(120, flip=0.1, seed=4)
+        cfg = GbtConfig(n_trees=6, max_depth=3)
+        grids = ([0.0, 0.1, 1.0], [0.0, 0.5, 1.0])
+        assert grid_search(x, y, *grids, cfg) == oracle_grid_search(x, y, *grids, cfg)
 
     def test_degenerate_split_rejected(self):
         x, y = make_separable(3, seed=0)
@@ -410,6 +517,18 @@ class TestRunAblation:
         report = run_ablation(match_300, MomentumConfig(),
                               GbtConfig(n_trees=15, max_depth=3), **SMALL_GRIDS)
         assert report.accuracy("psych_only") > report.accuracy("none")
+
+    def test_equals_per_cell_searches(self, match_80):
+        cfg = GbtConfig(n_trees=8, max_depth=3)
+        report = run_ablation(match_80, MomentumConfig(), cfg)
+        series = momentum_series(match_80, MomentumConfig())
+        for row in report.rows:
+            fm = build_feature_matrix(match_80, series, row.variant)
+            expected = oracle_grid_search(fm.x, fm.y, DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID, cfg)
+            test_accuracy = accuracy_score(expected.model, fm.x[expected.n_train:],
+                                           fm.y[expected.n_train:])
+            assert row == AblationRow(row.variant, test_accuracy, expected.best_lambda,
+                                      expected.best_rho)
 
     def test_report_invariant(self):
         rows = tuple(AblationRow(v, 0.5, 0.0, 0.0) for v in ABLATION_VARIANTS)
@@ -455,3 +574,43 @@ class TestSerialization:
         a = model_to_json(train_gbt(x, y, GbtConfig(n_trees=3)))
         b = model_to_json(train_gbt(x, y, GbtConfig(n_trees=3)))
         assert a == b
+
+    @pytest.mark.parametrize("path,value,message", [
+        (("feature",), -1, "feature must be a non-negative integer"),
+        (("feature",), True, "feature must be a non-negative integer"),
+        (("feature",), 5, "feature 5 is out of range for 2 features"),
+        (("threshold",), float("nan"), "threshold must be finite"),
+        (("left", "threshold"), 0.5, "leaf carries split fields: threshold"),
+        (("right", "weight"), float("inf"), "leaf weight must be finite"),
+        (("right",), [0.25], "tree node must be an object"),
+        (("threshold",), None, "internal node missing split fields"),
+    ])
+    def test_bad_node_rejected_on_load(self, path, value, message):
+        tree = {"feature": 1, "threshold": 0.5, "left": {"weight": -0.25},
+                "right": {"weight": 0.25}}
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0", "f1"))))
+        doc["trees"] = [tree]
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("base_score", "0.5", "base_score must be finite"),
+        ("base_score", float("nan"), "base_score must be finite"),
+        ("trees", None, "missing fields: trees"),
+    ])
+    def test_bad_document_rejected(self, field, value, message):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_json(json.dumps(doc))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            model_from_json("[]")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import random
 
@@ -169,6 +170,22 @@ class TestLoadMatchCsv:
         path = tmp_path / "m.csv"
         path.write_text(HEADER + "\n" + row() + "\n", encoding="utf-8")
         assert len(load_match_csv(str(path))) == 1
+
+    def test_caller_stream_stays_open(self, tmp_path):
+        data = (HEADER + "\n" + row() + "\n").encode("utf-8")
+        buf = io.BytesIO(data)
+        assert len(load_match_csv(buf)) == 1
+        gc.collect()  # a collected, undetached wrapper would close buf
+        assert not buf.closed
+        assert buf.getvalue() == data
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with open(path, "rb") as fh:
+            load_match_csv(fh)
+            gc.collect()
+            assert not fh.closed
+            fh.seek(0)
+            assert fh.read() == data
 
 
 class TestRoundTrip:
