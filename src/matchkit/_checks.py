@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import numbers
 import operator
 
 
+def finite_real(value) -> bool:
+    """True for a finite int or float (numpy scalars included), False for bools."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def require_finite(config, *names: str) -> None:
-    """Raise ValueError naming the first field of `names` that is NaN or ±inf."""
+    """Raise ValueError naming the first field of `names` that is not a finite number."""
     for name in names:
         value = getattr(config, name)
+        if not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -26,3 +35,21 @@ def require_int(config, *names: str) -> None:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def dataclass_from_doc(cls, doc, what: str):
+    """Build dataclass `cls` from a JSON object holding exactly its fields.
+
+    A non-object, an unknown key or a missing key raises ValueError naming
+    `what` and the key; the values themselves are left to `cls.check`.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"{what} has unknown keys: {', '.join(unknown)}")
+    missing = [name for name in names if name not in doc]
+    if missing:
+        raise ValueError(f"{what} is missing keys: {', '.join(missing)}")
+    return cls(**doc)

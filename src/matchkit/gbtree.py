@@ -46,7 +46,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import dataclass_from_doc, finite_real, require_finite, require_int
 from .ingest import MatchTimeline
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
@@ -128,7 +128,7 @@ class TreeNode:
 
     def __post_init__(self):
         if self.is_leaf:
-            if not _finite_real(self.weight):
+            if not finite_real(self.weight):
                 raise ValueError(f"leaf weight must be finite, got {self.weight!r}")
             carried = [name for name in ("feature", "threshold", "left", "right")
                        if getattr(self, name) is not None]
@@ -140,12 +140,8 @@ class TreeNode:
             if (isinstance(self.feature, bool) or not isinstance(self.feature, numbers.Integral)
                     or self.feature < 0):
                 raise ValueError(f"feature must be a non-negative integer, got {self.feature!r}")
-            if not _finite_real(self.threshold):
+            if not finite_real(self.threshold):
                 raise ValueError(f"threshold must be finite, got {self.threshold!r}")
-
-
-def _finite_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -692,16 +688,20 @@ def model_from_json(text: str) -> GbtModel:
     missing = [k for k in ("base_score", "config", "feature_names", "trees") if k not in doc]
     if missing:
         raise ValueError(f"model document missing fields: {', '.join(missing)}")
-    if not _finite_real(doc["base_score"]):
+    if not finite_real(doc["base_score"]):
         raise ValueError(f"base_score must be finite, got {doc['base_score']!r}")
-    config = GbtConfig(**doc["config"])
+    config = dataclass_from_doc(GbtConfig, doc["config"], "config")
     config.check()
-    n_features = len(doc["feature_names"])
+    names = doc["feature_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError(f"feature_names must be a list of strings, got {names!r}")
+    if not isinstance(doc["trees"], list):
+        raise ValueError(f"trees must be a list, got {doc['trees']!r}")
     return GbtModel(
         base_score=doc["base_score"],
-        trees=tuple(_node_from_obj(t, n_features) for t in doc["trees"]),
+        trees=tuple(_node_from_obj(t, len(names)) for t in doc["trees"]),
         config=config,
-        feature_names=tuple(doc["feature_names"]),
+        feature_names=tuple(names),
     )
 
 

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import dataclass_from_doc, finite_real, require_finite, require_int
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -37,6 +37,7 @@ from .neural import (
     forward_batch,
     init_adam_state,
     init_net,
+    param_specs,
 )
 
 __all__ = [
@@ -340,16 +341,51 @@ def meta_state_to_json(meta: MetaState) -> str:
 
 
 def meta_state_from_json(text: str) -> MetaState:
+    """Load a format 2 meta-state, checking every field.
+
+    The config must hold exactly the fields of `MamlConfig` (and `net` those
+    of `NetConfig`) and pass `check()`; `params` must hold exactly the names
+    and shapes of `param_specs(config.net)` with finite values; and
+    `loss_history` only finite reals.  Anything else is a ValueError naming
+    the field.
+    """
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("meta state document must be a JSON object")
     version = doc.get("format_version")
     if version != 2:
         raise ValueError(f"unsupported meta state format version: {version!r}")
-    cfg_doc = dict(doc["config"])
-    net = NetConfig(**cfg_doc.pop("net"))
-    config = MamlConfig(net=net, **cfg_doc)
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in doc["params"].items()}
-    return MetaState(params=params, loss_history=tuple(doc["loss_history"]),
-                     config=config)
+    missing = [k for k in ("config", "loss_history", "params") if k not in doc]
+    if missing:
+        raise ValueError(f"meta state document missing fields: {', '.join(missing)}")
+    config = dataclass_from_doc(MamlConfig, doc["config"], "config")
+    config = replace(config, net=dataclass_from_doc(NetConfig, config.net, "config.net"))
+    config.check()
+
+    raw = doc["params"]
+    if not isinstance(raw, dict):
+        raise ValueError("params must be a JSON object")
+    specs = dict(param_specs(config.net))
+    unknown = sorted(set(raw) - set(specs))
+    if unknown:
+        raise ValueError(f"params has unknown arrays: {', '.join(unknown)}")
+    params = {}
+    for name, shape in specs.items():
+        if name not in raw:
+            raise ValueError(f"params is missing array {name!r}")
+        try:
+            value = np.asarray(raw[name])
+            ok = value.dtype.kind in "iuf" and value.shape == shape
+        except ValueError:  # ragged nesting
+            ok = False
+        if not ok:
+            raise ValueError(f"params[{name!r}] must be a number array of shape {shape}")
+        params[name] = value.astype(np.float64)
+
+    history = doc["loss_history"]
+    if not isinstance(history, list) or not all(finite_real(v) for v in history):
+        raise ValueError("loss_history must be a list of finite numbers")
+    return MetaState(params=params, loss_history=tuple(history), config=config)
 
 
 def write_meta_eval_csv(rows, dest) -> None:

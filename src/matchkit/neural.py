@@ -10,8 +10,18 @@ time and are verifiable against central finite differences.
 
 The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
 `lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
-i, f, o, c, so a step is one pre-activation, one sigmoid over i, f, o and one
-tanh over c.  The sigmoid is 0.5*(1 + tanh(x/2)): branch-free, no overflow.
+i, f, o, c.  The recurrence runs feature-major, as cuDNN does: the parameters
+are transposed once per call, the input is copied once to `(T, d, B)`, and
+the state and gates are `(h, B)` and `(4h, B)` arrays, so each gate block is
+a contiguous row block.  A step builds its pre-activation in one buffer
+(W'x, then += U'h, then += b), halves rows i, f, o and takes one tanh over
+the whole block, then adds 1 and halves rows i, f, o again: the sigmoid is
+0.5*(1 + tanh(x/2)), branch-free and overflow-free.  Backprop through time
+reuses one pre-activation gradient buffer and one scratch buffer across
+steps.  Every elementwise formula keeps the operand order of the per-gate
+equations, so only the matmul summation order differs from a batch-major
+`(B, 4h)` recurrence (kept as the test oracle): losses and gradients move at
+rounding level, which moves `train-lstm` and `maml` outputs at that level.
 """
 
 from __future__ import annotations
@@ -159,10 +169,6 @@ def _selu_grad(x: np.ndarray) -> np.ndarray:
     return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
-
-
 def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
     cfg = net.config
     x = np.asarray(x, dtype=np.float64)
@@ -175,7 +181,11 @@ def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
 
 
 def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int):
-    """Batch forward pass keeping every intermediate needed for backprop."""
+    """Batch forward pass keeping every intermediate needed for backprop.
+
+    Each step writes into per-call `(T, 4h, B)` gate, `(T + 1, h, B)` hidden
+    and cell, and `(T, h, B)` tanh(c) arrays, which backward reads in reverse.
+    """
     p = net.params
     cfg = net.config
     B, T, _ = x.shape
@@ -193,24 +203,38 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     dense_out = d1 @ p["dense_w2"] + p["dense_b2"]  # (B, 1)
 
     H = cfg.hidden_lstm
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    steps = []
+    xs = np.ascontiguousarray(x.transpose(1, 2, 0))  # (T, d, B)
+    w_t = p["lstm_w"].T  # (4h, d)
+    u_t = p["lstm_u"].T  # (4h, h)
+    b = p["lstm_b"][:, None]
+    gates = np.empty((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
+    hs = np.empty((T + 1, H, B))
+    cs = np.empty((T + 1, H, B))
+    tanh_cs = np.empty((T, H, B))
+    rec = np.empty((4 * H, B))
+    hs[0] = 0.0
+    cs[0] = 0.0
     for t in range(T):
-        xt = x[:, t, :]
-        a = xt @ p["lstm_w"] + h @ p["lstm_u"] + p["lstm_b"]
-        sig = _sigmoid(a[:, :3 * H])
-        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
-        gc = np.tanh(a[:, 3 * H:])
-        c_new = gf * c + gi * gc
-        tanh_c = np.tanh(c_new)
-        steps.append((xt, h, c, sig, gc, tanh_c))
-        h, c = go * tanh_c, c_new
-    recurrent_out = h @ p["rw"] + p["rb"]  # (B, 1)
+        a = gates[t]
+        np.matmul(w_t, xs[t], out=a)
+        a += np.matmul(u_t, hs[t], out=rec)
+        a += b
+        # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on rows i, f, o; tanh on rows c
+        sig = a[:3 * H]
+        sig *= 0.5
+        np.tanh(a, out=a)
+        sig += 1.0
+        sig *= 0.5
+        gi, gf, go, gc = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
+        c_new = np.multiply(gf, cs[t], out=cs[t + 1])
+        c_new += np.multiply(gi, gc, out=rec[:H])
+        np.tanh(c_new, out=tanh_cs[t])
+        np.multiply(go, tanh_cs[t], out=hs[t + 1])
+    recurrent_out = p["rw"].T @ hs[T] + p["rb"][:, None]  # (1, B)
 
-    pred = (dense_out + recurrent_out)[:, 0]
+    pred = dense_out[:, 0] + recurrent_out[0]
     cache = {"last": last, "a1": a1, "d1": d1, "drop": drop_scale,
-             "steps": steps, "h_final": h}
+             "xs": xs, "gates": gates, "hs": hs, "cs": cs, "tanh_cs": tanh_cs}
     return pred, cache
 
 
@@ -274,23 +298,47 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     grads["dense_w1"] = cache["last"].T @ da1
     grads["dense_b1"] = da1.sum(axis=0)
 
-    # Recurrent branch, backprop through time.
-    grads["rw"] = cache["h_final"].T @ dout
-    grads["rb"] = dout.sum(axis=0)
-    dh = dout @ p["rw"].T
-    dc = np.zeros_like(dh)
+    # Recurrent branch, backprop through time, feature-major like the forward.
+    hs, cs, tanh_cs, gates, xs = (cache[k] for k in ("hs", "cs", "tanh_cs", "gates", "xs"))
+    T, _, B = xs.shape
     H = cfg.hidden_lstm
-    for xt, h_prev, c_prev, sig, gc, tanh_c in reversed(cache["steps"]):
-        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
-        dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
-        # Pre-activation gradient of all four gates, columns i, f, o, c.
-        dsig = np.concatenate([dc * gc, dc * c_prev, dh * tanh_c], axis=1) * sig * (1.0 - sig)
-        da = np.concatenate([dsig, dc * gi * (1.0 - gc * gc)], axis=1)
-        grads["lstm_w"] += xt.T @ da
-        grads["lstm_u"] += h_prev.T @ da
-        grads["lstm_b"] += da.sum(axis=0)
-        dh = da @ p["lstm_u"].T
-        dc = dc * gf
+    grads["rw"] = hs[T] @ dout
+    grads["rb"] = dout.sum(axis=0)
+    dh = p["rw"] @ dpred[None, :]  # (h, B)
+    dc = np.zeros_like(dh)
+    u = p["lstm_u"]
+    gw, gu, gb = grads["lstm_w"], grads["lstm_u"], grads["lstm_b"]
+    # One pre-activation gradient (rows i, f, o, c) and one scratch block,
+    # reused by every step; each product keeps the operand order of the
+    # per-gate formulas, so only the matmul summation order can move.
+    da = np.empty((4 * H, B))
+    dsig, da_i, da_f, da_o, da_c = da[:3 * H], da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
+    scratch3 = np.empty((3 * H, B))
+    scratch = scratch3[:H]
+    for t in range(T - 1, -1, -1):
+        g = gates[t]
+        sig = g[:3 * H]
+        gi, gf, go, gc = g[:H], g[H:2 * H], g[2 * H:3 * H], g[3 * H:]
+        tanh_c = tanh_cs[t]
+        # dc + dh * go * (1 - tanh_c * tanh_c)
+        np.subtract(1.0, np.multiply(tanh_c, tanh_c, out=scratch), out=scratch)
+        np.multiply(dh, go, out=da_i)
+        da_i *= scratch
+        dc += da_i
+        # (dc * gc, dc * c_prev, dh * tanh_c) * sig * (1 - sig)
+        np.multiply(dc, gc, out=da_i)
+        np.multiply(dc, cs[t], out=da_f)
+        np.multiply(dh, tanh_c, out=da_o)
+        dsig *= sig
+        dsig *= np.subtract(1.0, sig, out=scratch3)
+        # dc * gi * (1 - gc * gc)
+        np.multiply(dc, gi, out=da_c)
+        da_c *= np.subtract(1.0, np.multiply(gc, gc, out=scratch), out=scratch)
+        gw += xs[t] @ da.T
+        gu += hs[t] @ da.T
+        gb += da.sum(axis=1)
+        np.matmul(u, da, out=dh)
+        dc *= gf
     return loss, grads
 
 

@@ -29,6 +29,15 @@ from matchkit.ingest import (
     ValidationError,
     parse_elapsed_time,
 )
+from matchkit.neural import (
+    _check_batch,
+    _loss_terms,
+    _selu,
+    _selu_grad,
+    backward,
+    forward_batch,
+    param_specs,
+)
 
 
 def make_timeline(victors, servers=None, elapsed=None, set_no=None, game_no=None,
@@ -427,3 +436,119 @@ def _check_chunk_order(chunk: list[tuple[PointRecord, dict[str, str], int]]) -> 
                 f"in match {b.match_id!r}",
                 row_b,
             )
+
+
+# Batch-major LSTM reference: the forward/BPTT pair `neural` ran before its
+# recurrence went feature-major, kept verbatim.  Loss, predictions and
+# gradients of the feature-major code must agree with it to rounding level
+# (only the matmul summation order differs).
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
+
+
+def oracle_forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int):
+    """Batch forward pass keeping every intermediate needed for backprop."""
+    p = net.params
+    cfg = net.config
+    B, T, _ = x.shape
+
+    last = x[:, -1, :]
+    a1 = last @ p["dense_w1"] + p["dense_b1"]
+    z1 = _selu(a1)
+    if train_mode and cfg.dropout_rate > 0.0:
+        rng = np.random.default_rng(seed)
+        keep = rng.random(z1.shape) >= cfg.dropout_rate
+        drop_scale = keep / (1.0 - cfg.dropout_rate)
+    else:
+        drop_scale = np.ones_like(z1)
+    d1 = z1 * drop_scale
+    dense_out = d1 @ p["dense_w2"] + p["dense_b2"]  # (B, 1)
+
+    H = cfg.hidden_lstm
+    h = np.zeros((B, H))
+    c = np.zeros((B, H))
+    steps = []
+    for t in range(T):
+        xt = x[:, t, :]
+        a = xt @ p["lstm_w"] + h @ p["lstm_u"] + p["lstm_b"]
+        sig = _sigmoid(a[:, :3 * H])
+        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
+        gc = np.tanh(a[:, 3 * H:])
+        c_new = gf * c + gi * gc
+        tanh_c = np.tanh(c_new)
+        steps.append((xt, h, c, sig, gc, tanh_c))
+        h, c = go * tanh_c, c_new
+    recurrent_out = h @ p["rw"] + p["rb"]  # (B, 1)
+
+    pred = (dense_out + recurrent_out)[:, 0]
+    cache = {"last": last, "a1": a1, "d1": d1, "drop": drop_scale,
+             "steps": steps, "h_final": h}
+    return pred, cache
+
+
+def oracle_backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
+             train_mode: bool = False, seed: int = 0) -> tuple[float, dict[str, np.ndarray]]:
+    """Mean loss over the batch and its gradient for every parameter.
+
+    The dropout mask (train_mode only) is drawn once from `seed`, so the
+    returned gradients correspond exactly to the sampled subnetwork.
+    """
+    x = _check_batch(net, x)
+    y = np.asarray(y, dtype=np.float64)
+    if y.shape != (x.shape[0],):
+        raise ValueError(f"targets shape {y.shape} does not match batch {x.shape[0]}")
+    p = net.params
+    cfg = net.config
+    pred, cache = oracle_forward_cached(net, x, train_mode, seed)
+    loss, dpred = _loss_terms(pred, y, cfg, loss_kind)
+    dout = dpred[:, None]  # (B, 1), gradient on both branch outputs
+
+    grads = {name: np.zeros(shape) for name, shape in param_specs(cfg)}
+
+    # Dense branch.
+    grads["dense_w2"] = cache["d1"].T @ dout
+    grads["dense_b2"] = dout.sum(axis=0)
+    dd1 = dout @ p["dense_w2"].T
+    dz1 = dd1 * cache["drop"]
+    da1 = dz1 * _selu_grad(cache["a1"])
+    grads["dense_w1"] = cache["last"].T @ da1
+    grads["dense_b1"] = da1.sum(axis=0)
+
+    # Recurrent branch, backprop through time.
+    grads["rw"] = cache["h_final"].T @ dout
+    grads["rb"] = dout.sum(axis=0)
+    dh = dout @ p["rw"].T
+    dc = np.zeros_like(dh)
+    H = cfg.hidden_lstm
+    for xt, h_prev, c_prev, sig, gc, tanh_c in reversed(cache["steps"]):
+        gi, gf, go = sig[:, :H], sig[:, H:2 * H], sig[:, 2 * H:]
+        dc = dc + dh * go * (1.0 - tanh_c * tanh_c)
+        # Pre-activation gradient of all four gates, columns i, f, o, c.
+        dsig = np.concatenate([dc * gc, dc * c_prev, dh * tanh_c], axis=1) * sig * (1.0 - sig)
+        da = np.concatenate([dsig, dc * gi * (1.0 - gc * gc)], axis=1)
+        grads["lstm_w"] += xt.T @ da
+        grads["lstm_u"] += h_prev.T @ da
+        grads["lstm_b"] += da.sum(axis=0)
+        dh = da @ p["lstm_u"].T
+        dc = dc * gf
+    return loss, grads
+
+
+def assert_matches_batch_major(net, x, y, *, loss_kind="huber", train_mode=False, seed=0):
+    """`backward` and `forward_batch` against the batch-major oracle: the loss
+    within rel 1e-12, and each gradient and the predictions within 1e-12 times
+    the largest magnitude of the oracle's array."""
+    loss, grads = backward(net, x, y, loss_kind=loss_kind, train_mode=train_mode, seed=seed)
+    ref_loss, ref_grads = oracle_backward(net, x, y, loss_kind=loss_kind,
+                                          train_mode=train_mode, seed=seed)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.max(np.abs(grads[name] - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+    pred = forward_batch(net, x, train_mode=train_mode, seed=seed)
+    ref_pred, _ = oracle_forward_cached(net, _check_batch(net, x), train_mode, seed)
+    assert pred.shape == ref_pred.shape
+    assert np.max(np.abs(pred - ref_pred)) <= 1e-12 * np.max(np.abs(ref_pred))

@@ -389,17 +389,23 @@ class TestConfigFile:
 
 
 class TestDeterminism:
-    def test_repeat_runs_are_byte_identical(self, single_csv, tmp_path):
-        for cmd, extra in (("winjud", []), ("train-lstm", LSTM_FAST)):
-            paths = []
+    def test_repeat_runs_are_byte_identical(self, single_csv, pool_csv, tmp_path):
+        for cmd, source, extra, side_outputs in (
+                ("winjud", single_csv, [], ()),
+                ("train-lstm", single_csv, LSTM_FAST, ()),
+                ("maml", pool_csv, MAML_FAST, ("--state-out",))):
+            runs = []
             for run in ("one", "two"):
                 out = tmp_path / f"{cmd}-{run}.out"
-                args = [cmd, "--input", single_csv, "--out", str(out),
+                sides = [tmp_path / f"{cmd}-{run}{flag}.json" for flag in side_outputs]
+                args = [cmd, "--input", source, "--out", str(out),
                         "--manifest", str(tmp_path / f"{cmd}-{run}.manifest.json"),
                         "--seed", "3"] + extra
+                for flag, side in zip(side_outputs, sides):
+                    args += [flag, str(side)]
                 assert run_cli(args) == 0
-                paths.append(out)
-            assert paths[0].read_bytes() == paths[1].read_bytes()
+                runs.append([path.read_bytes() for path in (out, *sides)])
+            assert runs[0] == runs[1]
 
     def test_manifests_match_excluding_duration(self, single_csv, tmp_path):
         docs = []

@@ -614,3 +614,40 @@ class TestSerialization:
     def test_document_must_be_an_object(self):
         with pytest.raises(ValueError, match="must be a JSON object"):
             model_from_json("[]")
+
+    @pytest.mark.parametrize("names", ["ab", [1, 2], 5, ["f0", None], {"f0": 0}])
+    def test_feature_names_must_be_a_list_of_strings(self, names):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0", "f1"))))
+        doc["feature_names"] = names
+        with pytest.raises(ValueError, match="feature_names must be a list of strings"):
+            model_from_json(json.dumps(doc))
+
+    def test_trees_must_be_a_list(self):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))
+        doc["trees"] = {"weight": 0.5}
+        with pytest.raises(ValueError, match="trees must be a list"):
+            model_from_json(json.dumps(doc))
+
+    def test_unknown_config_key_rejected(self):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))
+        doc["config"]["depth"] = 3
+        with pytest.raises(ValueError, match="config has unknown keys: depth"):
+            model_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["seed", "lam", "n_trees"])
+    def test_missing_config_key_rejected(self, key):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))
+        del doc["config"][key]
+        with pytest.raises(ValueError, match=f"config is missing keys: {key}"):
+            model_from_json(json.dumps(doc))
+
+    def test_config_must_be_an_object(self):
+        doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))
+        doc["config"] = [1.0]
+        with pytest.raises(ValueError, match="config must be a JSON object"):
+            model_from_json(json.dumps(doc))
+
+    def test_document_bytes_survive_a_round_trip(self):
+        x, y = make_separable(120, seed=4)
+        text = model_to_json(train_gbt(x, y, GbtConfig(n_trees=4, max_depth=2)))
+        assert model_to_json(model_from_json(text)) == text

@@ -409,6 +409,89 @@ class TestSerializationAndReports:
         with pytest.raises(ValueError, match="version"):
             meta_state_from_json(json.dumps({"format_version": version}))
 
+    @staticmethod
+    def _state_doc():
+        cfg = tiny_config()
+        meta = MetaState(params=init_net(cfg.net).params, loss_history=(0.5, 0.25),
+                         config=cfg)
+        return json.loads(meta_state_to_json(meta))
+
+    def _load_edited(self, edit):
+        doc = self._state_doc()
+        edit(doc)
+        return meta_state_from_json(json.dumps(doc))
+
+    def test_negative_meta_lr_rejected(self):
+        with pytest.raises(ValueError, match="meta_lr must be >= 0"):
+            self._load_edited(lambda d: d["config"].update(meta_lr=-1))
+
+    def test_wrong_param_shape_rejected(self):
+        with pytest.raises(ValueError, match=r"params\['lstm_u'\] must be a number array of shape \(2, 8\)"):
+            self._load_edited(lambda d: d["params"].update(lstm_u=[[0.0]]))
+
+    def test_missing_param_rejected(self):
+        with pytest.raises(ValueError, match="params is missing array 'rw'"):
+            self._load_edited(lambda d: d["params"].pop("rw"))
+
+    def test_unknown_param_rejected(self):
+        with pytest.raises(ValueError, match="params has unknown arrays: extra"):
+            self._load_edited(lambda d: d["params"].update(extra=[0.0]))
+
+    @pytest.mark.parametrize("value", [[["x", "y"]], [[0.5, None]], [[True, False]], [[0.5], []]])
+    def test_non_numeric_param_rejected(self, value):
+        with pytest.raises(ValueError, match=r"params\['rw'\] must be a number array"):
+            self._load_edited(lambda d: d["params"].update(rw=value))
+
+    def test_non_finite_param_rejected(self):
+        def edit(doc):
+            doc["params"]["rb"] = [float("nan")]
+        with pytest.raises(ValueError, match="meta parameter 'rb' is not finite"):
+            self._load_edited(edit)
+
+    @pytest.mark.parametrize("history", [["x"], [0.5, float("nan")], [float("inf")], [True], 0.5])
+    def test_bad_loss_history_rejected(self, history):
+        with pytest.raises(ValueError, match="loss_history must be a list of finite numbers"):
+            self._load_edited(lambda d: d.update(loss_history=history))
+
+    def test_unknown_config_key_rejected(self):
+        with pytest.raises(ValueError, match="config has unknown keys: bogus"):
+            self._load_edited(lambda d: d["config"].update(bogus=1))
+
+    def test_unknown_net_key_rejected(self):
+        with pytest.raises(ValueError, match="config.net has unknown keys: bogus"):
+            self._load_edited(lambda d: d["config"]["net"].update(bogus=1))
+
+    @pytest.mark.parametrize("key", ["seed", "net", "meta_lr"])
+    def test_missing_config_key_rejected(self, key):
+        with pytest.raises(ValueError, match=f"config is missing keys: {key}"):
+            self._load_edited(lambda d: d["config"].pop(key))
+
+    def test_missing_net_key_rejected(self):
+        with pytest.raises(ValueError, match="config.net is missing keys: seq_len"):
+            self._load_edited(lambda d: d["config"]["net"].pop("seq_len"))
+
+    def test_net_config_is_checked(self):
+        with pytest.raises(ValueError, match="hidden_lstm must be >= 1"):
+            self._load_edited(lambda d: d["config"]["net"].update(hidden_lstm=0))
+
+    def test_non_numeric_config_value_rejected(self):
+        with pytest.raises(ValueError, match="inner_lr must be a number"):
+            self._load_edited(lambda d: d["config"].update(inner_lr="0.1"))
+
+    @pytest.mark.parametrize("field", ["config", "params", "loss_history"])
+    def test_missing_top_level_field_rejected(self, field):
+        with pytest.raises(ValueError, match=f"meta state document missing fields: {field}"):
+            self._load_edited(lambda d: d.pop(field))
+
+    @pytest.mark.parametrize("field", ["config", "params"])
+    def test_field_must_be_an_object(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be a JSON object"):
+            self._load_edited(lambda d: d.update({field: []}))
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValueError, match="meta state document must be a JSON object"):
+            meta_state_from_json("[2]")
+
     def test_meta_eval_csv(self):
         rows = (QueryEval("m-1601", 0.25, 0.5), QueryEval("m-1701", 0.125, 1.0))
         buf = io.StringIO()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import assert_matches_batch_major
 from matchkit.dbwp import DbwpParams, DbwpSeries, dbwp_scores
 from matchkit.momentum import MomentumConfig, momentum_series
 from matchkit.neural import (
@@ -363,6 +364,92 @@ class TestBackward:
         net = init_net(tiny_config())
         with pytest.raises(ValueError):
             backward(net, np.zeros((2, 3, 2)), np.zeros(2), loss_kind="hinge")
+
+
+class TestFeatureMajorMatchesBatchMajor:
+    # The recurrence runs feature-major; the batch-major pair it replaced is
+    # the oracle in tests/helpers.py.
+    SHAPES = [  # (hidden_lstm, input_dim, seq_len)
+        (1, 1, 1), (3, 2, 5), (16, 3, 16), (5, 4, 2),
+    ]
+    MODES = [  # (loss_kind, l2_mix, dropout_rate, train_mode)
+        ("huber", False, 0.0, False),
+        ("huber", False, 0.3, True),
+        ("mse", False, 0.2, True),
+        ("huber", True, 0.2, True),
+        ("huber", True, 0.0, False),
+    ]
+
+    @pytest.mark.parametrize("batch", [1, 2, 57, 228])
+    def test_seeded_sweep(self, batch):
+        rng = np.random.default_rng(batch)
+        for hidden, dim, steps in self.SHAPES:
+            for loss_kind, l2_mix, rate, train_mode in self.MODES:
+                cfg = NetConfig(input_dim=dim, hidden_dense=5, hidden_lstm=hidden,
+                                seq_len=steps, dropout_rate=rate, l2_mix=l2_mix,
+                                seed=int(rng.integers(100)))
+                net = init_net(cfg)
+                for k in net.params:
+                    net.params[k] = net.params[k] + rng.normal(0, 0.3, net.params[k].shape)
+                x = rng.normal(0, 1, (batch, steps, dim))
+                y = rng.normal(0, 1.5, batch)  # both Huber zones
+                assert_matches_batch_major(net, x, y, loss_kind=loss_kind,
+                                           train_mode=train_mode, seed=int(rng.integers(100)))
+
+    def test_default_config_at_benchmark_batch(self):
+        cfg = NetConfig(input_dim=3)
+        net = init_net(cfg)
+        rng = np.random.default_rng(7)
+        x = rng.normal(0, 1, (228, cfg.seq_len, 3))
+        y = rng.normal(0, 1, 228)
+        assert_matches_batch_major(net, x, y, train_mode=True, seed=11)
+
+
+class TestBuffersUntouched:
+    def _case(self):
+        cfg = NetConfig(input_dim=3, hidden_dense=5, hidden_lstm=4, seq_len=6,
+                        dropout_rate=0.25)
+        net = init_net(cfg)
+        rng = np.random.default_rng(21)
+        for k in net.params:
+            net.params[k] = net.params[k] + rng.normal(0, 0.3, net.params[k].shape)
+        big = rng.normal(0, 1, (2 * 9, cfg.seq_len, 2 * cfg.input_dim))
+        x = big[::2, :, 1::2]  # a strided view
+        y = big[1::2, 0, 0]
+        assert not x.flags.c_contiguous and not y.flags.c_contiguous
+        return net, x, y
+
+    def test_inputs_and_params_stay_bit_identical(self):
+        net, x, y = self._case()
+        before = [a.tobytes() for a in (x, y, *net.params.values())]
+        backward(net, x, y, train_mode=True, seed=3)
+        backward(net, x, y, loss_kind="mse")
+        forward_batch(net, x, train_mode=True, seed=3)
+        forward_batch(net, x)
+        assert [a.tobytes() for a in (x, y, *net.params.values())] == before
+
+    def test_strided_input_gives_the_contiguous_result(self):
+        net, x, y = self._case()
+        loss, grads = backward(net, x, y, train_mode=True, seed=3)
+        loss_c, grads_c = backward(net, np.ascontiguousarray(x), np.ascontiguousarray(y),
+                                   train_mode=True, seed=3)
+        assert loss == loss_c
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], grads_c[name])
+        np.testing.assert_array_equal(forward_batch(net, x, train_mode=True, seed=3),
+                                      forward_batch(net, np.ascontiguousarray(x),
+                                                    train_mode=True, seed=3))
+
+    def test_gradients_own_their_memory(self):
+        net, x, y = self._case()
+        _, grads = backward(net, x, y, train_mode=True, seed=3)
+        pred = forward_batch(net, x)
+        for name, g in grads.items():
+            assert g.shape == net.params[name].shape
+            for other in (x, y, *net.params.values()):
+                assert not np.shares_memory(g, other), name
+        for other in (x, *net.params.values()):
+            assert not np.shares_memory(pred, other)
 
 
 class TestAdam:
