@@ -1,4 +1,5 @@
-"""Field checks shared by the config dataclasses' `check` methods."""
+"""Value checks shared by the config dataclasses' `check` methods and the
+learners' direct-call arguments."""
 
 from __future__ import annotations
 
@@ -13,28 +14,40 @@ def finite_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def require_finite(config, *names: str) -> None:
-    """Raise ValueError naming the first field of `names` that is not a finite number."""
-    for name in names:
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+def check_finite(name: str, value, minimum: float | None = None) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite number >= `minimum`."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def require_int(config, *names: str) -> None:
-    """Raise ValueError naming the first field of `names` that is not an integer.
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Raise ValueError naming `name` unless `value` is an integer >= `minimum`.
 
     `operator.index` accepts Python and numpy integers and rejects floats,
     so 2.5 fails here instead of as a TypeError deep inside a fit.
     """
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def require_finite(config, *names: str) -> None:
+    """Raise ValueError naming the first field of `names` that is not a finite number."""
     for name in names:
-        value = getattr(config, name)
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        check_finite(name, getattr(config, name))
+
+
+def require_int(config, *names: str) -> None:
+    """Raise ValueError naming the first field of `names` that is not an integer."""
+    for name in names:
+        check_int(name, getattr(config, name))
 
 
 def dataclass_from_doc(cls, doc, what: str):

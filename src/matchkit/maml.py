@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import dataclass_from_doc, finite_real, require_finite, require_int
+from ._checks import (check_finite, check_int, dataclass_from_doc, finite_real, require_finite,
+                      require_int)
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -225,6 +226,8 @@ def split_task(task: Task, train_fraction: float):
 
 def gd_steps(params: dict[str, np.ndarray], grad_fn, lr: float, steps: int) -> dict[str, np.ndarray]:
     """Plain full-batch gradient descent; returns fresh parameter dicts."""
+    check_finite("lr", lr, minimum=0.0)
+    check_int("steps", steps, minimum=0)
     current = {k: v.copy() for k, v in params.items()}
     for _ in range(steps):
         grads = grad_fn(current)

@@ -10,18 +10,23 @@ time and are verifiable against central finite differences.
 
 The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
 `lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
-i, f, o, c.  The recurrence runs feature-major, as cuDNN does: the parameters
-are transposed once per call, the input is copied once to `(T, d, B)`, and
-the state and gates are `(h, B)` and `(4h, B)` arrays, so each gate block is
-a contiguous row block.  A step builds its pre-activation in one buffer
-(W'x, then += U'h, then += b), halves rows i, f, o and takes one tanh over
-the whole block, then adds 1 and halves rows i, f, o again: the sigmoid is
-0.5*(1 + tanh(x/2)), branch-free and overflow-free.  Backprop through time
-reuses one pre-activation gradient buffer and one scratch buffer across
-steps.  Every elementwise formula keeps the operand order of the per-gate
-equations, so only the matmul summation order differs from a batch-major
-`(B, 4h)` recurrence (kept as the test oracle): losses and gradients move at
-rounding level, which moves `train-lstm` and `maml` outputs at that level.
+i, f, o, c.  The recurrence runs feature-major, as cuDNN does, on one
+augmented GEMM per step: the call stacks `M = [lstm_w; lstm_u; lstm_b]'`
+`(4h, d + h + 1)` once and keeps the rows `[x_t; h_t; 1]` of every step in
+one `(T + 1, d + h + 1, B)` array, with x copied in and the ones row set
+once; each step writes its h straight into the next step's rows.  A step's
+pre-activation is `M @ [x_t; h_t; 1]` into its `(4h, B)` gate block, so each
+gate block is a contiguous row block; it halves rows i, f, o and takes one
+tanh over the whole block, then adds 1 and halves rows i, f, o again: the
+sigmoid is 0.5*(1 + tanh(x/2)), branch-free and overflow-free.  Backprop
+through time reuses one pre-activation gradient buffer and one scratch
+buffer across steps and accumulates the gradient of `[W; U; b]` in one
+GEMM a step, split into the three parameter gradients at the end.  Every
+elementwise formula keeps the operand order of the per-gate equations, so
+only the matmul summation order (the bias and its gradient included)
+differs from a batch-major `(B, 4h)` recurrence (kept as the test oracle):
+losses and gradients move at rounding level, which moves `train-lstm` and
+`maml` outputs at that level.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import check_finite, check_int, require_finite, require_int
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -151,6 +156,7 @@ def init_net(config: NetConfig) -> ParallelNet:
 
 def huber_loss(residual: float, delta: float) -> float:
     """0.5*r^2 inside |r| <= delta, delta*|r| - 0.5*delta^2 outside."""
+    check_finite("delta", delta)
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     r = abs(residual)
@@ -183,8 +189,10 @@ def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
 def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int):
     """Batch forward pass keeping every intermediate needed for backprop.
 
-    Each step writes into per-call `(T, 4h, B)` gate, `(T + 1, h, B)` hidden
-    and cell, and `(T, h, B)` tanh(c) arrays, which backward reads in reverse.
+    Each step reads its `[x_t; h_t; 1]` rows from the per-call
+    `(T + 1, d + h + 1, B)` array `z` and writes h_{t+1} into the next step's
+    rows, its gates into a `(T, 4h, B)` array and its cell and tanh(c) into
+    `(T + 1, h, B)` and `(T, h, B)` arrays, which backward reads in reverse.
     """
     p = net.params
     cfg = net.config
@@ -202,23 +210,21 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     d1 = z1 * drop_scale
     dense_out = d1 @ p["dense_w2"] + p["dense_b2"]  # (B, 1)
 
-    H = cfg.hidden_lstm
-    xs = np.ascontiguousarray(x.transpose(1, 2, 0))  # (T, d, B)
-    w_t = p["lstm_w"].T  # (4h, d)
-    u_t = p["lstm_u"].T  # (4h, h)
-    b = p["lstm_b"][:, None]
+    d, H = cfg.input_dim, cfg.hidden_lstm
+    # M = [W; U; b]' against rows [x_t; h_t; 1]: a step's pre-activation is one GEMM.
+    m = np.vstack((p["lstm_w"], p["lstm_u"], p["lstm_b"])).T  # (4h, d + h + 1)
+    z = np.empty((T + 1, d + H + 1, B))
+    z[:T, :d] = x.transpose(1, 2, 0)
+    z[T, :d] = 0.0  # no input after the last step; only h_T is read there
+    z[0, d:d + H] = 0.0
+    z[:, d + H] = 1.0
     gates = np.empty((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
-    hs = np.empty((T + 1, H, B))
     cs = np.empty((T + 1, H, B))
     tanh_cs = np.empty((T, H, B))
-    rec = np.empty((4 * H, B))
-    hs[0] = 0.0
+    ig = np.empty((H, B))
     cs[0] = 0.0
     for t in range(T):
-        a = gates[t]
-        np.matmul(w_t, xs[t], out=a)
-        a += np.matmul(u_t, hs[t], out=rec)
-        a += b
+        a = np.matmul(m, z[t], out=gates[t])
         # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on rows i, f, o; tanh on rows c
         sig = a[:3 * H]
         sig *= 0.5
@@ -227,14 +233,14 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
         sig *= 0.5
         gi, gf, go, gc = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
         c_new = np.multiply(gf, cs[t], out=cs[t + 1])
-        c_new += np.multiply(gi, gc, out=rec[:H])
+        c_new += np.multiply(gi, gc, out=ig)
         np.tanh(c_new, out=tanh_cs[t])
-        np.multiply(go, tanh_cs[t], out=hs[t + 1])
-    recurrent_out = p["rw"].T @ hs[T] + p["rb"][:, None]  # (1, B)
+        np.multiply(go, tanh_cs[t], out=z[t + 1, d:d + H])
+    recurrent_out = p["rw"].T @ z[T, d:d + H] + p["rb"][:, None]  # (1, B)
 
     pred = dense_out[:, 0] + recurrent_out[0]
     cache = {"last": last, "a1": a1, "d1": d1, "drop": drop_scale,
-             "xs": xs, "gates": gates, "hs": hs, "cs": cs, "tanh_cs": tanh_cs}
+             "z": z, "gates": gates, "cs": cs, "tanh_cs": tanh_cs}
     return pred, cache
 
 
@@ -278,6 +284,8 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     returned gradients correspond exactly to the sampled subnetwork.
     """
     x = _check_batch(net, x)
+    if x.shape[0] == 0:
+        raise ValueError("batch is empty")
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets shape {y.shape} does not match batch {x.shape[0]}")
@@ -292,22 +300,21 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     # Dense branch.
     grads["dense_w2"] = cache["d1"].T @ dout
     grads["dense_b2"] = dout.sum(axis=0)
-    dd1 = dout @ p["dense_w2"].T
-    dz1 = dd1 * cache["drop"]
-    da1 = dz1 * _selu_grad(cache["a1"])
+    # One expression, so its temporaries are freed before the BPTT buffers exist.
+    da1 = dout @ p["dense_w2"].T * cache["drop"] * _selu_grad(cache["a1"])
     grads["dense_w1"] = cache["last"].T @ da1
     grads["dense_b1"] = da1.sum(axis=0)
 
     # Recurrent branch, backprop through time, feature-major like the forward.
-    hs, cs, tanh_cs, gates, xs = (cache[k] for k in ("hs", "cs", "tanh_cs", "gates", "xs"))
-    T, _, B = xs.shape
-    H = cfg.hidden_lstm
-    grads["rw"] = hs[T] @ dout
+    z, cs, tanh_cs, gates = (cache[k] for k in ("z", "cs", "tanh_cs", "gates"))
+    d, H = cfg.input_dim, cfg.hidden_lstm
+    T, _, B = gates.shape
+    grads["rw"] = z[T, d:d + H] @ dout
     grads["rb"] = dout.sum(axis=0)
     dh = p["rw"] @ dpred[None, :]  # (h, B)
     dc = np.zeros_like(dh)
     u = p["lstm_u"]
-    gw, gu, gb = grads["lstm_w"], grads["lstm_u"], grads["lstm_b"]
+    gm = np.zeros((d + H + 1, 4 * H))  # gradient of [W; U; b], split at the end
     # One pre-activation gradient (rows i, f, o, c) and one scratch block,
     # reused by every step; each product keeps the operand order of the
     # per-gate formulas, so only the matmul summation order can move.
@@ -334,11 +341,12 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
         # dc * gi * (1 - gc * gc)
         np.multiply(dc, gi, out=da_c)
         da_c *= np.subtract(1.0, np.multiply(gc, gc, out=scratch), out=scratch)
-        gw += xs[t] @ da.T
-        gu += hs[t] @ da.T
-        gb += da.sum(axis=1)
+        gm += z[t] @ da.T
         np.matmul(u, da, out=dh)
         dc *= gf
+    grads["lstm_w"] = gm[:d].copy()
+    grads["lstm_u"] = gm[d:d + H].copy()
+    grads["lstm_b"] = gm[d + H].copy()
     return loss, grads
 
 
@@ -358,10 +366,13 @@ def init_adam_state(config: NetConfig) -> AdamState:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, t: int, config: NetConfig,
               lr: float | None = None) -> tuple[dict[str, np.ndarray], AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
-    if t < 1:
-        raise ValueError(f"step index must be >= 1, got {t}")
+    """One bias-corrected Adam update; returns fresh params and state.
+
+    `lr` overrides `config.adam_lr`; 0 is allowed and leaves params unchanged.
+    """
+    check_int("step index", t, minimum=1)
     lr = config.adam_lr if lr is None else lr
+    check_finite("lr", lr, minimum=0.0)
     b1, b2 = config.adam_beta1, config.adam_beta2
     new_params, new_m, new_v = {}, {}, {}
     for name in params:
@@ -382,6 +393,9 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
     """Full-batch Adam training; returns the trained net and per-epoch losses."""
     cfg = net.config
     epochs = cfg.epochs if epochs is None else epochs
+    check_int("epochs", epochs, minimum=0)
+    if lr is not None:
+        check_finite("lr", lr, minimum=0.0)
     seed = cfg.seed if seed is None else seed
     params = dict(net.params)
     state = init_adam_state(cfg)
@@ -398,6 +412,7 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
 
 def build_sequences(features: np.ndarray, targets: np.ndarray, seq_len: int):
     """Sliding windows of seq_len rows; each window predicts its last target."""
+    check_int("seq_len", seq_len, minimum=1)
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     n = features.shape[0]

@@ -176,6 +176,14 @@ class TestGdSteps:
         gd_steps(start, lambda p: {"w": np.ones(1)}, 0.5, 4)
         assert start["w"][0] == 2.0
 
+    @pytest.mark.parametrize("lr, steps, name", [
+        (np.nan, 2, "lr"), (np.inf, 2, "lr"), (-0.1, 2, "lr"),
+        (0.1, -1, "steps"), (0.1, 2.0, "steps"),
+    ])
+    def test_bad_lr_and_steps(self, lr, steps, name):
+        with pytest.raises(ValueError, match=name):
+            gd_steps({"w": np.array([1.0])}, lambda p: {"w": np.ones(1)}, lr, steps)
+
 
 class TestInnerAdapt:
     def test_zero_epochs_is_identity(self):

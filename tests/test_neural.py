@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -149,8 +150,9 @@ class TestHuber:
         assert huber_loss(3.0, 2.0) == 6.0 - 2.0
 
     def test_bad_delta(self):
-        with pytest.raises(ValueError):
-            huber_loss(1.0, 0.0)
+        for delta in (0.0, -1.0, math.nan, math.inf, "1"):
+            with pytest.raises(ValueError, match="delta"):
+                huber_loss(1.0, delta)
 
 
 class TestForward:
@@ -365,6 +367,11 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(net, np.zeros((2, 3, 2)), np.zeros(2), loss_kind="hinge")
 
+    def test_empty_batch(self):
+        net = init_net(tiny_config())
+        with pytest.raises(ValueError, match="empty"):
+            backward(net, np.zeros((0, 3, 2)), np.zeros(0))
+
 
 class TestFeatureMajorMatchesBatchMajor:
     # The recurrence runs feature-major; the batch-major pair it replaced is
@@ -446,8 +453,12 @@ class TestBuffersUntouched:
         pred = forward_batch(net, x)
         for name, g in grads.items():
             assert g.shape == net.params[name].shape
+            assert g.flags.owndata, name
             for other in (x, y, *net.params.values()):
                 assert not np.shares_memory(g, other), name
+        # The LSTM gradients are split from one accumulator: none may overlap another.
+        for a, b in itertools.combinations(grads, 2):
+            assert not np.shares_memory(grads[a], grads[b]), (a, b)
         for other in (x, *net.params.values()):
             assert not np.shares_memory(pred, other)
 
@@ -505,6 +516,22 @@ class TestAdam:
         with pytest.raises(ValueError):
             adam_step(net.params, grads, init_adam_state(cfg), 0, cfg)
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -1e-3, "0.1"])
+    def test_bad_lr_override(self, lr):
+        cfg = tiny_config()
+        net = init_net(cfg)
+        grads = {k: np.ones_like(v) for k, v in net.params.items()}
+        with pytest.raises(ValueError, match="lr"):
+            adam_step(net.params, grads, init_adam_state(cfg), 1, cfg, lr=lr)
+
+    def test_zero_lr_leaves_params_unchanged(self):
+        cfg = tiny_config()
+        net = init_net(cfg)
+        grads = {k: np.ones_like(v) for k, v in net.params.items()}
+        new_params, _ = adam_step(net.params, grads, init_adam_state(cfg), 1, cfg, lr=0.0)
+        for k in net.params:
+            assert np.array_equal(new_params[k], net.params[k])
+
     def test_lr_override(self):
         cfg = tiny_config(adam_lr=1e-3)
         net = init_net(cfg)
@@ -539,6 +566,18 @@ class TestTraining:
         assert final_mse < 5e-3
         assert final_mse < losses[0] / 50.0
 
+    @pytest.mark.parametrize("kw, name", [
+        (dict(epochs=-1), "epochs"), (dict(epochs=2.0), "epochs"),
+        (dict(lr=math.nan), "lr"), (dict(epochs=0, lr=math.inf), "lr"),
+        (dict(epochs=0, lr=-0.1), "lr"),
+    ])
+    def test_bad_overrides(self, kw, name):
+        cfg = tiny_config(epochs=2)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (5, cfg.seq_len, cfg.input_dim))
+        with pytest.raises(ValueError, match=name):
+            train_net(init_net(cfg), x, np.zeros(5), **kw)
+
     def test_training_is_deterministic(self):
         cfg = tiny_config(epochs=10, dropout_rate=0.2, seed=8)
         rng = np.random.default_rng(14)
@@ -566,6 +605,9 @@ class TestSequencesAndFeatures:
             build_sequences(np.zeros((4, 2)), np.zeros(3), 2)
         with pytest.raises(ValueError):
             build_sequences(np.zeros((2, 2)), np.zeros(2), 3)
+        for seq_len in (0, -2, 2.5, "2"):
+            with pytest.raises(ValueError, match="seq_len"):
+                build_sequences(np.zeros((5, 3)), np.zeros(5), seq_len)
 
     def test_variant_feature_widths(self, match_300):
         mom = momentum_series(match_300, MomentumConfig())
