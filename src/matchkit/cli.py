@@ -128,11 +128,10 @@ def _momentum_config(args) -> MomentumConfig:
 def _cmd_ingest(args):
     timelines = load_match_csv(args.input)
     for tl in timelines:
-        last = tl.points[-1]
         p1 = tl.meta.get("player1", "?")
         p2 = tl.meta.get("player2", "?")
-        print(f"{tl.match_id}: {len(tl.points)} points, {p1} vs {p2}, "
-              f"span {format_elapsed(last.elapsed_s)}")
+        print(f"{tl.match_id}: {len(tl)} points, {p1} vs {p2}, "
+              f"span {format_elapsed(int(tl.elapsed_s[-1]))}")
     print(f"ok: {len(timelines)} match(es) validated")
     outputs = []
     if args.out:

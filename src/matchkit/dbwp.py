@@ -75,11 +75,10 @@ class DbwpSeries:
 def windowed_win_rate(timeline: MatchTimeline, i: int, w_v: int, player: int = 1) -> float:
     """Fraction of the 2*w_v points in [i-w_v, i+w_v) won by `player`."""
     DbwpParams(w_v=w_v, player=player).check()
-    n = len(timeline.points)
+    n = len(timeline)
     if not w_v <= i <= n - w_v:
         raise ValueError(f"index {i} out of range: valid indices are [{w_v}, {n - w_v}]")
-    window = [p.point_victor for p in timeline.points[i - w_v:i + w_v]]
-    return prefix_counts(window, player)[-1] / (2 * w_v)
+    return int(prefix_counts(timeline.point_victor[i - w_v:i + w_v], player)[-1]) / (2 * w_v)
 
 
 def _knot_offsets(times_s, values) -> list:
@@ -163,7 +162,7 @@ def grid_time_derivative(times_s, values, step_s: float):
 def dbwp_scores(timeline: MatchTimeline, params: DbwpParams | None = None) -> DbwpSeries:
     params = params or DbwpParams()
     params.check()
-    n = len(timeline.points)
+    n = len(timeline)
     if n <= 2 * params.w_v:
         raise ValueError(
             f"timeline has {n} points but the centered window requires at least {2 * params.w_v + 1}"
@@ -171,10 +170,10 @@ def dbwp_scores(timeline: MatchTimeline, params: DbwpParams | None = None) -> Db
     w = params.w_v
     lo, hi = w, n - w  # inclusive valid index range
 
-    indices = list(range(lo, hi + 1))
-    elapsed = [timeline.points[i].elapsed_s for i in indices]
-    counts = prefix_counts([p.point_victor for p in timeline.points], params.player)
-    wins = [counts[i + w] - counts[i - w] for i in indices]
+    indices = range(lo, hi + 1)
+    elapsed = timeline.elapsed_s[lo:hi + 1].tolist()
+    counts = prefix_counts(timeline.point_victor, params.player)
+    wins = (counts[lo + w:hi + w + 1] - counts[lo - w:hi - w + 1]).tolist()
     # Centered rates drive the derivative; plain rates are reported.
     centered = [(c - w) / (2 * w) for c in wins]
     rates = [c / (2 * w) for c in wins]

@@ -1,4 +1,25 @@
-"""Parsing, validation, and synthesis of point-by-point match timelines."""
+"""Parsing, validation, and synthesis of point-by-point match timelines.
+
+A `MatchTimeline` is columnar, after Apache Arrow's columnar format
+(https://arrow.apache.org/docs/format/Columnar.html) done in numpy: one
+read-only array per `PointRecord` field after `match_id`, under the field's
+name.  Counters and `elapsed_s` are int64, the six event flags bool, and the
+distances and `speed_mph` float64, with NaN for a missing speed.
+`timeline.points` is a lazy row view: its length reads a column, and
+indexing, slicing or iterating builds `PointRecord`s.
+
+`load_match_csv` parses a file with `csv.reader`, transposes the rows with
+`zip(*rows)` and converts each column with one builtin `map` (`int`,
+`float`, a 0/1 lookup, the clock regex).  The record checks of
+`PointRecord.check` and the order and counter checks between consecutive
+points then run as vectorised masks over the columns.  A column that the
+builtin conversion refuses (a padded flag such as " 1", a bad clock, nan)
+is converted again cell by cell with the per-row parsers, which accept what
+they always did and find the first bad cell.  The first bad file row, from a
+short row, a conversion or a mask, is then read again by the per-row code
+(`_parse_row` and `PointRecord.check`, or `_check_pair` for the checks
+between points), so every error keeps its message and row number.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +27,14 @@ import csv
 import io
 import itertools
 import math
+import operator
 import random
 import re
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar
+
+import numpy as np
 
 from ._checks import require_finite, require_int
 
@@ -19,6 +44,7 @@ __all__ = [
     "ValidationError",
     "TimeFormatError",
     "PointRecord",
+    "TimelinePoints",
     "MatchTimeline",
     "SyntheticSpec",
     "DEFAULT_SCHEMA",
@@ -84,13 +110,17 @@ def format_elapsed(seconds: int) -> str:
     return f"{h}:{m:02d}:{s:02d}"
 
 
-def prefix_counts(values, target) -> list[int]:
-    """counts[i] = occurrences of `target` in values[:i], for i = 0..len(values).
+def prefix_counts(values, target) -> np.ndarray:
+    """counts[i] = occurrences of `target` in values[:i], for i = 0..len(values),
+    as an int64 array of len(values) + 1 entries.
 
     Any window [a, b) then holds counts[b] - counts[a] of them, so every
     sliding-window count of a timeline is O(1) after one O(n) pass.
     """
-    return list(itertools.accumulate((v == target for v in values), initial=0))
+    hits = np.asarray(values) == target
+    counts = np.zeros(hits.size + 1, dtype=np.int64)
+    np.cumsum(hits, out=counts[1:])
+    return counts
 
 
 @dataclass(frozen=True)
@@ -145,54 +175,192 @@ class PointRecord:
             raise ValidationError(f"speed_mph must be non-negative, got {self.speed_mph}", row)
 
 
-@dataclass(frozen=True)
+_INT_FIELDS = ("set_no", "game_no", "point_no", "server", "point_victor",
+               "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count")
+_BOOL_FIELDS = ("p1_ace", "p2_ace", "p1_double_fault", "p2_double_fault",
+                "p1_unf_err", "p2_unf_err")
+_FLOAT_FIELDS = ("p1_distance_run", "p2_distance_run")
+# PointRecord fields in declaration order; a timeline holds one column per
+# field after match_id, and speed_mph comes last.
+_RECORD_FIELDS = tuple(f.name for f in fields(PointRecord))
+_COLUMNS = _RECORD_FIELDS[1:]
+_COLUMN_DTYPES = {name: np.bool_ if name in _BOOL_FIELDS
+                  else np.float64 if name in _FLOAT_FIELDS or name == "speed_mph"
+                  else np.int64 for name in _COLUMNS}
+_INT64_MIN, _INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+
+def _record_faults(c) -> np.ndarray:
+    """Mask of the rows of columns `c` (by field name) that break an
+    invariant of PointRecord.check."""
+    bad = (c["server"] != 1) & (c["server"] != 2)
+    bad |= (c["point_victor"] != 1) & (c["point_victor"] != 2)
+    for name in ("set_no", "game_no", "point_no"):
+        bad |= c[name] < 1
+    # NaN compares False here, as in PointRecord.check; NaN speed is missing.
+    for name in ("elapsed_s", "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count",
+                 "p1_distance_run", "p2_distance_run", "speed_mph"):
+        bad |= c[name] < 0
+    # Rows with a count past 5 are flagged whatever their sum wraps to.
+    bad |= (c["p1_sets"] > 5) | (c["p2_sets"] > 5) | (c["p1_sets"] + c["p2_sets"] > 5)
+    bad |= c["p1_ace"] & c["p1_double_fault"]
+    bad |= c["p2_ace"] & c["p2_double_fault"]
+    return bad
+
+
+def _sequence_faults(c) -> np.ndarray:
+    """Mask over the consecutive row pairs (i, i + 1) of columns `c` that
+    break an invariant of `_check_pair`."""
+    s, g, p = c["set_no"], c["game_no"], c["point_no"]
+    same_set = s[1:] == s[:-1]
+    same_game = same_set & (g[1:] == g[:-1])
+    bad = (s[1:] < s[:-1]) | (same_set & (g[1:] < g[:-1])) | (same_game & (p[1:] <= p[:-1]))
+    for name in ("elapsed_s", "p1_sets", "p2_sets"):
+        bad |= c[name][1:] < c[name][:-1]
+    g1, g2 = c["p1_games"], c["p2_games"]
+    bad |= same_set & ((g1[1:] < g1[:-1]) | (g2[1:] < g2[:-1]))
+    return bad
+
+
+def _check_pair(prev: PointRecord, p: PointRecord) -> None:
+    """The invariants between consecutive points: order and counters."""
+    where = f"(set {p.set_no}, game {p.game_no}, point {p.point_no})"
+    if (p.set_no, p.game_no, p.point_no) <= (prev.set_no, prev.game_no, prev.point_no):
+        raise ValidationError(f"points not strictly ordered at {where}")
+    if p.elapsed_s < prev.elapsed_s:
+        raise ValidationError(f"elapsed_s decreases from {prev.elapsed_s} to {p.elapsed_s} at {where}")
+    if p.p1_sets < prev.p1_sets or p.p2_sets < prev.p2_sets:
+        raise ValidationError(f"set counters decrease at {where}")
+    # Game counters may reset only when a new set starts.
+    if p.set_no == prev.set_no and (p.p1_games < prev.p1_games or p.p2_games < prev.p2_games):
+        raise ValidationError(
+            f"game counters decrease within set {p.set_no} "
+            f"at (game {p.game_no}, point {p.point_no})"
+        )
+
+
+def _columns_equal(a: tuple, b: tuple) -> bool:
+    # NaN is a missing speed, so two NaNs are equal, as two Nones were.
+    return all(np.array_equal(x, y, equal_nan=x.dtype.kind == "f") for x, y in zip(a, b))
+
+
+class TimelinePoints(Sequence):
+    """The rows of a timeline as PointRecords, built on access.
+
+    `len` reads a column's length.  Indexing, iteration and slicing (which
+    returns a tuple) build records from the columns, with None for a NaN
+    speed.  A view equals another with the same match id and columns, or a
+    tuple of equal records.
+    """
+
+    __slots__ = ("_match_id", "_columns")
+
+    def __init__(self, match_id: str, columns: tuple[np.ndarray, ...]):
+        for column in columns:
+            column.flags.writeable = False
+        self._match_id = match_id
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self._records(index))
+        i = operator.index(index)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("point index out of range")
+        return next(self._records(slice(i, i + 1)))
+
+    def __iter__(self):
+        return self._records(slice(None))
+
+    def _records(self, rows: slice):
+        values = [column[rows].tolist() for column in self._columns]
+        values[-1] = [None if v != v else v for v in values[-1]]
+        return map(PointRecord, itertools.repeat(self._match_id), *values)
+
+    def __eq__(self, other):
+        if isinstance(other, TimelinePoints):
+            return (self._match_id == other._match_id
+                    and _columns_equal(self._columns, other._columns))
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} points of match {self._match_id!r}>"
+
+
+def _record_columns(match_id: str, records: tuple[PointRecord, ...]) -> tuple:
+    """One array per column from records that all carry `match_id`."""
+    for p in records:
+        if p.match_id != match_id:
+            raise ValidationError(
+                f"point carries match_id {p.match_id!r} inside timeline {match_id!r}"
+            )
+    columns = []
+    for name in _COLUMNS:
+        values = list(map(operator.attrgetter(name), records))
+        if name == "speed_mph":
+            values = [math.nan if v is None else v for v in values]
+        try:
+            columns.append(np.array(values, dtype=_COLUMN_DTYPES[name]))
+        except OverflowError:
+            raise ValidationError(f"{name} does not fit in a 64-bit integer") from None
+    return tuple(columns)
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class MatchTimeline:
-    """All points of one match, strictly ordered by (set_no, game_no, point_no)."""
+    """All points of one match, strictly ordered by (set_no, game_no, point_no).
+
+    Besides `match_id`, `points` and `meta`, a timeline has one read-only
+    numpy array per name in `COLUMNS` (`timeline.server`,
+    `timeline.speed_mph`, ...), as the module docstring describes.
+    `points` may be PointRecords, each carrying `match_id`, which are
+    converted once, or another timeline's `points` (as
+    `dataclasses.replace` passes them), whose columns are shared.
+    """
+
+    COLUMNS: ClassVar[tuple[str, ...]] = _COLUMNS
 
     match_id: str
-    points: tuple[PointRecord, ...]
-    meta: dict[str, str] = field(default_factory=dict)
+    points: TimelinePoints
+    meta: dict[str, str]
+
+    def __init__(self, match_id: str, points, meta: dict[str, str] | None = None):
+        if isinstance(points, TimelinePoints):
+            columns = points._columns
+        else:
+            columns = _record_columns(match_id, tuple(points))
+        for name, column in zip(_COLUMNS, columns):
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "match_id", match_id)
+        object.__setattr__(self, "points", TimelinePoints(match_id, columns))
+        object.__setattr__(self, "meta", {} if meta is None else meta)
+
+    def __eq__(self, other):
+        if not isinstance(other, MatchTimeline):
+            return NotImplemented
+        return (self.match_id == other.match_id and self.meta == other.meta
+                and self.points == other.points)
 
     def check(self) -> None:
         """Raise ValidationError if a record, ordering or counter invariant is violated."""
-        if not self.points:
+        if not len(self):
             raise ValidationError(f"match {self.match_id!r} has no points")
-        for p in self.points:
-            p.check()
-        self._check_sequence()
-
-    def _check_sequence(self) -> None:
-        """The invariants between consecutive points: ids, order and counters.
-
-        Assumes every record has passed its own check, as the loader's have.
-        """
-        prev = None
-        for p in self.points:
-            if p.match_id != self.match_id:
-                raise ValidationError(
-                    f"point carries match_id {p.match_id!r} inside timeline {self.match_id!r}"
-                )
-            if prev is not None:
-                if (p.set_no, p.game_no, p.point_no) <= (prev.set_no, prev.game_no, prev.point_no):
-                    raise ValidationError(
-                        f"points not strictly ordered at (set {p.set_no}, game {p.game_no}, point {p.point_no})"
-                    )
-                if p.elapsed_s < prev.elapsed_s:
-                    raise ValidationError(
-                        f"elapsed_s decreases from {prev.elapsed_s} to {p.elapsed_s} "
-                        f"at (set {p.set_no}, game {p.game_no}, point {p.point_no})"
-                    )
-                if p.p1_sets < prev.p1_sets or p.p2_sets < prev.p2_sets:
-                    raise ValidationError(
-                        f"set counters decrease at (set {p.set_no}, game {p.game_no}, point {p.point_no})"
-                    )
-                # Game counters may reset only when a new set starts.
-                if p.set_no == prev.set_no and (p.p1_games < prev.p1_games or p.p2_games < prev.p2_games):
-                    raise ValidationError(
-                        f"game counters decrease within set {p.set_no} "
-                        f"at (game {p.game_no}, point {p.point_no})"
-                    )
-            prev = p
+        columns = vars(self)
+        bad = _record_faults(columns)
+        if bad.any():
+            self.points[int(bad.argmax())].check()
+        bad = _sequence_faults(columns)
+        if bad.any():
+            i = int(bad.argmax())
+            _check_pair(self.points[i], self.points[i + 1])
 
     def __len__(self) -> int:
         return len(self.points)
@@ -226,22 +394,19 @@ DEFAULT_SCHEMA: dict[str, str] = {
 # Optional player-name columns carried into MatchTimeline.meta.
 _META_COLUMNS = ("player1", "player2")
 
-_INT_FIELDS = ("set_no", "game_no", "point_no", "server", "point_victor",
-               "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count")
-_BOOL_FIELDS = ("p1_ace", "p2_ace", "p1_double_fault", "p2_double_fault",
-                "p1_unf_err", "p2_unf_err")
-_FLOAT_FIELDS = ("p1_distance_run", "p2_distance_run")
-# PointRecord fields in declaration order, and the canonical column of each.
-_RECORD_FIELDS = tuple(f.name for f in fields(PointRecord))
-_CELL_FIELDS = tuple("elapsed_time" if f == "elapsed_s" else f for f in _RECORD_FIELDS)
+# The canonical CSV column of each timeline column.
+_COLUMN_CELLS = tuple("elapsed_time" if f == "elapsed_s" else f for f in _COLUMNS)
 _FLAGS = {"0": False, "1": True}
 
 
 def _parse_int(value: str, name: str, row: int) -> int:
     try:
-        return int(value.strip())
+        number = int(value.strip())
     except ValueError:
         raise ValidationError(f"column {name!r} is not an integer: {value!r}", row) from None
+    if not _INT64_MIN <= number <= _INT64_MAX:
+        raise ValidationError(f"column {name!r} does not fit in a 64-bit integer: {value!r}", row)
+    return number
 
 
 def _parse_bool(value: str, name: str, row: int) -> bool:
@@ -263,11 +428,25 @@ def _parse_float(value: str, name: str, row: int) -> float:
     return number
 
 
-def _parse_clock_cell(value: str, row: int) -> int:
+def _parse_speed(value: str, name: str, row: int) -> float | None:
+    speed = value.strip()
+    return None if speed == "" else _parse_float(speed, name, row)
+
+
+def _speed_cell(value: str, name: str, row: int) -> float:
+    speed = _parse_speed(value, name, row)
+    return math.nan if speed is None else speed
+
+
+def _parse_clock_cell(value: str, name: str, row: int) -> int:
     try:
-        return parse_elapsed_time(value)
+        seconds = parse_elapsed_time(value)
     except TimeFormatError as exc:
         raise ValidationError(str(exc), row) from None
+    if seconds > _INT64_MAX:
+        raise ValidationError(f"column {name!r} does not fit in a 64-bit integer of seconds: "
+                              f"{value!r}", row)
+    return seconds
 
 
 def _parse_row(raw: list[str], idx: dict[str, int], colmap: dict[str, str], row: int) -> tuple:
@@ -277,30 +456,106 @@ def _parse_row(raw: list[str], idx: dict[str, int], colmap: dict[str, str], row:
     the order clock, integers, flags, distances, speed, names the error.
     """
     values: dict[str, object] = {"match_id": raw[idx["match_id"]]}
-    values["elapsed_s"] = _parse_clock_cell(raw[idx["elapsed_time"]], row)
+    values["elapsed_s"] = _parse_clock_cell(raw[idx["elapsed_time"]], colmap["elapsed_time"], row)
     for f in _INT_FIELDS:
         values[f] = _parse_int(raw[idx[f]], colmap[f], row)
     for f in _BOOL_FIELDS:
         values[f] = _parse_bool(raw[idx[f]], colmap[f], row)
     for f in _FLOAT_FIELDS:
         values[f] = _parse_float(raw[idx[f]], colmap[f], row)
-    speed = raw[idx["speed_mph"]].strip()
-    values["speed_mph"] = None if speed == "" else _parse_float(speed, colmap["speed_mph"], row)
+    values["speed_mph"] = _parse_speed(raw[idx["speed_mph"]], colmap["speed_mph"], row)
     return tuple(values[f] for f in _RECORD_FIELDS)
 
 
-def _record(values: tuple) -> PointRecord:
-    """A PointRecord from typed values in field order, not yet checked.
+# Column-wise conversions: each takes every cell of a column and returns its
+# array, or raises if any cell is one that the column's per-row parser
+# would refuse or read differently.  The common case, cells of bare ASCII
+# digits, is parsed from one joined string.
 
-    The frozen ``__init__`` stores each field with its own
-    ``object.__setattr__`` call; one ``__dict__`` update stores them all.
-    The result is an ordinary PointRecord, so ``==``, ``hash`` and
-    ``dataclasses.replace`` work as on one built by keyword.  The caller
-    must run ``check()`` on it.
+def _int_column(cells: tuple[str, ...]) -> np.ndarray:
+    if "" not in cells:
+        digits = "".join(cells)
+        if digits.isascii() and digits.isdigit():
+            column = np.fromstring(",".join(cells), np.int64, sep=",")
+            if not (column == _INT64_MAX).any():  # the parse saturates there
+                return column
+    return np.fromiter(map(int, cells), np.int64, len(cells))  # OverflowError past int64
+
+
+def _flag_column(cells: tuple[str, ...]) -> np.ndarray:
+    text = "".join(cells)
+    # No empty cell and one character per cell: each cell is that character.
+    if (len(text) == len(cells) and "" not in cells
+            and text.count("0") + text.count("1") == len(text)):
+        return np.frombuffer(text.encode(), np.uint8) == ord("1")
+    return np.fromiter(map(_FLAGS.__getitem__, cells), np.bool_, len(cells))
+
+
+def _float_column(cells: tuple[str, ...]) -> np.ndarray:
+    column = np.fromiter(map(float, cells), np.float64, len(cells))
+    if not np.isfinite(column).all():
+        raise ValueError("non-finite cell")
+    return column
+
+
+def _speed_column(cells: tuple[str, ...]) -> np.ndarray:
+    # "".zfill(1) is "0", so an empty cell converts; it becomes NaN below.
+    column = _float_column(tuple(map(str.zfill, cells, itertools.repeat(1))))
+    if "" in cells:
+        column[np.fromiter(map(operator.not_, cells), np.bool_, len(cells))] = np.nan
+    return column
+
+
+# Comma-joined clock cells of bare ASCII digits and in-range minutes and
+# seconds.  A cell holding a comma adds a field, which the size test finds.
+_CLOCKS_RE = re.compile(r"(?:[0-9]+:[0-5][0-9]:[0-5][0-9],)*[0-9]+:[0-5][0-9]:[0-5][0-9]")
+# Hours up to this many give at most 2**63 - 1 seconds whatever the minutes.
+_MAX_CLOCK_HOURS = (_INT64_MAX - 3599) // 3600
+
+
+def _clock_column(cells: tuple[str, ...]) -> np.ndarray:
+    text = ",".join(cells)
+    if _CLOCKS_RE.fullmatch(text) is None:
+        raise ValueError("a clock cell is padded or malformed")
+    fields = np.fromstring(text.replace(":", ","), np.int64, sep=",")
+    if fields.size != 3 * len(cells):
+        raise ValueError("a clock cell holds a comma")
+    hours, minutes, seconds = fields.reshape(-1, 3).T
+    if hours.max() > _MAX_CLOCK_HOURS:  # saturated parses land here too
+        raise OverflowError("clock past 2**63 - 1 seconds")
+    return 3600 * hours + 60 * minutes + seconds
+
+
+# timeline column -> (column-wise conversion, per-cell parser)
+_CONVERTERS = {
+    "elapsed_s": (_clock_column, _parse_clock_cell),
+    **{f: (_int_column, _parse_int) for f in _INT_FIELDS},
+    **{f: (_flag_column, _parse_bool) for f in _BOOL_FIELDS},
+    **{f: (_float_column, _parse_float) for f in _FLOAT_FIELDS},
+    "speed_mph": (_speed_column, _speed_cell),
+}
+
+
+def _convert(field: str, cells: tuple[str, ...], name: str) -> tuple[np.ndarray, int]:
+    """(array, n_ok): the column of `field` from its CSV column `name`, and
+    the number of leading cells its per-cell parser accepts.
+
+    When the column-wise conversion refuses the column, the per-cell parser
+    converts it again up to its first bad cell, which it may not find: it
+    accepts padded flags, for one.
     """
-    record = object.__new__(PointRecord)
-    record.__dict__.update(zip(_RECORD_FIELDS, values))
-    return record
+    fast, parse = _CONVERTERS[field]
+    try:
+        return fast(cells), len(cells)
+    except (ValueError, KeyError, OverflowError):
+        pass
+    values = []
+    try:
+        for value in cells:
+            values.append(parse(value, name, 0))
+    except ValueError:  # ValidationError, or int()'s digit limit in a clock
+        pass
+    return np.array(values, dtype=_COLUMN_DTYPES[field]), len(values)
 
 
 def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTimeline]:
@@ -311,6 +566,7 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
     canonical field names to file column names; unmapped fields fall back
     to DEFAULT_SCHEMA.  Extra columns are ignored.  Timelines come back
     sorted by match_id, points ordered by (set_no, game_no, point_no).
+    An integer cell, or a clock in seconds, must fit in int64.
     """
     colmap = dict(DEFAULT_SCHEMA)
     if schema:
@@ -332,6 +588,18 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
         text.detach()
 
 
+# Data rows converted at a time: bounds the CSV cells held at once.
+_BLOCK_ROWS = 2048
+
+
+class _Codes(dict):
+    """Match id -> code, numbered in order of first appearance."""
+
+    def __missing__(self, match_id: str) -> int:
+        code = self[match_id] = len(self)
+        return code
+
+
 def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     reader = csv.reader(source)
     try:
@@ -342,79 +610,115 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     missing = sorted(colmap[f] for f in DEFAULT_SCHEMA if colmap[f] not in position)
     if missing:
         raise SchemaError(f"missing required columns: {', '.join(missing)}")
-    idx = {f: position[colmap[f]] for f in DEFAULT_SCHEMA}
-    meta_names = [c for c in _META_COLUMNS if c in position]
-    meta_pos = [position[c] for c in meta_names]
-    (c_id, c_set, c_game, c_point, c_clock, c_server, c_victor, c_s1, c_s2, c_g1, c_g2,
-     c_ace1, c_ace2, c_df1, c_df2, c_ue1, c_ue2, c_d1, c_d2, c_rally, c_speed) = (
-        idx[f] for f in _CELL_FIELDS)
-    flag = _FLAGS
-    isfinite = math.isfinite
+    layout = (len(header), {f: position[colmap[f]] for f in DEFAULT_SCHEMA}, colmap,
+              {c: position[c] for c in _META_COLUMNS if c in position})
 
-    # (sort key, record, player cells, file line) per data row
-    rows: list[tuple[tuple, PointRecord, list[str], int]] = []
-    for lineno, raw in enumerate(reader, start=2):
-        if not raw:
-            continue
-        if len(raw) < len(header):
-            raise ValidationError(f"expected {len(header)} fields, got {len(raw)}", lineno)
-        # int() and float() skip surrounding whitespace as .strip() would.
-        # A cell the builtins refuse (" 1" as a flag, a bad clock, nan) sends
-        # the row to _parse_row, which accepts it or raises the exact error.
-        try:
-            speed = raw[c_speed]
-            values = (
-                raw[c_id], int(raw[c_set]), int(raw[c_game]), int(raw[c_point]),
-                parse_elapsed_time(raw[c_clock]), int(raw[c_server]), int(raw[c_victor]),
-                int(raw[c_s1]), int(raw[c_s2]), int(raw[c_g1]), int(raw[c_g2]),
-                flag[raw[c_ace1]], flag[raw[c_ace2]], flag[raw[c_df1]], flag[raw[c_df2]],
-                flag[raw[c_ue1]], flag[raw[c_ue2]],
-                float(raw[c_d1]), float(raw[c_d2]), int(raw[c_rally]),
-                float(speed) if speed else None,
-            )
-            if not (isfinite(values[17]) and isfinite(values[18])
-                    and (values[20] is None or isfinite(values[20]))):
-                raise ValueError
-        except (ValueError, KeyError):
-            values = _parse_row(raw, idx, colmap, lineno)
-        record = _record(values)
-        record.check(lineno)
-        rows.append((values[:4], record, [raw[i] for i in meta_pos], lineno))
-
-    if not rows:
+    # Blocks are read in file order, and each raises the error of its first
+    # bad row, so the first bad row of the file names the error.
+    codes = _Codes()
+    blocks = []
+    line = 2  # file row of the block's first row
+    for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+        lines = range(line, line + len(rows))
+        line += len(rows)
+        if not all(rows):  # csv.reader gives [] for a blank line
+            lines = [n for n, raw in zip(lines, rows) if raw]
+            rows = list(filter(None, rows))
+        if rows:
+            blocks.append(_read_block(rows, lines, layout, codes))
+    if not blocks:
         raise SchemaError("empty file: header but no data rows")
+    if len(blocks) == 1:
+        (columns, match, lines, players), = blocks
+    else:
+        columns = {f: np.concatenate([b[0][f] for b in blocks]) for f in _COLUMNS}
+        match = np.concatenate([b[1] for b in blocks])
+        lines = np.concatenate([b[2] for b in blocks])
+        players = {c: tuple(itertools.chain.from_iterable(b[3][c] for b in blocks))
+                   for c in blocks[0][3]}
 
-    rows.sort(key=lambda r: r[0])
-    timelines: list[MatchTimeline] = []
-    start = 0
-    for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i][1].match_id != rows[start][1].match_id:
-            chunk = rows[start:i]
-            _check_chunk_order(chunk)
-            timeline = MatchTimeline(
-                match_id=chunk[0][1].match_id,
-                points=tuple(r[1] for r in chunk),
-                meta={k: v for k, v in zip(meta_names, chunk[0][2]) if v},
-            )
-            timeline._check_sequence()  # each record was checked as it was read
-            timelines.append(timeline)
-            start = i
-    return timelines
+    # Group by match id as Python strings ("a" and "a\x00" differ), then sort
+    # stably by (match, set, game, point): equal keys keep their file order.
+    names = sorted(codes)
+    keys = [columns["point_no"], columns["game_no"], columns["set_no"]]
+    if len(names) > 1:
+        rank = np.empty(len(names), np.int64)
+        rank[[codes[name] for name in names]] = np.arange(len(names))
+        match = rank[match]
+        keys.append(match)
+    order = np.lexsort(keys)
+    match = match[order]
+    columns = {field: column[order] for field, column in columns.items()}
 
-
-def _check_chunk_order(chunk: list[tuple[tuple, PointRecord, list[str], int]]) -> None:
-    # Duplicate (set, game, point) keys survive the sort; report the file row.
-    for (key_a, _, _, _), (key_b, b, _, row_b) in zip(chunk, chunk[1:]):
-        if key_a == key_b:
+    # Checks between consecutive points of one match.  The first match with
+    # a fault reports its first duplicate key, or else its first fault.
+    same = match[1:] == match[:-1]
+    bad = same & _sequence_faults(columns)
+    if bad.any():
+        first = int(bad.argmax())
+        keys_equal = same & (match[1:] == match[first + 1])
+        for name in ("set_no", "game_no", "point_no"):
+            keys_equal &= columns[name][1:] == columns[name][:-1]
+        view = TimelinePoints(names[match[first + 1]], tuple(columns[f] for f in _COLUMNS))
+        if keys_equal.any():
+            i = int(keys_equal.argmax()) + 1
+            b = view[i]
             raise ValidationError(
                 f"duplicate point key (set {b.set_no}, game {b.game_no}, point {b.point_no}) "
                 f"in match {b.match_id!r}",
-                row_b,
+                int(lines[order[i]]),
             )
+        _check_pair(view[first], view[first + 1])
+        raise AssertionError("a column-wise order check failed but the pair check passes")
+
+    starts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(match)]
+    timelines = []
+    for a, b in zip(starts, starts[1:]):
+        match_id = names[match[a]]
+        meta = {c: cells[order[a]] for c, cells in players.items()}
+        points = TimelinePoints(match_id, tuple(columns[f][a:b] for f in _COLUMNS))
+        timelines.append(MatchTimeline(match_id, points, {c: v for c, v in meta.items() if v}))
+    return timelines
 
 
-def _optional_repr(value: float | None) -> str:
-    return "" if value is None else repr(value)
+def _read_block(rows: list[list[str]], lines, layout, codes: _Codes):
+    """(columns, match codes, file rows, player cells) of a block of data rows
+    whose every record passes PointRecord.check; else the error of the
+    block's first bad row."""
+    width, idx, colmap, meta_pos = layout
+
+    def fail(k: int):
+        """Raise the error of rows[k], which a column-wise check refused."""
+        raw = rows[k]
+        if len(raw) < width:
+            raise ValidationError(f"expected {width} fields, got {len(raw)}", lines[k])
+        PointRecord(*_parse_row(raw, idx, colmap, lines[k])).check(lines[k])
+        raise AssertionError(f"row {lines[k]} failed a column-wise check but passes the row check")
+
+    # Rows before the first short or badly converted one are checked
+    # column-wise; the first row to fail any check names the error.
+    usable = len(rows)
+    if min(map(len, rows)) < width:
+        usable = next(k for k, raw in enumerate(rows) if len(raw) < width)
+        if not usable:
+            fail(0)
+    cells = list(zip(*rows[:usable]))
+    columns = {}
+    for field, cell in zip(_COLUMNS, _COLUMN_CELLS):
+        columns[field], n_ok = _convert(field, cells[idx[cell]], colmap[cell])
+        usable = min(usable, n_ok)
+    columns = {field: column[:usable] for field, column in columns.items()}
+    bad = _record_faults(columns)
+    if bad.any():
+        fail(int(bad.argmax()))
+    if usable < len(rows):
+        fail(usable)
+    match = np.fromiter(map(codes.__getitem__, cells[idx["match_id"]]), np.int64, len(rows))
+    return columns, match, np.asarray(lines), {c: cells[pos] for c, pos in meta_pos.items()}
+
+
+def _optional_repr(value: float) -> str:
+    return "" if value != value else repr(value)  # NaN is a missing speed
 
 
 def _cell_format(name: str):
@@ -428,9 +732,9 @@ def _cell_format(name: str):
     return repr if name in _FLOAT_FIELDS else str
 
 
-# (column, value getter, cell format) of each written field after match_id.
-_WRITE_COLUMNS = tuple((DEFAULT_SCHEMA[cell], attrgetter(name), _cell_format(name))
-                       for name, cell in zip(_RECORD_FIELDS[1:], _CELL_FIELDS[1:]))
+# (column, field, cell format) of each written field after match_id.
+_WRITE_COLUMNS = tuple((DEFAULT_SCHEMA[cell], name, _cell_format(name))
+                       for name, cell in zip(_COLUMNS, _COLUMN_CELLS))
 
 
 def write_timeline_csv(timeline, dest) -> None:
@@ -451,14 +755,14 @@ def write_timeline_csv(timeline, dest) -> None:
 
 
 def _write_timeline_rows(timeline: MatchTimeline, writer, quote_all) -> None:
-    # One formatted column at a time; zip stops with the finite match_id column.
-    points = timeline.points
-    match_ids = [p.match_id for p in points]
+    # One formatted column at a time, from Python scalars: numpy 2 scalars
+    # repr as np.float64(...).
+    n = len(timeline)
     p1 = timeline.meta.get("player1", "")
     p2 = timeline.meta.get("player2", "")
-    columns = [match_ids, itertools.repeat(p1), itertools.repeat(p2)]
-    columns += [map(fmt, map(get, points)) for _, get, fmt in _WRITE_COLUMNS]
-    if "\r" in "".join([p1, p2, *match_ids]):
+    columns = [itertools.repeat(value, n) for value in (timeline.match_id, p1, p2)]
+    columns += [map(fmt, getattr(timeline, name).tolist()) for _, name, fmt in _WRITE_COLUMNS]
+    if "\r" in "".join([p1, p2, timeline.match_id]):
         writer = quote_all
     writer.writerows(zip(*columns))
 

@@ -12,6 +12,7 @@ Positive values favor player 1 throughout.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,46 +84,54 @@ def fibonacci(n: int) -> int:
 def strategic_momentum(timeline: MatchTimeline, config: MomentumConfig | None = None) -> tuple[float, ...]:
     config = config or MomentumConfig()
     config.check()
-    out = []
-    for p in timeline.points:
-        m1 = config.b0_sets * config.set_factor ** (p.p1_sets - p.p2_sets)
-        m2 = config.b0_games * config.game_factor ** (p.p1_games - p.p2_games)
-        out.append(m1 * m2)
-    return tuple(out)
+    # Powers stay in Python floats (np.power may round differently), once
+    # per distinct lead.
+    set_leads = (timeline.p1_sets - timeline.p2_sets).tolist()
+    game_leads = (timeline.p1_games - timeline.p2_games).tolist()
+    set_term = {d: config.b0_sets * config.set_factor ** d for d in set(set_leads)}
+    game_term = {d: config.b0_games * config.game_factor ** d for d in set(game_leads)}
+    return tuple(map(operator.mul, map(set_term.__getitem__, set_leads),
+                     map(game_term.__getitem__, game_leads)))
 
 
 def psychological_momentum(timeline: MatchTimeline, config: MomentumConfig | None = None) -> tuple[float, ...]:
     config = config or MomentumConfig()
     config.check()
-    out: list[float] = []
-    game_key = None
-    count1 = count2 = 0
-    for p in timeline.points:
-        key = (p.set_no, p.game_no)
-        first = key != game_key
-        if first:
-            game_key = key
-            count1 = count2 = 0
-        if p.point_victor == 1:
-            count1, count2 = count1 + 1, 0
-        else:
-            count1, count2 = 0, count2 + 1
-        if first:
-            out.append(1.0)  # pinned; the victor still seeds the streak counters
-            continue
-        streak = float(fibonacci(count1)) if count1 > 0 else -float(fibonacci(count2))
-        ace = config.ace_bonus * (float(p.p1_ace) - float(p.p2_ace))
-        df = config.double_fault_penalty * (float(p.p1_double_fault) - float(p.p2_double_fault))
-        ue = config.unforced_error_penalty * (float(p.p1_unf_err) - float(p.p2_unf_err))
-        out.append(streak + ace + df + ue)
-    return tuple(out)
+    n = len(timeline)
+    if not n:
+        return ()
+    # A streak runs from a game's first point or a change of victor; the
+    # first point of each game still seeds it.
+    victor, set_no, game_no = timeline.point_victor, timeline.set_no, timeline.game_no
+    first = np.ones(n, dtype=bool)
+    first[1:] = (set_no[1:] != set_no[:-1]) | (game_no[1:] != game_no[:-1])
+    breaks = first.copy()
+    breaks[1:] |= victor[1:] != victor[:-1]
+    rows = np.arange(n)
+    count = rows - np.maximum.accumulate(np.where(breaks, rows, 0)) + 1
+    fib = [0.0]  # fib[k] = float(fibonacci(k))
+    a, b = 1, 1
+    for _ in range(int(count.max())):
+        fib.append(float(a))
+        a, b = b, a + b
+    magnitude = np.array(fib)[count]
+    streak = np.where(victor == 1, magnitude, -magnitude)
+
+    def signed(p1_flag, p2_flag):
+        return p1_flag.astype(np.float64) - p2_flag.astype(np.float64)
+
+    # Each term is one IEEE multiply, summed left to right as in Python.
+    ace = config.ace_bonus * signed(timeline.p1_ace, timeline.p2_ace)
+    df = config.double_fault_penalty * signed(timeline.p1_double_fault, timeline.p2_double_fault)
+    ue = config.unforced_error_penalty * signed(timeline.p1_unf_err, timeline.p2_unf_err)
+    return tuple(np.where(first, 1.0, streak + ace + df + ue).tolist())
 
 
 def momentum_series(timeline: MatchTimeline, config: MomentumConfig | None = None) -> MomentumSeries:
     config = config or MomentumConfig()
     return MomentumSeries(
-        indices=tuple(range(len(timeline.points))),
-        elapsed_s=tuple(p.elapsed_s for p in timeline.points),
+        indices=tuple(range(len(timeline))),
+        elapsed_s=tuple(timeline.elapsed_s.tolist()),
         strategic=strategic_momentum(timeline, config),
         psychological=psychological_momentum(timeline, config),
         config=config,
@@ -164,7 +173,7 @@ def build_feature_matrix(timeline: MatchTimeline, momentum: MomentumSeries,
     """
     if feature_set not in FEATURE_SETS:
         raise ValueError(f"unknown feature_set {feature_set!r}; expected one of {sorted(FEATURE_SETS)}")
-    n = len(timeline.points)
+    n = len(timeline)
     if len(momentum) != n:
         raise ValueError(f"momentum series has {len(momentum)} entries for {n} points")
 
@@ -172,23 +181,23 @@ def build_feature_matrix(timeline: MatchTimeline, momentum: MomentumSeries,
         "psychological": np.asarray(momentum.psychological, dtype=np.float64),
         "strategic": np.asarray(momentum.strategic, dtype=np.float64),
     }
-    speeds = np.array([np.nan if p.speed_mph is None else p.speed_mph for p in timeline.points])
+    speeds = timeline.speed_mph
     known = speeds[~np.isnan(speeds)]
     fill = float(known.mean()) if known.size else 0.0
     speeds = np.where(np.isnan(speeds), fill, speeds)
 
     base_cols = {
-        "server_signed": np.array([1.0 if p.server == 1 else -1.0 for p in timeline.points]),
-        "p1_distance_run": np.array([p.p1_distance_run for p in timeline.points]),
-        "p2_distance_run": np.array([p.p2_distance_run for p in timeline.points]),
-        "rally_count": np.array([float(p.rally_count) for p in timeline.points]),
+        "server_signed": np.where(timeline.server == 1, 1.0, -1.0),
+        "p1_distance_run": timeline.p1_distance_run,
+        "p2_distance_run": timeline.p2_distance_run,
+        "rally_count": timeline.rally_count.astype(np.float64),
         "speed_mph": speeds,
     }
 
     names = FEATURE_SETS[feature_set] + _BASE_FEATURES
     columns = [momentum_cols.get(name, base_cols.get(name)) for name in names]
     x = np.column_stack(columns)
-    y = np.array([1.0 if p.point_victor == 1 else 0.0 for p in timeline.points])
+    y = (timeline.point_victor == 1).astype(np.float64)
     return FeatureMatrix(x=x, y=y, names=names)
 
 

@@ -435,16 +435,16 @@ def assemble_match_features(timeline: MatchTimeline, dbwp: DbwpSeries,
     """
     if variant not in NEURAL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {NEURAL_VARIANTS}")
-    if len(momentum) != len(timeline.points):
+    if len(momentum) != len(timeline):
         raise ValueError("momentum series is not aligned with the timeline")
-    n = len(timeline.points)
+    n = len(timeline)
     if any(i < 0 or i >= n for i in dbwp.indices):
         raise ValueError("fluctuation series indices fall outside the timeline")
     idx = dbwp.indices
     columns = {
         "psychological": [momentum.psychological[i] for i in idx],
         "strategic": [momentum.strategic[i] for i in idx],
-        "server_signed": [1.0 if timeline.points[i].server == 1 else -1.0 for i in idx],
+        "server_signed": np.where(timeline.server[list(idx)] == 1, 1.0, -1.0),
     }
     features = np.column_stack([columns[name] for name in VARIANT_COLUMNS[variant]])
     targets = np.asarray(dbwp.dbwp, dtype=np.float64)

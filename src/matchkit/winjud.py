@@ -59,7 +59,7 @@ class WinjudSeries:
 def winjud_scores(timeline: MatchTimeline, params: WinjudParams | None = None) -> WinjudSeries:
     params = params or WinjudParams()
     params.check()
-    n = len(timeline.points)
+    n = len(timeline)
     w_max = max(params.w_v, params.w_s)
     if n <= w_max:
         raise ValueError(
@@ -67,23 +67,20 @@ def winjud_scores(timeline: MatchTimeline, params: WinjudParams | None = None) -
         )
 
     # wins1[i] / srv1[i]: player-1 point wins / serves among the first i points.
-    wins1 = prefix_counts([p.point_victor for p in timeline.points], 1)
-    srv1 = prefix_counts([p.server for p in timeline.points], 1)
-
-    indices, elapsed, s1, s2 = [], [], [], []
-    for i in range(w_max, n):
-        v1 = wins1[i] - wins1[i - params.w_v]
-        v2 = params.w_v - v1
-        serve1 = srv1[i] - srv1[i - params.w_s]
-        serve2 = params.w_s - serve1
-        indices.append(i)
-        elapsed.append(timeline.points[i].elapsed_s)
-        s1.append(v1 + params.beta * serve2)
-        s2.append(v2 + params.beta * serve1)
+    wins1 = prefix_counts(timeline.point_victor, 1)
+    srv1 = prefix_counts(timeline.server, 1)
+    v1 = wins1[w_max:n] - wins1[w_max - params.w_v:n - params.w_v]
+    serve1 = srv1[w_max:n] - srv1[w_max - params.w_s:n - params.w_s]
+    v2 = params.w_v - v1
+    serve2 = params.w_s - serve1
+    # One IEEE multiply and add per entry, as in Python; tolist() gives the
+    # Python scalars the writer formats.
+    s1 = (v1 + params.beta * serve2).tolist()
+    s2 = (v2 + params.beta * serve1).tolist()
 
     return WinjudSeries(
-        indices=tuple(indices),
-        elapsed_s=tuple(elapsed),
+        indices=tuple(range(w_max, n)),
+        elapsed_s=tuple(timeline.elapsed_s[w_max:n].tolist()),
         score_p1=tuple(s1),
         score_p2=tuple(s2),
         params=params,
@@ -107,8 +104,9 @@ def best_performance_times(series: WinjudSeries, timeline: MatchTimeline) -> tup
     if not series.indices:
         raise ValueError("series is empty")
     best: dict[tuple[int, int], tuple[float, int]] = {}
+    set_nos = timeline.set_no.tolist()
     for i, elapsed, p1, p2 in zip(series.indices, series.elapsed_s, series.score_p1, series.score_p2):
-        set_no = timeline.points[i].set_no
+        set_no = set_nos[i]
         for player, score in ((1, p1), (2, p2)):
             key = (set_no, player)
             if key not in best or score > best[key][0]:

@@ -6,9 +6,11 @@ import gc
 import io
 import random
 
+import numpy as np
 import pytest
 
 from helpers import oracle_load_match_csv
+from matchkit import ingest
 from matchkit.ingest import (
     DEFAULT_SCHEMA,
     IngestError,
@@ -417,6 +419,25 @@ class TestMatchesReferenceLoader:
             failures += not isinstance(self.assert_same([header, *corrupted]), list)
         assert failures > 200  # most corruptions must be refused, not just ignored
 
+    @pytest.mark.parametrize("block_rows", [1, 7, 64])
+    def test_files_read_in_small_blocks(self, block_rows, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        header, *body = _csv_rows(_matches(3, 40, seed=41))
+        rng = random.Random(block_rows)
+        rng.shuffle(body)
+        self.assert_same([header, *body])
+        for _ in range(40):
+            corrupted = [list(row) for row in body]
+            for _ in range(rng.randint(1, 3)):
+                k = rng.randrange(len(corrupted))
+                if rng.random() < 0.3:
+                    corrupted.insert(k, list(corrupted[rng.randrange(len(corrupted))]))
+                else:
+                    corrupted[k][rng.randrange(len(header))] = rng.choice(self.JUNK)
+            if rng.random() < 0.3:
+                corrupted.insert(rng.randrange(len(corrupted)), [])
+            self.assert_same([header, *corrupted])
+
     def test_loaded_record_equals_keyword_record(self):
         (tl,) = load_match_csv(make_csv(row(speed="")))
         (loaded,) = tl.points
@@ -433,3 +454,187 @@ class TestMatchesReferenceLoader:
         assert dataclasses.replace(loaded, server=2) == dataclasses.replace(built, server=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.server = 2
+
+
+class TestInt64Cells:
+    """Timeline columns are int64: a larger integer cell, or a clock past
+    2**63 - 1 seconds, is refused with the column and the file row."""
+
+    @pytest.mark.parametrize("cells,column,value", [
+        (dict(rally="1" + "0" * 20), "rally_count", "1" + "0" * 20),
+        (dict(rally=str(2 ** 63)), "rally_count", str(2 ** 63)),
+        (dict(p1_games="-" + "9" * 20), "p1_games", "-" + "9" * 20),
+        (dict(set_no=" " + "7" * 25), "set_no", " " + "7" * 25),
+    ])
+    def test_integer_past_int64(self, cells, column, value):
+        with pytest.raises(ValidationError) as exc:
+            load_match_csv(make_csv(row(), row(point_no=2, elapsed="0:01:00", **cells), row(point_no=3)))
+        assert exc.value.row == 3
+        assert str(exc.value) == f"row 3: column {column!r} does not fit in a 64-bit integer: {value!r}"
+
+    def test_clock_past_int64_seconds(self):
+        clock = "9" * 25 + ":00:00"
+        with pytest.raises(ValidationError) as exc:
+            load_match_csv(make_csv(row(), row(point_no=2, elapsed=clock)))
+        assert exc.value.row == 3
+        assert str(exc.value) == ("row 3: column 'elapsed_time' does not fit in a 64-bit "
+                                  f"integer of seconds: {clock!r}")
+
+    def test_earlier_row_error_wins_over_a_clock_past_the_digit_limit(self):
+        # int() refuses the 5,000-digit hour with a plain ValueError; the
+        # bad server two rows up must still be the error reported.
+        rows = [row(), row(point_no=2, elapsed="0:01:00", server=3),
+                row(point_no=3, elapsed="9" * 5000 + ":00:00")]
+        with pytest.raises(ValidationError, match="server must be 1 or 2") as exc:
+            load_match_csv(make_csv(*rows))
+        assert exc.value.row == 3
+
+    def test_largest_values_load(self):
+        hours = (2 ** 63 - 1) // 3600
+        last = f"{hours}:{(2 ** 63 - 1) % 3600 // 60:02d}:{(2 ** 63 - 1) % 60:02d}"
+        (tl,) = load_match_csv(make_csv(row(elapsed=f"{hours}:00:00", rally=str(2 ** 63 - 1)),
+                                        row(point_no=2, elapsed=last)))
+        assert tl.elapsed_s.tolist() == [3600 * hours, 2 ** 63 - 1]
+        assert tl.rally_count.tolist() == [2 ** 63 - 1, 3]
+        with pytest.raises(ValidationError, match="64-bit integer of seconds"):
+            load_match_csv(make_csv(row(elapsed=f"{hours}:{(2 ** 63 - 1) % 3600 // 60:02d}:"
+                                                f"{(2 ** 63 - 1) % 60 + 1:02d}")))
+
+
+class TestJoinedColumnParse:
+    """Bare-digit columns are parsed from one joined string; cells that
+    would fool that parse must still load as the row-by-row reference loads."""
+
+    @pytest.mark.parametrize("cells", [
+        ["", "11"], ["10", ""], ["00", "", "1"],  # lengths that add up to one per cell
+    ])
+    def test_flag_cells_of_wrong_length(self, cells):
+        rows = [row(point_no=k + 1, elapsed=f"0:0{k}:00", ace1=cell) for k, cell in enumerate(cells)]
+        new, reference = _load_both(make_csv(*rows).getvalue())
+        assert new == reference
+        assert "must be 0 or 1" in new[1]
+
+    def test_clock_cell_holding_two_clocks(self):
+        rows = [row(), row(point_no=2, elapsed='"0:00:40,0:00:50"'), row(point_no=3, elapsed="0:01:00")]
+        new, reference = _load_both(make_csv(*rows).getvalue())
+        assert new == reference
+        assert new[1:] == ("row 3: malformed clock string '0:00:40,0:00:50': expected H:MM:SS", 3)
+
+    def test_clock_whose_seconds_wrap_int64(self):
+        # 3600 * hours is 2**64 + 3584: an int64 product would wrap to 3584.
+        hours = -(-2 ** 64 // 3600)
+        with pytest.raises(ValidationError, match="64-bit integer of seconds") as exc:
+            load_match_csv(make_csv(row(elapsed="0:00:00"), row(point_no=2, elapsed=f"{hours}:00:00")))
+        assert exc.value.row == 3
+
+    def test_integer_cells_with_empty_and_padded_cells(self):
+        for cells in (["3", ""], [" 3", "4"], ["3", "4 "], ["٣", "4"], ["3", "+4"], ["0_3", "4"]):
+            rows = [row(point_no=k + 1, elapsed=f"0:0{k}:00", rally=c) for k, c in enumerate(cells)]
+            new, reference = _load_both(make_csv(*rows).getvalue())
+            assert new == reference
+
+
+class TestColumns:
+    def test_column_dtypes(self, match_80):
+        for name in MatchTimeline.COLUMNS:
+            column = getattr(match_80, name)
+            assert column.shape == (80,)
+            if name in ("p1_ace", "p2_ace", "p1_double_fault", "p2_double_fault",
+                        "p1_unf_err", "p2_unf_err"):
+                assert column.dtype == np.bool_
+            elif name in ("p1_distance_run", "p2_distance_run", "speed_mph"):
+                assert column.dtype == np.float64
+            else:
+                assert column.dtype == np.int64
+
+    def test_columns_are_read_only(self, match_80):
+        for name in MatchTimeline.COLUMNS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(match_80, name)[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            match_80.server = match_80.server.copy()
+        # loaded matches hold slices of whole-file columns
+        for loaded in load_match_csv(make_csv(row(), row(match_id="m2"))):
+            with pytest.raises(ValueError, match="read-only"):
+                loaded.elapsed_s[0] = 1
+
+    def test_len_of_points_builds_no_record(self, match_80, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a PointRecord was built")
+
+        monkeypatch.setattr(PointRecord, "__init__", refuse)
+        assert len(match_80.points) == len(match_80) == 80
+        with pytest.raises(AssertionError, match="was built"):
+            match_80.points[0]
+
+    def test_points_view_matches_reference_records(self, monkeypatch):
+        import helpers
+
+        data = _csv_bytes(_csv_rows(_matches(2, 60, seed=13)))
+        records = {}
+
+        class Capture:
+            """Keeps the reference loader's keyword-built records."""
+
+            def __init__(self, match_id, points, meta):
+                records[match_id] = points
+
+            def check(self):
+                pass
+
+        monkeypatch.setattr(helpers, "MatchTimeline", Capture)
+        oracle_load_match_csv(io.BytesIO(data))
+        timelines = load_match_csv(io.BytesIO(data))
+        assert sorted(records) == [tl.match_id for tl in timelines]
+        for tl in timelines:
+            expected = records[tl.match_id]
+            points = tl.points
+            assert len(points) == len(expected)
+            for i in (0, 1, 17, len(expected) - 1, -1, -len(expected)):
+                assert type(points[i]) is PointRecord
+                assert points[i] == expected[i]
+                assert repr(points[i]) == repr(expected[i])
+            for sl in (slice(None), slice(3, 9), slice(None, None, -2), slice(-5, None), slice(8, 2)):
+                assert points[sl] == expected[sl]
+            assert list(points) == list(expected)
+            assert points == expected
+            with pytest.raises(IndexError):
+                points[len(expected)]
+            with pytest.raises(IndexError):
+                points[-len(expected) - 1]
+        assert any(p.speed_mph is None for tl in timelines for p in tl.points)
+
+    def test_timeline_equality(self, match_80):
+        buf = io.StringIO()
+        write_timeline_csv(match_80, buf)
+        (reloaded,) = load_match_csv(io.BytesIO(buf.getvalue().encode()))
+        assert np.isnan(match_80.speed_mph).any()  # missing speeds compare equal
+        assert reloaded == match_80
+        assert dataclasses.replace(reloaded) == match_80
+        assert dataclasses.replace(reloaded, match_id="other") != match_80
+        assert dataclasses.replace(reloaded, meta={}) != match_80
+        changed = list(match_80.points)
+        changed[40] = dataclasses.replace(changed[40], speed_mph=None if changed[40].speed_mph else 99.0)
+        assert MatchTimeline(match_80.match_id, changed, match_80.meta) != match_80
+        assert MatchTimeline(match_80.match_id, match_80.points[:-1], match_80.meta) != match_80
+        with pytest.raises(TypeError):
+            hash(match_80)
+
+    def test_record_with_other_match_id_refused(self, match_80):
+        points = list(match_80.points)
+        points[5] = dataclasses.replace(points[5], match_id="elsewhere")
+        with pytest.raises(ValidationError, match="carries match_id 'elsewhere'"):
+            MatchTimeline(match_80.match_id, points)
+
+    def test_check_reports_first_bad_record_then_first_bad_pair(self, match_80):
+        points = list(match_80.points)
+        points[30] = dataclasses.replace(points[30], elapsed_s=0)  # decreases at 30
+        points[50] = dataclasses.replace(points[50], server=3)
+        with pytest.raises(ValidationError, match="server must be 1 or 2, got 3"):
+            MatchTimeline(match_80.match_id, points).check()
+        points[50] = match_80.points[50]
+        p = points[30]
+        with pytest.raises(ValidationError) as exc:
+            MatchTimeline(match_80.match_id, points).check()
+        assert str(exc.value) == (f"elapsed_s decreases from {points[29].elapsed_s} to 0 "
+                                  f"at (set {p.set_no}, game {p.game_no}, point {p.point_no})")

@@ -1,8 +1,11 @@
-"""Property test: write_timeline_csv then load_match_csv gives back the same timelines."""
+"""Property tests of the CSV loader: write then load is the identity, and a
+corrupted file loads exactly as the row-by-row reference loader loads it."""
 
 from __future__ import annotations
 
+import csv
 import io
+from unittest import mock
 
 import pytest
 
@@ -10,7 +13,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from matchkit.ingest import MatchTimeline, PointRecord, load_match_csv, write_timeline_csv  # noqa: E402
+from helpers import oracle_load_match_csv  # noqa: E402
+from matchkit import ingest  # noqa: E402
+from matchkit.ingest import (  # noqa: E402
+    IngestError,
+    MatchTimeline,
+    PointRecord,
+    load_match_csv,
+    write_timeline_csv,
+)
 
 # Any text a CSV cell can carry: no lone surrogates (not UTF-8) and no NUL.
 TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
@@ -72,3 +83,93 @@ def test_write_then_load_is_identity(written):
     expected = sorted(written, key=lambda tl: tl.match_id)
     assert loaded == expected
     assert [tl.meta for tl in loaded] == [tl.meta for tl in expected]
+
+
+# Row-level corruption of a valid multi-match CSV: the columnar loader must
+# agree with the row-by-row reference loader in tests/helpers.py on every
+# file, in its timelines or in its error's type, message and row.
+
+# Junk cells, all inside int64: digits are at most 6 long.
+JUNK = st.sampled_from(["", " ", "x", "nan", "inf", "-inf", "-1", "0", "1", "2", "3", "1.5",
+                        "1e999", "-0", "+1", "1_0", "١", "0:00:99", "0:60:00", "0:00:00",
+                        "9:59:59", " 1", "0 ", "\t1\t", "1\x00", "a,b", '"', "1\n"])
+SHORT_TEXT = st.text(st.sampled_from("0123456789 .-+:_,\"\nnaifx\t"), max_size=6)
+# Columns whose values, swapped between two points of one match, can run backwards.
+MONOTONE = ("elapsed_time", "set_no", "game_no", "point_no", "p1_sets", "p2_sets",
+            "p1_games", "p2_games")
+
+
+def _rows(timelines) -> list[list[str]]:
+    buf = io.StringIO()
+    write_timeline_csv(timelines, buf)
+    return list(csv.reader(io.StringIO(buf.getvalue())))
+
+
+@st.composite
+def corrupted_files(draw):
+    header, *body = _rows(draw(tournaments()))
+    col = {name: k for k, name in enumerate(header)}
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["junk", "pad", "text", "short", "blank", "nonfinite",
+                                     "ace_df", "duplicate", "shuffle", "backwards"]))
+        rows = [k for k, row in enumerate(body) if len(row) == len(header)]
+        if not rows:
+            break
+        k = draw(st.sampled_from(rows))
+        row = body[k]
+        if kind in ("junk", "pad", "text"):
+            j = draw(st.integers(0, len(header) - 1))
+            if kind == "junk":
+                row[j] = draw(JUNK)
+            elif kind == "pad":
+                pad = st.sampled_from(["", " ", "\t", "  "])
+                row[j] = draw(pad) + row[j] + draw(pad)
+            else:
+                row[j] = draw(SHORT_TEXT)
+        elif kind == "short":
+            del row[draw(st.integers(0, len(row) - 1)):]
+        elif kind == "blank":
+            body.insert(draw(st.integers(0, len(body))), [])
+        elif kind == "nonfinite":
+            name = draw(st.sampled_from(["p1_distance_run", "p2_distance_run", "speed_mph"]))
+            row[col[name]] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN", " inf"]))
+        elif kind == "ace_df":
+            player = draw(st.sampled_from(["p1", "p2"]))
+            row[col[f"{player}_ace"]] = row[col[f"{player}_double_fault"]] = "1"
+        elif kind == "duplicate":
+            body.insert(draw(st.integers(0, len(body))), list(row))
+        elif kind == "shuffle":
+            body = draw(st.permutations(body))
+        else:
+            # Swap one monotone column between two points of the same match.
+            i = draw(st.sampled_from([i for i in rows if body[i][0] == row[0]]))
+            j = col[draw(st.sampled_from(MONOTONE))]
+            row[j], body[i][j] = body[i][j], row[j]
+    return _csv_bytes([header, *body])
+
+
+def _csv_bytes(rows) -> bytes:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+def _outcome(load, data):
+    try:
+        return load(io.BytesIO(data))
+    except IngestError as exc:
+        return type(exc), str(exc), getattr(exc, "row", None)
+
+
+# The loader converts a file in blocks of rows; 4-row blocks put block
+# boundaries inside every file drawn here.
+@pytest.mark.parametrize("block_rows", [ingest._BLOCK_ROWS, 4])
+@settings(max_examples=200, deadline=None)
+@given(data=corrupted_files())
+def test_corrupted_file_matches_reference_loader(block_rows, data):
+    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+        got = _outcome(load_match_csv, data)
+    expected = _outcome(oracle_load_match_csv, data)
+    assert got == expected
+    if isinstance(expected, list):
+        assert [tl.meta for tl in got] == [tl.meta for tl in expected]

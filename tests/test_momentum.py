@@ -177,6 +177,24 @@ class TestPsychologicalMomentum:
             tl = generate_synthetic_match(SyntheticSpec(n_points=250, seed=seed))
             assert psychological_momentum(tl, CFG) == brute_force_psych(tl, CFG)
 
+    def test_matches_brute_force_on_long_games_and_other_weights(self):
+        # Streaks far past a real game's length, across set and game starts
+        # that keep the same victor, under integer and odd float weights.
+        rng = np.random.default_rng(17)
+        n = 400
+        victors = np.where(rng.random(n) < 0.9, 1, 2).tolist()
+        game_no = (1 + np.cumsum(rng.random(n) < 0.02)).tolist()
+        set_no = [1 + (g - 1) // 4 for g in game_no]
+        flags = [rng.random(n) < 0.2 for _ in range(6)]
+        aces1 = flags[0] & ~flags[2]
+        aces2 = flags[1] & ~flags[3]
+        tl = make_timeline(victors=victors, set_no=set_no, game_no=game_no,
+                           aces1=aces1, aces2=aces2, dfs1=flags[2], dfs2=flags[3],
+                           ues1=flags[4], ues2=flags[5])
+        for cfg in (CFG, MomentumConfig(ace_bonus=2, double_fault_penalty=-0.7,
+                                        unforced_error_penalty=-1e-3)):
+            assert psychological_momentum(tl, cfg) == brute_force_psych(tl, cfg)
+
     def test_zero_event_config_depends_only_on_streaks(self):
         quiet = MomentumConfig(ace_bonus=0.0, double_fault_penalty=0.0,
                                unforced_error_penalty=0.0)
