@@ -8,11 +8,13 @@ distances and `speed_mph` float64, with NaN for a missing speed.
 `timeline.points` is a lazy row view: its length reads a column, and
 indexing, slicing or iterating builds `PointRecord`s.
 
-`load_match_csv` parses a file with `csv.reader`, transposes the rows with
+`load_match_csv` parses a file with `csv.reader` 2,048 rows at a time,
+which bounds the cells held at once.  It transposes a block with
 `zip(*rows)` and converts each column with one builtin `map` (`int`,
-`float`, a 0/1 lookup, the clock regex).  The record checks of
-`PointRecord.check` and the order and counter checks between consecutive
-points then run as vectorised masks over the columns.  A column that the
+`float`, a 0/1 lookup, `parse_elapsed_time`) into an array.  The record
+checks of `PointRecord.check` run as vectorised masks over a block's
+columns, and the order and counter checks between consecutive points over
+the file's columns sorted by match and point.  A column that the
 builtin conversion refuses (a padded flag such as " 1", a bad clock, nan)
 is converted again cell by cell with the per-row parsers, which accept what
 they always did and find the first bad cell.  The first bad file row, from a
@@ -295,8 +297,21 @@ class TimelinePoints(Sequence):
         return f"<{len(self)} points of match {self._match_id!r}>"
 
 
+def _same(stored, value) -> bool:
+    return stored == value or (stored != stored and value != value)  # NaN is NaN
+
+
+def _holds(dtype, value) -> bool:
+    """Whether a `dtype` array stores `value` as it is."""
+    try:
+        return _same(np.array(value, dtype).item(), value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def _record_columns(match_id: str, records: tuple[PointRecord, ...]) -> tuple:
-    """One array per column from records that all carry `match_id`."""
+    """One array per column from records that all carry `match_id`; a value
+    that its column would change (2.5 in an int column, "1", None) is refused."""
     for p in records:
         if p.match_id != match_id:
             raise ValidationError(
@@ -304,13 +319,20 @@ def _record_columns(match_id: str, records: tuple[PointRecord, ...]) -> tuple:
             )
     columns = []
     for name in _COLUMNS:
+        dtype = _COLUMN_DTYPES[name]
         values = list(map(operator.attrgetter(name), records))
         if name == "speed_mph":
             values = [math.nan if v is None else v for v in values]
         try:
-            columns.append(np.array(values, dtype=_COLUMN_DTYPES[name]))
-        except OverflowError:
-            raise ValidationError(f"{name} does not fit in a 64-bit integer") from None
+            column = np.array(values, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            column = None
+        # tolist() makes new NaN objects, which the list comparison finds unequal.
+        stored = None if column is None else column.tolist()
+        if stored != values and not (stored and all(map(_same, stored, values))):
+            bad = next((v for v in values if not _holds(dtype, v)), None)
+            raise ValidationError(f"{name} cannot be stored as {np.dtype(dtype)}: {bad!r}")
+        columns.append(column)
     return tuple(columns)
 
 
@@ -334,6 +356,10 @@ class MatchTimeline:
 
     def __init__(self, match_id: str, points, meta: dict[str, str] | None = None):
         if isinstance(points, TimelinePoints):
+            if points._match_id != match_id:
+                raise ValidationError(
+                    f"point carries match_id {points._match_id!r} inside timeline {match_id!r}"
+                )
             columns = points._columns
         else:
             columns = _record_columns(match_id, tuple(points))
@@ -469,26 +495,19 @@ def _parse_row(raw: list[str], idx: dict[str, int], colmap: dict[str, str], row:
 
 # Column-wise conversions: each takes every cell of a column and returns its
 # array, or raises if any cell is one that the column's per-row parser
-# would refuse or read differently.  The common case, cells of bare ASCII
-# digits, is parsed from one joined string.
+# would refuse or read differently.  np.fromiter raises OverflowError for an
+# integer past int64.
 
 def _int_column(cells: tuple[str, ...]) -> np.ndarray:
-    if "" not in cells:
-        digits = "".join(cells)
-        if digits.isascii() and digits.isdigit():
-            column = np.fromstring(",".join(cells), np.int64, sep=",")
-            if not (column == _INT64_MAX).any():  # the parse saturates there
-                return column
-    return np.fromiter(map(int, cells), np.int64, len(cells))  # OverflowError past int64
+    return np.fromiter(map(int, cells), np.int64, len(cells))
 
 
 def _flag_column(cells: tuple[str, ...]) -> np.ndarray:
-    text = "".join(cells)
-    # No empty cell and one character per cell: each cell is that character.
-    if (len(text) == len(cells) and "" not in cells
-            and text.count("0") + text.count("1") == len(text)):
-        return np.frombuffer(text.encode(), np.uint8) == ord("1")
     return np.fromiter(map(_FLAGS.__getitem__, cells), np.bool_, len(cells))
+
+
+def _clock_column(cells: tuple[str, ...]) -> np.ndarray:
+    return np.fromiter(map(parse_elapsed_time, cells), np.int64, len(cells))
 
 
 def _float_column(cells: tuple[str, ...]) -> np.ndarray:
@@ -504,26 +523,6 @@ def _speed_column(cells: tuple[str, ...]) -> np.ndarray:
     if "" in cells:
         column[np.fromiter(map(operator.not_, cells), np.bool_, len(cells))] = np.nan
     return column
-
-
-# Comma-joined clock cells of bare ASCII digits and in-range minutes and
-# seconds.  A cell holding a comma adds a field, which the size test finds.
-_CLOCKS_RE = re.compile(r"(?:[0-9]+:[0-5][0-9]:[0-5][0-9],)*[0-9]+:[0-5][0-9]:[0-5][0-9]")
-# Hours up to this many give at most 2**63 - 1 seconds whatever the minutes.
-_MAX_CLOCK_HOURS = (_INT64_MAX - 3599) // 3600
-
-
-def _clock_column(cells: tuple[str, ...]) -> np.ndarray:
-    text = ",".join(cells)
-    if _CLOCKS_RE.fullmatch(text) is None:
-        raise ValueError("a clock cell is padded or malformed")
-    fields = np.fromstring(text.replace(":", ","), np.int64, sep=",")
-    if fields.size != 3 * len(cells):
-        raise ValueError("a clock cell holds a comma")
-    hours, minutes, seconds = fields.reshape(-1, 3).T
-    if hours.max() > _MAX_CLOCK_HOURS:  # saturated parses land here too
-        raise OverflowError("clock past 2**63 - 1 seconds")
-    return 3600 * hours + 60 * minutes + seconds
 
 
 # timeline column -> (column-wise conversion, per-cell parser)
@@ -592,14 +591,6 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
 _BLOCK_ROWS = 2048
 
 
-class _Codes(dict):
-    """Match id -> code, numbered in order of first appearance."""
-
-    def __missing__(self, match_id: str) -> int:
-        code = self[match_id] = len(self)
-        return code
-
-
 def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     reader = csv.reader(source)
     try:
@@ -610,12 +601,14 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     missing = sorted(colmap[f] for f in DEFAULT_SCHEMA if colmap[f] not in position)
     if missing:
         raise SchemaError(f"missing required columns: {', '.join(missing)}")
-    layout = (len(header), {f: position[colmap[f]] for f in DEFAULT_SCHEMA}, colmap,
-              {c: position[c] for c in _META_COLUMNS if c in position})
+    idx = {f: position[colmap[f]] for f in DEFAULT_SCHEMA}
+    # The text cells kept: match ids and player names.
+    kept = {c: position[c] for c in _META_COLUMNS if c in position}
+    kept["match_id"] = idx["match_id"]
 
     # Blocks are read in file order, and each raises the error of its first
-    # bad row, so the first bad row of the file names the error.
-    codes = _Codes()
+    # bad row, so the first bad row of the file names the error.  A block
+    # keeps its arrays, file rows and match id and player cells.
     blocks = []
     line = 2  # file row of the block's first row
     for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
@@ -625,26 +618,22 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
             lines = [n for n, raw in zip(lines, rows) if raw]
             rows = list(filter(None, rows))
         if rows:
-            blocks.append(_read_block(rows, lines, layout, codes))
+            columns, cells = _read_columns(rows, lines, len(header), idx, colmap)
+            blocks.append((columns, lines, {c: cells[k] for c, k in kept.items()}))
     if not blocks:
         raise SchemaError("empty file: header but no data rows")
-    if len(blocks) == 1:
-        (columns, match, lines, players), = blocks
-    else:
-        columns = {f: np.concatenate([b[0][f] for b in blocks]) for f in _COLUMNS}
-        match = np.concatenate([b[1] for b in blocks])
-        lines = np.concatenate([b[2] for b in blocks])
-        players = {c: tuple(itertools.chain.from_iterable(b[3][c] for b in blocks))
-                   for c in blocks[0][3]}
+    columns = {f: np.concatenate([b[0][f] for b in blocks]) for f in _COLUMNS}
+    lines = np.concatenate([b[1] for b in blocks])
+    players = {c: tuple(itertools.chain.from_iterable(b[2][c] for b in blocks)) for c in kept}
+    ids = players.pop("match_id")
 
     # Group by match id as Python strings ("a" and "a\x00" differ), then sort
     # stably by (match, set, game, point): equal keys keep their file order.
-    names = sorted(codes)
+    names = sorted(set(ids))
+    codes = dict(zip(names, itertools.count()))
+    match = np.fromiter(map(codes.__getitem__, ids), np.int64, len(ids))
     keys = [columns["point_no"], columns["game_no"], columns["set_no"]]
     if len(names) > 1:
-        rank = np.empty(len(names), np.int64)
-        rank[[codes[name] for name in names]] = np.arange(len(names))
-        match = rank[match]
         keys.append(match)
     order = np.lexsort(keys)
     match = match[order]
@@ -675,17 +664,16 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     timelines = []
     for a, b in zip(starts, starts[1:]):
         match_id = names[match[a]]
-        meta = {c: cells[order[a]] for c, cells in players.items()}
+        meta = {c: column[order[a]] for c, column in players.items()}
         points = TimelinePoints(match_id, tuple(columns[f][a:b] for f in _COLUMNS))
         timelines.append(MatchTimeline(match_id, points, {c: v for c, v in meta.items() if v}))
     return timelines
 
 
-def _read_block(rows: list[list[str]], lines, layout, codes: _Codes):
-    """(columns, match codes, file rows, player cells) of a block of data rows
-    whose every record passes PointRecord.check; else the error of the
-    block's first bad row."""
-    width, idx, colmap, meta_pos = layout
+def _read_columns(rows: list[list[str]], lines, width: int, idx: dict[str, int],
+                  colmap: dict[str, str]):
+    """(columns by field, cells by file column) of data rows whose every
+    record passes PointRecord.check; else the error of the first bad row."""
 
     def fail(k: int):
         """Raise the error of rows[k], which a column-wise check refused."""
@@ -713,8 +701,7 @@ def _read_block(rows: list[list[str]], lines, layout, codes: _Codes):
         fail(int(bad.argmax()))
     if usable < len(rows):
         fail(usable)
-    match = np.fromiter(map(codes.__getitem__, cells[idx["match_id"]]), np.int64, len(rows))
-    return columns, match, np.asarray(lines), {c: cells[pos] for c, pos in meta_pos.items()}
+    return columns, cells
 
 
 def _optional_repr(value: float) -> str:

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import gc
 import io
+import math
 import random
 
 import numpy as np
@@ -501,39 +502,6 @@ class TestInt64Cells:
                                                 f"{(2 ** 63 - 1) % 60 + 1:02d}")))
 
 
-class TestJoinedColumnParse:
-    """Bare-digit columns are parsed from one joined string; cells that
-    would fool that parse must still load as the row-by-row reference loads."""
-
-    @pytest.mark.parametrize("cells", [
-        ["", "11"], ["10", ""], ["00", "", "1"],  # lengths that add up to one per cell
-    ])
-    def test_flag_cells_of_wrong_length(self, cells):
-        rows = [row(point_no=k + 1, elapsed=f"0:0{k}:00", ace1=cell) for k, cell in enumerate(cells)]
-        new, reference = _load_both(make_csv(*rows).getvalue())
-        assert new == reference
-        assert "must be 0 or 1" in new[1]
-
-    def test_clock_cell_holding_two_clocks(self):
-        rows = [row(), row(point_no=2, elapsed='"0:00:40,0:00:50"'), row(point_no=3, elapsed="0:01:00")]
-        new, reference = _load_both(make_csv(*rows).getvalue())
-        assert new == reference
-        assert new[1:] == ("row 3: malformed clock string '0:00:40,0:00:50': expected H:MM:SS", 3)
-
-    def test_clock_whose_seconds_wrap_int64(self):
-        # 3600 * hours is 2**64 + 3584: an int64 product would wrap to 3584.
-        hours = -(-2 ** 64 // 3600)
-        with pytest.raises(ValidationError, match="64-bit integer of seconds") as exc:
-            load_match_csv(make_csv(row(elapsed="0:00:00"), row(point_no=2, elapsed=f"{hours}:00:00")))
-        assert exc.value.row == 3
-
-    def test_integer_cells_with_empty_and_padded_cells(self):
-        for cells in (["3", ""], [" 3", "4"], ["3", "4 "], ["٣", "4"], ["3", "+4"], ["0_3", "4"]):
-            rows = [row(point_no=k + 1, elapsed=f"0:0{k}:00", rally=c) for k, c in enumerate(cells)]
-            new, reference = _load_both(make_csv(*rows).getvalue())
-            assert new == reference
-
-
 class TestColumns:
     def test_column_dtypes(self, match_80):
         for name in MatchTimeline.COLUMNS:
@@ -611,7 +579,8 @@ class TestColumns:
         assert np.isnan(match_80.speed_mph).any()  # missing speeds compare equal
         assert reloaded == match_80
         assert dataclasses.replace(reloaded) == match_80
-        assert dataclasses.replace(reloaded, match_id="other") != match_80
+        renamed = [dataclasses.replace(p, match_id="other") for p in match_80.points]
+        assert MatchTimeline("other", renamed, match_80.meta) != match_80
         assert dataclasses.replace(reloaded, meta={}) != match_80
         changed = list(match_80.points)
         changed[40] = dataclasses.replace(changed[40], speed_mph=None if changed[40].speed_mph else 99.0)
@@ -625,6 +594,45 @@ class TestColumns:
         points[5] = dataclasses.replace(points[5], match_id="elsewhere")
         with pytest.raises(ValidationError, match="carries match_id 'elsewhere'"):
             MatchTimeline(match_80.match_id, points)
+
+    def test_other_timelines_points_refused_under_a_new_match_id(self, match_80):
+        with pytest.raises(ValidationError) as exc:
+            MatchTimeline("elsewhere", match_80.points, match_80.meta)
+        assert str(exc.value) == (f"point carries match_id {match_80.match_id!r} "
+                                  "inside timeline 'elsewhere'")
+        with pytest.raises(ValidationError, match="carries match_id"):
+            dataclasses.replace(match_80, match_id="elsewhere")
+        shared = MatchTimeline(match_80.match_id, match_80.points)
+        assert shared.server is match_80.server
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("rally_count", 2.5, "rally_count cannot be stored as int64: 2.5"),
+        ("server", "1", "server cannot be stored as int64: '1'"),
+        ("set_no", None, "set_no cannot be stored as int64: None"),
+        ("elapsed_s", 2 ** 63, f"elapsed_s cannot be stored as int64: {2 ** 63}"),
+        ("p1_ace", 2, "p1_ace cannot be stored as bool: 2"),
+        ("p2_unf_err", "0", "p2_unf_err cannot be stored as bool: '0'"),
+        ("p1_distance_run", None, "p1_distance_run cannot be stored as float64: None"),
+        ("p2_distance_run", "3.5", "p2_distance_run cannot be stored as float64: '3.5'"),
+        ("p2_distance_run", 2 ** 53 + 1, f"p2_distance_run cannot be stored as float64: {2 ** 53 + 1}"),
+        ("speed_mph", "120", "speed_mph cannot be stored as float64: '120'"),
+    ])
+    def test_record_value_its_column_would_change_refused(self, match_80, field, value, message):
+        points = list(match_80.points)
+        points[7] = dataclasses.replace(points[7], **{field: value})
+        with pytest.raises(ValidationError) as exc:
+            MatchTimeline(match_80.match_id, points)
+        assert str(exc.value) == message
+
+    def test_record_values_stored_as_they_are(self, match_80):
+        points = list(match_80.points)
+        points[3] = dataclasses.replace(points[3], rally_count=np.int64(4), p1_ace=1, p2_ace=0.0,
+                                        p1_distance_run=7, speed_mph=math.nan)
+        points[4] = dataclasses.replace(points[4], speed_mph=None, p2_distance_run=math.nan)
+        tl = MatchTimeline(match_80.match_id, points)
+        assert tl.rally_count[3] == 4 and tl.p1_ace[3] and not tl.p2_ace[3]
+        assert tl.p1_distance_run[3] == 7.0
+        assert np.isnan(tl.speed_mph[3:5]).all() and np.isnan(tl.p2_distance_run[4])
 
     def test_check_reports_first_bad_record_then_first_bad_pair(self, match_80):
         points = list(match_80.points)

