@@ -5,10 +5,14 @@ window of 2*w_v points fits, from one prefix count of wins; (2) a uniform
 time grid k*step over the span of those points, whose node count comes from
 span/step in O(1); (3) central differences on the grid (one-sided at the
 ends); (4) each point reports the derivative at its nearest grid node, and
-only that node and its neighbours are interpolated, each found by bisection,
-so the cost is O(n log n) whatever the step.  The output is the same, bit
-for bit, as differencing the whole grid (`grid_time_derivative`): the same
-formulas run in the same operation order at the nodes that are read.
+only that node and its neighbours are interpolated, for all points at once:
+np.rint gives the nearest node (half to even, as round() does) and
+np.searchsorted each node's knot segment, so the cost is O(n log n) whatever
+the step.  The interpolation and the differences are whole-array IEEE
+operations in the scalar formulas' order, and `grid_time_derivative` runs
+the same kernel on every node, so the output is the same, bit for bit, as
+differencing the whole grid.  Knot offsets are float64, so a knot span past
+2**53 s, beyond which they are not exact, is refused.
 
 Two exactness guarantees are engineered in, not approximated:
 
@@ -23,10 +27,10 @@ Two exactness guarantees are engineered in, not approximated:
 
 from __future__ import annotations
 
-import bisect
-import csv
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._checks import require_finite, require_int
 from .ingest import MatchTimeline, prefix_counts
@@ -81,8 +85,14 @@ def windowed_win_rate(timeline: MatchTimeline, i: int, w_v: int, player: int = 1
     return int(prefix_counts(timeline.point_victor[i - w_v:i + w_v], player)[-1]) / (2 * w_v)
 
 
-def _knot_offsets(times_s, values) -> list:
-    """Knot times as offsets from the first knot, after validating the knots."""
+# Knot offsets are searched and differenced as float64, which holds every
+# integer up to 2**53 exactly.
+_MAX_SPAN_S = 2 ** 53
+
+
+def _knot_offsets(times_s, values) -> tuple[np.ndarray, np.ndarray]:
+    """Knot times as float64 offsets from the first knot, and the knot values
+    as float64, after validating the knots."""
     m = len(times_s)
     if m < 2:
         raise ValueError(f"need at least 2 knots, got {m}")
@@ -93,7 +103,10 @@ def _knot_offsets(times_s, values) -> list:
     for a, b in zip(tau, tau[1:]):
         if not b > a:
             raise ValueError("times must be strictly increasing")
-    return tau
+    if tau[-1] > _MAX_SPAN_S:
+        raise ValueError(f"knot span {tau[-1]!r} s is past 2**53 s, beyond which float64 "
+                         f"offsets are not exact")
+    return np.array(tau, dtype=np.float64), np.array(values, dtype=np.float64)
 
 
 def _node_count(span: float, step_s: float) -> int:
@@ -117,46 +130,48 @@ def _node_count(span: float, step_s: float) -> int:
     return n
 
 
-def _interpolate(tau, values, g):
-    """Piecewise-linear interpolant of (tau, values) at g >= 0, clamped beyond
-    the last knot."""
-    if g >= tau[-1]:
-        return values[-1]
-    seg = bisect.bisect_right(tau, g) - 1
+def _interpolate(tau: np.ndarray, values: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolant of the knots (tau, values) at offsets
+    g >= 0, clamped beyond the last knot.  Each entry is
+    values[s] + (g - tau[s]) * ((values[s+1] - values[s]) / (tau[s+1] - tau[s]))
+    on its segment s, one IEEE operation at a time."""
+    seg = np.minimum(np.searchsorted(tau, g, side="right") - 1, len(tau) - 2)
     slope = (values[seg + 1] - values[seg]) / (tau[seg + 1] - tau[seg])
-    return values[seg] + (g - tau[seg]) * slope
+    return np.where(g >= tau[-1], values[-1], values[seg] + (g - tau[seg]) * slope)
 
 
-def _node_derivative(interp, k: int, last: int, step_s: float) -> float:
-    """Derivative at node k of a grid with nodes 0..last, where interp(j) is
-    the interpolant at node j: central differences inside, one-sided at the
-    two ends."""
-    if k == 0:
-        return (interp(1) - interp(0)) / step_s
-    if k == last:
-        return (interp(last) - interp(last - 1)) / step_s
-    return (interp(k + 1) - interp(k - 1)) / (2 * step_s)
+def _node_derivatives(tau, values, nodes: np.ndarray, last: int, step_s: float) -> np.ndarray:
+    """Derivative of the interpolant of (tau, values) at `nodes` of the grid
+    k*step_s, k = 0..last: central differences inside, one-sided at the two
+    ends."""
+    step = float(step_s)
+    lo = np.maximum(nodes - 1, 0)
+    hi = np.minimum(nodes + 1, last)
+    width = np.where((nodes == 0) | (nodes == last), step, 2 * step)
+    # Overflow and NaN give their IEEE results silently, as Python floats do.
+    with np.errstate(all="ignore"):
+        return (_interpolate(tau, values, hi * step) - _interpolate(tau, values, lo * step)) / width
 
 
 def grid_time_derivative(times_s, values, step_s: float):
     """Interpolate (times, values) onto a uniform grid and differentiate.
 
-    times_s must be strictly increasing with at least two entries; the grid
-    starts at times_s[0] with spacing step_s and covers the last knot.
-    Returns (grid offsets from times_s[0], derivative at each node).  Central
-    differences at interior nodes, one-sided at the two ends.  Every
-    arithmetic step is sign-symmetric in `values`.  This is the full-grid
-    form of what `dbwp_scores` evaluates only at the nodes its points read.
+    times_s must be strictly increasing with at least two entries and span
+    at most 2**53 s; values are read as float64.  The grid starts at
+    times_s[0] with spacing step_s and covers the last knot.  Returns (grid
+    offsets from times_s[0], derivative at each node).  Central differences
+    at interior nodes, one-sided at the two ends.  Every arithmetic step is
+    sign-symmetric in `values`.  This is the full-grid form of what
+    `dbwp_scores` evaluates only at the nodes its points read, with the same
+    kernel.
     """
     if not (math.isfinite(step_s) and step_s > 0):
         raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
-    tau = _knot_offsets(times_s, values)
+    tau, values = _knot_offsets(times_s, values)
     n_nodes = _node_count(float(tau[-1]), step_s)
     grid = [k * step_s for k in range(n_nodes)]
-    interp = [_interpolate(tau, values, g) for g in grid]
-    last = n_nodes - 1
-    deriv = [_node_derivative(interp.__getitem__, k, last, step_s) for k in range(n_nodes)]
-    return grid, deriv
+    deriv = _node_derivatives(tau, values, np.arange(n_nodes), n_nodes - 1, step_s)
+    return grid, deriv.tolist()
 
 
 def dbwp_scores(timeline: MatchTimeline, params: DbwpParams | None = None) -> DbwpSeries:
@@ -170,48 +185,44 @@ def dbwp_scores(timeline: MatchTimeline, params: DbwpParams | None = None) -> Db
     w = params.w_v
     lo, hi = w, n - w  # inclusive valid index range
 
-    indices = range(lo, hi + 1)
-    elapsed = timeline.elapsed_s[lo:hi + 1].tolist()
+    elapsed = timeline.elapsed_s[lo:hi + 1]
     counts = prefix_counts(timeline.point_victor, params.player)
-    wins = (counts[lo + w:hi + w + 1] - counts[lo - w:hi - w + 1]).tolist()
-    # Centered rates drive the derivative; plain rates are reported.
-    centered = [(c - w) / (2 * w) for c in wins]
-    rates = [c / (2 * w) for c in wins]
+    wins = counts[lo + w:hi + w + 1] - counts[lo - w:hi - w + 1]
+    # Centered rates drive the derivative; plain rates are reported.  Each
+    # is one correctly rounded division of exact integers, as in Python.
+    centered = (wins - w) / (2 * w)
+    rates = wins / (2 * w)
 
-    # Collapse duplicate timestamps by averaging their centered rates.
-    knot_t: list[int] = []
-    knot_v: list[float] = []
-    k = 0
-    while k < len(elapsed):
-        j = k
+    # Collapse duplicate timestamps by averaging their centered rates,
+    # summed in point order; a lone point is its own knot.
+    starts = np.concatenate(([0], np.flatnonzero(elapsed[1:] != elapsed[:-1]) + 1))
+    ends = np.append(starts[1:], len(elapsed))
+    knot_v = centered[starts]
+    for k in np.flatnonzero(ends - starts > 1).tolist():
+        a, b = int(starts[k]), int(ends[k])
         total = 0.0
-        while j < len(elapsed) and elapsed[j] == elapsed[k]:
-            total += centered[j]
-            j += 1
-        knot_t.append(elapsed[k])
-        knot_v.append(total / (j - k))
-        k = j
-    if len(knot_t) < 2:
+        for v in centered[a:b].tolist():
+            total += v
+        knot_v[k] = total / (b - a)
+    if len(starts) < 2:
         raise ValueError("need at least 2 distinct elapsed times to differentiate")
 
-    # Each point reads the derivative at its nearest grid node, which needs
-    # the interpolant at that node and its neighbours only.
+    # Each point reads the derivative at its nearest grid node (round half
+    # to even, as round() does), which needs the interpolant at that node
+    # and its neighbours only.
     step = params.grid_step_s
-    tau = _knot_offsets(knot_t, knot_v)
+    knot_t = elapsed[starts]
+    tau, knot_v = _knot_offsets(knot_t.tolist(), knot_v)
     last = _node_count(float(tau[-1]), step) - 1
-
-    def interp(node):
-        return _interpolate(tau, knot_v, node * step)
-
-    t0 = knot_t[0]
-    out = [_node_derivative(interp, min(max(round((t - t0) / step), 0), last), last, step)
-           for t in elapsed]
+    offsets = (elapsed - knot_t[0]).astype(np.float64)
+    nodes = np.clip(np.rint(offsets / step), 0, last).astype(np.int64)
+    dbwp = _node_derivatives(tau, knot_v, nodes, last, step)
 
     return DbwpSeries(
-        indices=tuple(indices),
-        elapsed_s=tuple(elapsed),
-        win_rate=tuple(rates),
-        dbwp=tuple(out),
+        indices=tuple(range(lo, hi + 1)),
+        elapsed_s=tuple(elapsed.tolist()),
+        win_rate=tuple(rates.tolist()),
+        dbwp=tuple(dbwp.tolist()),
         params=params,
     )
 
@@ -221,7 +232,6 @@ def write_dbwp_csv(series: DbwpSeries, dest) -> None:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_dbwp_csv(series, fh)
             return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["point_index", "elapsed_s", "win_rate", "dbwp"])
-    for i, t, r, d in zip(series.indices, series.elapsed_s, series.win_rate, series.dbwp):
-        writer.writerow([i, t, repr(r), repr(d)])
+    rows = map("{},{},{!r},{!r}\n".format,
+               series.indices, series.elapsed_s, series.win_rate, series.dbwp)
+    dest.write("point_index,elapsed_s,win_rate,dbwp\n" + "".join(rows))

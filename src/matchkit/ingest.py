@@ -11,7 +11,8 @@ indexing, slicing or iterating builds `PointRecord`s.
 `load_match_csv` parses a file with `csv.reader` 2,048 rows at a time,
 which bounds the cells held at once.  It transposes a block with
 `zip(*rows)` and converts each column with one builtin `map` (`int`,
-`float`, a 0/1 lookup, `parse_elapsed_time`) into an array.  The record
+`float`, a 0/1 lookup) into an array; a clock column of one width is read
+from the code points of one fixed-width array.  The record
 checks of `PointRecord.check` run as vectorised masks over a block's
 columns, and the order and counter checks between consecutive points over
 the file's columns sorted by match and point.  A column that the
@@ -171,7 +172,7 @@ class PointRecord:
         if self.p2_ace and self.p2_double_fault:
             raise ValidationError("record flags both p2_ace and p2_double_fault", row)
         for name in ("p1_distance_run", "p2_distance_run"):
-            if values[name] < 0:
+            if not values[name] >= 0:  # NaN too
                 raise ValidationError(f"{name} must be non-negative, got {values[name]}", row)
         if self.speed_mph is not None and self.speed_mph < 0:
             raise ValidationError(f"speed_mph must be non-negative, got {self.speed_mph}", row)
@@ -199,10 +200,12 @@ def _record_faults(c) -> np.ndarray:
     bad |= (c["point_victor"] != 1) & (c["point_victor"] != 2)
     for name in ("set_no", "game_no", "point_no"):
         bad |= c[name] < 1
-    # NaN compares False here, as in PointRecord.check; NaN speed is missing.
+    # A NaN speed is missing, so it passes; a NaN distance does not.
     for name in ("elapsed_s", "p1_sets", "p2_sets", "p1_games", "p2_games", "rally_count",
-                 "p1_distance_run", "p2_distance_run", "speed_mph"):
+                 "speed_mph"):
         bad |= c[name] < 0
+    for name in ("p1_distance_run", "p2_distance_run"):
+        bad |= ~(c[name] >= 0)
     # Rows with a count past 5 are flagged whatever their sum wraps to.
     bad |= (c["p1_sets"] > 5) | (c["p2_sets"] > 5) | (c["p1_sets"] + c["p2_sets"] > 5)
     bad |= c["p1_ace"] & c["p1_double_fault"]
@@ -506,8 +509,30 @@ def _flag_column(cells: tuple[str, ...]) -> np.ndarray:
     return np.fromiter(map(_FLAGS.__getitem__, cells), np.bool_, len(cells))
 
 
+# An hour field of at most 6 digits keeps every clock far inside int64.
+_MAX_HOUR_DIGITS = 6
+
+
 def _clock_column(cells: tuple[str, ...]) -> np.ndarray:
-    return np.fromiter(map(parse_elapsed_time, cells), np.int64, len(cells))
+    """Seconds of H:MM:SS cells, read from the code points of one
+    fixed-width array.  Every cell must have the same width, with ASCII
+    digits apart from the two colons, 1 to 6 hour digits, and minutes and
+    seconds at most 59; any other column raises ValueError."""
+    # The widest cell sets the array's width, so a long one is refused first.
+    width = max(map(len, cells), default=0)
+    hours = width - 6  # hour digits
+    if not 1 <= hours <= _MAX_HOUR_DIGITS:
+        raise ValueError("not a column of H:MM:SS clocks of one width")
+    # Code points less "0": digits read 0-9 and a colon 10, and anything
+    # below "0" (the NUL padding of a shorter cell too) wraps past them.
+    codes = np.array(cells, dtype=f"U{width}").view(np.uint32).reshape(len(cells), width)
+    digits = codes - np.uint32(ord("0"))
+    largest = np.array([9] * hours + [10, 5, 9, 10, 5, 9])
+    if (digits > largest).any() or (digits[:, [hours, hours + 3]] != 10).any():
+        raise ValueError("not a column of H:MM:SS clocks of one width")
+    # Seconds per unit of each position: every product stays below 2**32.
+    seconds = [3600 * 10 ** k for k in range(hours - 1, -1, -1)] + [0, 600, 60, 0, 10, 1]
+    return (digits * np.array(seconds, dtype=np.uint32)).sum(axis=1, dtype=np.int64)
 
 
 def _float_column(cells: tuple[str, ...]) -> np.ndarray:

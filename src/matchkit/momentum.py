@@ -11,7 +11,6 @@ Positive values favor player 1 throughout.
 
 from __future__ import annotations
 
-import csv
 import operator
 from dataclasses import dataclass
 
@@ -206,7 +205,6 @@ def write_momentum_csv(series: MomentumSeries, dest) -> None:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_momentum_csv(series, fh)
             return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["point_index", "elapsed_s", "strategic", "psychological"])
-    for i, t, s, m in zip(series.indices, series.elapsed_s, series.strategic, series.psychological):
-        writer.writerow([i, t, repr(s), repr(m)])
+    rows = map("{},{},{!r},{!r}\n".format,
+               series.indices, series.elapsed_s, series.strategic, series.psychological)
+    dest.write("point_index,elapsed_s,strategic,psychological\n" + "".join(rows))

@@ -9,8 +9,10 @@ Windows are half-open and strictly in the past, so the score is causal.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from ._checks import require_finite, require_int
 from .ingest import MatchTimeline, format_elapsed, prefix_counts
@@ -103,18 +105,20 @@ def best_performance_times(series: WinjudSeries, timeline: MatchTimeline) -> tup
     """
     if not series.indices:
         raise ValueError("series is empty")
-    best: dict[tuple[int, int], tuple[float, int]] = {}
-    set_nos = timeline.set_no.tolist()
-    for i, elapsed, p1, p2 in zip(series.indices, series.elapsed_s, series.score_p1, series.score_p2):
-        set_no = set_nos[i]
-        for player, score in ((1, p1), (2, p2)):
-            key = (set_no, player)
-            if key not in best or score > best[key][0]:
-                best[key] = (score, elapsed)
+    set_nos = timeline.set_no[np.asarray(series.indices)]
+    best = []
+    for player, scores in ((1, series.score_p1), (2, series.score_p2)):
+        # A stable sort by set, then by falling score, puts each set's
+        # earliest peak first in its run.
+        order = np.lexsort((-np.asarray(scores), set_nos))
+        sets, first = np.unique(set_nos[order], return_index=True)
+        best += zip(sets.tolist(), itertools.repeat(player), order[first].tolist())
+    best.sort()
     return tuple(
-        BestTime(set_no=s, player=p, elapsed_s=best[(s, p)][1],
-                 elapsed_clock=format_elapsed(best[(s, p)][1]), score=best[(s, p)][0])
-        for s, p in sorted(best)
+        BestTime(set_no=s, player=p, elapsed_s=series.elapsed_s[j],
+                 elapsed_clock=format_elapsed(series.elapsed_s[j]),
+                 score=(series.score_p1 if p == 1 else series.score_p2)[j])
+        for s, p, j in best
     )
 
 
@@ -124,8 +128,6 @@ def write_winjud_csv(series: WinjudSeries, dest) -> None:
         with open(dest, "w", encoding="utf-8", newline="") as fh:
             write_winjud_csv(series, fh)
             return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["point_index", "elapsed_s", "player", "score"])
-    for i, elapsed, p1, p2 in zip(series.indices, series.elapsed_s, series.score_p1, series.score_p2):
-        writer.writerow([i, elapsed, 1, repr(p1)])
-        writer.writerow([i, elapsed, 2, repr(p2)])
+    rows = map("{0},{1},1,{2!r}\n{0},{1},2,{3!r}\n".format,
+               series.indices, series.elapsed_s, series.score_p1, series.score_p2)
+    dest.write("point_index,elapsed_s,player,score\n" + "".join(rows))

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from matchkit.dbwp import DbwpParams, DbwpSeries, grid_time_derivative
+from matchkit.dbwp import DbwpParams, DbwpSeries
 from matchkit.gbtree import (
     GbtConfig,
     GbtModel,
@@ -27,6 +27,7 @@ from matchkit.ingest import (
     SchemaError,
     TimeFormatError,
     ValidationError,
+    format_elapsed,
     parse_elapsed_time,
 )
 from matchkit.neural import (
@@ -38,6 +39,7 @@ from matchkit.neural import (
     forward_batch,
     param_specs,
 )
+from matchkit.winjud import BestTime
 
 
 def make_timeline(victors, servers=None, elapsed=None, set_no=None, game_no=None,
@@ -276,7 +278,7 @@ def oracle_grid_derivative(times_s, values, step_s):
 
 
 def full_grid_dbwp(timeline, params: DbwpParams) -> DbwpSeries:
-    """dbwp series read off the whole grid of `grid_time_derivative`, with
+    """dbwp series read off the whole grid of `oracle_grid_derivative`, with
     every window re-counted point by point."""
     w, step, pts = params.w_v, params.grid_step_s, timeline.points
     indices = list(range(w, len(pts) - w + 1))
@@ -294,12 +296,32 @@ def full_grid_dbwp(timeline, params: DbwpParams) -> DbwpSeries:
         for v in vals:
             total += v
         knot_v.append(total / len(vals))
-    grid, deriv = grid_time_derivative(knot_t, knot_v, step)
+    grid, deriv = oracle_grid_derivative(knot_t, knot_v, step)
     last = len(grid) - 1
     dbwp = [deriv[min(max(round((t - knot_t[0]) / step), 0), last)] for t in elapsed]
     return DbwpSeries(indices=tuple(indices), elapsed_s=tuple(elapsed),
                       win_rate=tuple(c / (2 * w) for c in wins), dbwp=tuple(dbwp),
                       params=params)
+
+
+def oracle_best_performance_times(series, timeline) -> tuple[BestTime, ...]:
+    """Per set and player, the first point of the peak score, found by one
+    scan in point order that keeps the best score seen so far."""
+    if not series.indices:
+        raise ValueError("series is empty")
+    best: dict[tuple[int, int], tuple[float, int]] = {}
+    set_nos = timeline.set_no.tolist()
+    for i, elapsed, p1, p2 in zip(series.indices, series.elapsed_s, series.score_p1, series.score_p2):
+        set_no = set_nos[i]
+        for player, score in ((1, p1), (2, p2)):
+            key = (set_no, player)
+            if key not in best or score > best[key][0]:
+                best[key] = (score, elapsed)
+    return tuple(
+        BestTime(set_no=s, player=p, elapsed_s=best[(s, p)][1],
+                 elapsed_clock=format_elapsed(best[(s, p)][1]), score=best[(s, p)][0])
+        for s, p in sorted(best)
+    )
 
 
 # Reference CSV loader: load_match_csv in its cell-by-cell form, with a values

@@ -211,6 +211,40 @@ class TestSparseGridEvaluation:
         assert repr(grid_time_derivative([0, span], [0.0, 1.0], 0.7)) == repr(expected)
 
 
+class TestKnotSpanBound:
+    """Knot offsets are float64: a span up to 2**53 s is exact and kept, a
+    longer one is refused."""
+
+    STEP = 2.0 ** 40  # 8,193 nodes over 2**53 s
+
+    def test_span_of_2_pow_53_equals_node_walk(self):
+        times = [0, 2 ** 52 + 1, 2 ** 53]
+        values = [0.0, 0.25, 1.0]
+        assert repr(grid_time_derivative(times, values, self.STEP)) == \
+            repr(oracle_grid_derivative(times, values, self.STEP))
+
+    @pytest.mark.parametrize("times", [[0, 2 ** 53 + 1], [5, 7, 2 ** 53 + 6],
+                                       [0.0, 2.0 ** 53 + 2], [-(2 ** 62), 2 ** 62]])
+    def test_longer_span_refused(self, times):
+        with pytest.raises(ValueError, match=r"^knot span .* s is past 2\*\*53 s"):
+            grid_time_derivative(times, [0.0] * len(times), self.STEP)
+
+    @pytest.mark.parametrize("base", [0, 2 ** 60])
+    def test_dbwp_at_the_bound(self, base):
+        # With w_v=1 the knots are the points at indices 1..4.
+        elapsed = [base + t for t in (0, 10, 20, 2 ** 53 + 10, 2 ** 53 + 10)]
+        tl = make_timeline(victors=[1, 2, 2, 1, 2], elapsed=elapsed)
+        params = DbwpParams(w_v=1, grid_step_s=self.STEP)
+        assert repr(dbwp_scores(tl, params)) == repr(full_grid_dbwp(tl, params))
+
+    @pytest.mark.parametrize("base", [0, 2 ** 60])
+    def test_dbwp_past_the_bound_refused(self, base):
+        elapsed = [base + t for t in (0, 10, 20, 2 ** 53 + 11, 2 ** 53 + 11)]
+        tl = make_timeline(victors=[1, 2, 2, 1, 2], elapsed=elapsed)
+        with pytest.raises(ValueError, match=rf"^knot span {2 ** 53 + 1} s is past 2\*\*53 s"):
+            dbwp_scores(tl, DbwpParams(w_v=1, grid_step_s=self.STEP))
+
+
 class TestGridDerivative:
     def test_exact_line(self):
         times = [0, 10, 25, 40]

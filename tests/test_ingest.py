@@ -210,6 +210,28 @@ class TestRoundTrip:
         buf.seek(0)
         assert load_match_csv(buf) == [timeline, match_80]
 
+    @pytest.mark.parametrize("field", ["p1_distance_run", "p2_distance_run"])
+    def test_nan_distance_refused_as_loading_its_file_is(self, match_80, field):
+        points = list(match_80.points)
+        points[4] = dataclasses.replace(points[4], **{field: math.nan})
+        message = f"{field} must be non-negative, got nan"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            points[4].check()
+        timeline = MatchTimeline(match_80.match_id, points, match_80.meta)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            timeline.check()
+        buf = io.StringIO()
+        write_timeline_csv(timeline, buf)
+        buf.seek(0)
+        with pytest.raises(ValidationError, match=f"^row 6: column {field!r} must be finite"):
+            load_match_csv(buf)
+
+    def test_nan_speed_is_missing(self, match_80):
+        points = list(match_80.points)
+        points[4] = dataclasses.replace(points[4], speed_mph=math.nan)
+        points[4].check()
+        MatchTimeline(match_80.match_id, points).check()
+
     def test_round_trip_via_file(self, tmp_path, match_80):
         path = str(tmp_path / "out.csv")
         write_timeline_csv(match_80, path)
@@ -439,6 +461,19 @@ class TestMatchesReferenceLoader:
                 corrupted.insert(rng.randrange(len(corrupted)), [])
             self.assert_same([header, *corrupted])
 
+    def test_clocks_crossing_ten_hours(self):
+        # The clock column widens from 7 to 8 characters mid-file.
+        (tl,) = _matches(1, 260, seed=51)
+        tl = MatchTimeline(tl.match_id, [dataclasses.replace(p, elapsed_s=p.elapsed_s * 5)
+                                         for p in tl.points], tl.meta)
+        header, *body = _csv_rows([tl])
+        clock = header.index("elapsed_time")
+        assert {len(r[clock]) for r in body} == {7, 8}
+        assert self.assert_same([header, *body]) == [tl]
+        body[0][clock], body[1][clock] = "9:59:59", "10:00:00"
+        (two,) = self.assert_same([header, *body[:2]])
+        assert two.elapsed_s.tolist() == [35999, 36000]
+
     def test_loaded_record_equals_keyword_record(self):
         (tl,) = load_match_csv(make_csv(row(speed="")))
         (loaded,) = tl.points
@@ -455,6 +490,29 @@ class TestMatchesReferenceLoader:
         assert dataclasses.replace(loaded, server=2) == dataclasses.replace(built, server=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.server = 2
+
+
+class TestClockColumn:
+    """The column-wise clock parse takes only clean H:MM:SS columns of one
+    width; every other column goes to the per-cell parser."""
+
+    def test_clean_columns_read_as_the_cell_parser_reads_them(self):
+        for cells in (("0:00:00", "1:02:03", "9:59:59"), ("00:00:07", "10:00:00", "99:59:59"),
+                      ("123456:00:01", "999999:59:59"), ("000001:30:00",)):
+            column = ingest._clock_column(cells)
+            assert column.dtype == np.int64
+            assert column.tolist() == [parse_elapsed_time(c) for c in cells]
+
+    @pytest.mark.parametrize("cells", [
+        ("1:00:00", "10:00:00"), ("1:00:00", "1:00:0"), ("1:00:00\x00",), ("1:0\x000:00",),
+        ("\u0661:00:00",), ("1:\uff10\uff10:00",), (" 1:00:00",), ("1:00:00 ",), ("1:60:00",),
+        ("1:00:60",), (":00:00",), ("1234567:00:00",), ("9" * 25 + ":00:00",), ("",), ("", ""),
+        (), ("1-00:00",), ("1:00:00:",), ("a:00:00",), ("1000:00",), ("1:00500",),
+        ("1:00:00", "1:00:00 "), ("1:00:00", "1:00:001"),
+    ])
+    def test_other_columns_refused(self, cells):
+        with pytest.raises(ValueError):
+            ingest._clock_column(cells)
 
 
 class TestInt64Cells:

@@ -17,7 +17,9 @@ from matchkit.ingest import (  # noqa: E402
     IngestError,
     MatchTimeline,
     PointRecord,
+    _clock_column,
     load_match_csv,
+    parse_elapsed_time,
     write_timeline_csv,
 )
 
@@ -167,3 +169,40 @@ def test_corrupted_file_matches_reference_loader(data):
     assert got == expected
     if isinstance(expected, list):
         assert [tl.meta for tl in got] == [tl.meta for tl in expected]
+
+
+# Columns of clock cells near the H:MM:SS form: most cells share an hour
+# width of 0 to 8 digits and have fields up to 59, and some have another
+# width, a field up to 99, one odd character put in or swapped in, or none.
+ODD_CLOCK_CHARS = st.sampled_from(["\x00", "\u0663", "\uff15", " ", "\t", "\n", ":", "a",
+                                   "-", "+", "0", "9"])
+
+
+@st.composite
+def clock_columns(draw):
+    def rarely():
+        return draw(st.integers(0, 9)) == 0
+
+    width = draw(st.integers(0, 8))
+    cells = []
+    for _ in range(draw(st.integers(1, 6))):
+        digits = draw(st.integers(0, 8)) if rarely() else width
+        hours = draw(st.text(st.sampled_from("0123456789"), min_size=digits, max_size=digits))
+        minutes, seconds = (draw(st.integers(0, 99 if rarely() else 59)) for _ in range(2))
+        cell = f"{hours}:{minutes:02d}:{seconds:02d}"
+        if rarely():
+            k = draw(st.integers(0, len(cell)))
+            cell = cell[:k] + draw(ODD_CLOCK_CHARS) + cell[k + draw(st.integers(0, 1)):]
+        cells.append("" if rarely() else cell)
+    return tuple(cells)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=clock_columns())
+def test_clock_column_reads_as_the_cell_parser_or_refuses(cells):
+    try:
+        column = _clock_column(cells)
+    except ValueError:
+        return
+    assert column.dtype.name == "int64"
+    assert column.tolist() == [parse_elapsed_time(c) for c in cells]

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from helpers import make_timeline
+from helpers import make_timeline, oracle_best_performance_times
+from matchkit.ingest import SyntheticSpec, generate_synthetic_match
 from matchkit.winjud import (
     WinjudParams,
     WinjudSeries,
@@ -131,6 +132,32 @@ class TestBestPerformanceTimes:
                     if cur is None or score > cur[0]:
                         expected[(s, player)] = (score, elapsed)
         assert {(b.set_no, b.player): (b.score, b.elapsed_s) for b in best} == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_scan_oracle_on_seeded_matches(self, seed):
+        tl = generate_synthetic_match(SyntheticSpec(n_points=150 + 90 * seed, seed=seed))
+        # beta 0 and 1 give many tied scores; wide windows start past set 1.
+        for w_v, w_s, beta in ((5, 5, 0.5), (3, 8, 0.0), (10, 4, 1.0), (90, 120, 0.25)):
+            series = winjud_scores(tl, WinjudParams(w_v=w_v, w_s=w_s, beta=beta))
+            assert repr(best_performance_times(series, tl)) == \
+                repr(oracle_best_performance_times(series, tl)), (seed, w_v, w_s, beta)
+
+    def test_equals_scan_oracle_on_short_sets(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            sets = [1 + k for k in range(rng.randint(1, 6)) for _ in range(rng.randint(1, 9))]
+            n = len(sets)
+            if n < 2:
+                continue
+            tl = make_timeline(victors=[rng.choice((1, 2)) for _ in range(n)],
+                               servers=[rng.choice((1, 2)) for _ in range(n)], set_no=sets)
+            params = WinjudParams(w_v=rng.randint(1, n - 1), w_s=rng.randint(1, n - 1),
+                                  beta=rng.choice((0.0, 0.5, 1.0, 3.0)))
+            series = winjud_scores(tl, params)
+            best = best_performance_times(series, tl)
+            assert repr(best) == repr(oracle_best_performance_times(series, tl))
+            first_set = sets[max(params.w_v, params.w_s)]
+            assert {b.set_no for b in best} == set(range(first_set, sets[-1] + 1))
 
     def test_clock_strings(self, match_300):
         series = winjud_scores(match_300, WinjudParams())
