@@ -21,8 +21,9 @@ of nodes of similar size.  grid_search fits its (lam, rho) cells in one
 batch (a few for large inputs), since they share the rows and the presort:
 tree t of every cell grows together, and each new tree's leaf values go
 straight into the cells' validation scores.  train_gbt is the same grower
-with one cell.  Trees are grown as flat node arrays; train_gbt turns them
-into TreeNodes at the end.
+with one cell.  A tree is flat node arrays in XGBoost's layout from the
+grower on: GbtModel keeps them as they are grown, one walker (_apply_trees)
+scores them for grid_search and predict, and the model JSON nests them.
 
 Fitted models are byte-identical to a scan that re-sorts every node and
 scores one threshold at a time (the oracle in tests/helpers.py), and a
@@ -43,6 +44,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -52,7 +54,6 @@ from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
 __all__ = [
     "GbtConfig",
-    "TreeNode",
     "GbtModel",
     "GridSearchResult",
     "AblationRow",
@@ -112,44 +113,99 @@ class GbtConfig:
             raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
 
 
-@dataclass(frozen=True)
-class TreeNode:
-    """Internal node (feature/threshold/left/right) or leaf (weight)."""
-
-    feature: int | None = None
-    threshold: float | None = None
-    left: TreeNode | None = None
-    right: TreeNode | None = None
-    weight: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.weight is not None
-
-    def __post_init__(self):
-        if self.is_leaf:
-            if not finite_real(self.weight):
-                raise ValueError(f"leaf weight must be finite, got {self.weight!r}")
-            carried = [name for name in ("feature", "threshold", "left", "right")
-                       if getattr(self, name) is not None]
-            if carried:
-                raise ValueError(f"leaf carries split fields: {', '.join(carried)}")
-        else:
-            if self.feature is None or self.threshold is None or self.left is None or self.right is None:
-                raise ValueError("internal node missing split fields")
-            if (isinstance(self.feature, bool) or not isinstance(self.feature, numbers.Integral)
-                    or self.feature < 0):
-                raise ValueError(f"feature must be a non-negative integer, got {self.feature!r}")
-            if not finite_real(self.threshold):
-                raise ValueError(f"threshold must be finite, got {self.threshold!r}")
+# What a node array's values must be, and the dtype kinds that can hold them.
+_NODE_ARRAYS = {"feature": ("feature must be a non-negative integer", "iu"),
+                "threshold": ("threshold must be finite", "iuf"),
+                "left": ("left must be a node index", "iu"),
+                "right": ("right must be a node index", "iu"),
+                "weight": ("leaf weight must be finite", "iuf")}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GbtModel:
+    """base_score plus learning_rate times the sum of the trees' leaf values.
+
+    A tree is XGBoost's flat node arrays (feature, threshold, left, right,
+    weight), root first; a row goes left if row[feature] < threshold.  A
+    leaf has children -1, feature -1 and threshold 0.0, a split weight 0.0
+    and children after it, and every node but the root has one parent.
+    `==` compares the arrays, node order included; train_gbt and
+    model_from_json both give the grower's order.
+    """
+
     base_score: float
-    trees: tuple[TreeNode, ...]
+    trees: tuple[tuple[np.ndarray, ...], ...]
     config: GbtConfig
     feature_names: tuple[str, ...]
+
+    def __post_init__(self):
+        n_features = len(self.feature_names)
+        object.__setattr__(self, "trees", tuple(_flat_tree(t, n_features) for t in self.trees))
+
+    def __eq__(self, other):
+        if not isinstance(other, GbtModel):
+            return NotImplemented
+        return ((self.base_score, self.config, self.feature_names, len(self.trees))
+                == (other.base_score, other.config, other.feature_names, len(other.trees))
+                and all(map(np.array_equal, chain(*self.trees), chain(*other.trees))))
+
+
+def _check_node(feature, threshold, left, right, weight, n_features: int) -> None:
+    """Raise ValueError unless a node, None marking an absent field, is a
+    leaf (a finite weight alone) or a split (the other four fields)."""
+    if weight is not None:
+        if not finite_real(weight):
+            raise ValueError(f"leaf weight must be finite, got {weight!r}")
+        carried = [name for name, value in zip(_NODE_ARRAYS, (feature, threshold, left, right))
+                   if value is not None]
+        if carried:
+            raise ValueError(f"leaf carries split fields: {', '.join(carried)}")
+    elif feature is None or threshold is None or left is None or right is None:
+        raise ValueError("internal node missing split fields")
+    elif isinstance(feature, bool) or not isinstance(feature, numbers.Integral) or feature < 0:
+        raise ValueError(f"feature must be a non-negative integer, got {feature!r}")
+    elif feature >= n_features:
+        raise ValueError(f"feature {feature} is out of range for {n_features} features")
+    elif not finite_real(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+
+
+def _flat_tree(tree, n_features: int) -> tuple[np.ndarray, ...]:
+    """Checked read-only int64/float64 copies of a tree's five node arrays."""
+    if len(tree) != 5:
+        raise ValueError(f"a tree must be 5 node arrays, got {len(tree)}")
+    arrays = [np.asarray(a) for a in tree]
+    n = arrays[0].size
+    if {a.shape for a in arrays} != {(n,)} or not n:
+        raise ValueError("a tree's node arrays must be 1-D, non-empty and of one length, got "
+                         "shapes " + ", ".join(str(a.shape) for a in arrays))
+    for i, (fault, kinds) in enumerate(_NODE_ARRAYS.values()):
+        if arrays[i].dtype.kind not in kinds:
+            raise ValueError(f"{fault}, got a {arrays[i].dtype} array")
+        arrays[i] = arrays[i].astype(np.float64 if "f" in kinds else np.int64)
+        arrays[i].flags.writeable = False
+    feature, threshold, left, right, weight = arrays
+    leaf = (left == -1) & (right == -1)
+    bad = np.where(leaf, (feature != -1) | (threshold != 0.0) | ~np.isfinite(weight),
+                   (feature < 0) | (feature >= n_features) | (left == -1) | (right == -1)
+                   | ~np.isfinite(threshold) | (weight != 0.0))
+    if bad.any():  # name the first bad node's fault as _check_node does
+        f, t, lc, rc, w = (a[bad.argmax()].item() for a in arrays)
+        if lc == rc == -1:
+            _check_node(None if f == -1 else f, t if t else None, None, None, w, n_features)
+        lc, rc = (None if c == -1 else c for c in (lc, rc))
+        _check_node(f, t, lc, rc, w if w else None, n_features)
+    parent = np.tile((~leaf).nonzero()[0], 2)
+    child = np.concatenate((left[~leaf], right[~leaf]))
+    bad = (child <= parent) | (child >= n)
+    if bad.any():
+        i = bad.argmax()
+        raise ValueError(f"node {parent[i]} has child {child[i]}, not after it among {n} nodes")
+    n_parents = np.bincount(child, minlength=n)
+    if (n_parents[1:] != 1).any():
+        i = (n_parents[1:] != 1).argmax() + 1
+        raise ValueError(f"node {i} has {n_parents[i]} parents; every node but the root has one")
+    return tuple(arrays)
 
 
 def soft_threshold(x: float, t: float) -> float:
@@ -245,8 +301,8 @@ def _boost(x, y, lams, rhos, config: GbtConfig, names: tuple[str, ...]):
 
     The cells share x, y, names and every setting but lam and rho.  Round t
     grows tree t of every cell and yields the round's trees as flat node
-    arrays (feature, threshold, left, right, weight) over all cells: node c
-    is cell c's root, and a leaf has feature -1.
+    arrays (feature, threshold, left, right, weight) over all cells, laid
+    out as GbtModel's trees are: node c is cell c's root.
     """
     batch = _Batch(x, lams, rhos, config, names)
     pred = np.full((len(lams), x.shape[0]), float(y.mean()))
@@ -288,7 +344,7 @@ def _grow_round(batch: _Batch, g: np.ndarray, leaf_out: np.ndarray):
         left = np.full(n_nodes, -1)
         left[split] = np.arange(base + n_nodes, base + n_nodes + n_split)
         right = np.where(split, left + n_split, -1)
-        parts.append((feature, threshold, left, right, weight))
+        parts.append((feature, threshold, left, right, np.where(split, 0.0, weight)))
         nid = np.arange(n_nodes).repeat(m)
         if n_split == 0:
             leaf_out[rows] = weight[nid]
@@ -417,15 +473,6 @@ def _best_splits(batch: _Batch, g, idx, G, m, node_cell, l1, l2, nodes, feature,
         threshold[sel[node[first]]] = thr[first]
 
 
-def _tree_node(tree, i: int = 0) -> TreeNode:
-    """The TreeNode rooted at node i of flat node lists (feature, threshold, left, right, weight)."""
-    feature, threshold, left, right, weight = tree
-    if feature[i] < 0:
-        return TreeNode(weight=weight[i])
-    return TreeNode(feature=feature[i], threshold=threshold[i],
-                    left=_tree_node(tree, left[i]), right=_tree_node(tree, right[i]))
-
-
 def _apply_trees(tree, x_t: np.ndarray, n_cells: int) -> np.ndarray:
     """Leaf value of each row of x_t's columns in each cell's tree, shape (cells, rows)."""
     feature, threshold, left, right, weight = tree
@@ -438,22 +485,6 @@ def _apply_trees(tree, x_t: np.ndarray, n_cells: int) -> np.ndarray:
             return weight[node]
         goes_left = x_t[f, rows] < threshold[node]
         node = np.where(inner, np.where(goes_left, left[node], right[node]), node)
-
-
-def _apply_tree(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    out = np.empty(x.shape[0])
-    idx = np.arange(x.shape[0])
-
-    def fill(nd: TreeNode, rows: np.ndarray) -> None:
-        if nd.is_leaf:
-            out[rows] = nd.weight
-            return
-        mask = x[rows, nd.feature] < nd.threshold
-        fill(nd.left, rows[mask])
-        fill(nd.right, rows[~mask])
-
-    fill(node, idx)
-    return out
 
 
 def _validate_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,8 +520,7 @@ def train_gbt(x, y, config: GbtConfig | None = None,
         if len(feature_names) != x.shape[1]:
             raise ValueError("feature_names length does not match feature count")
 
-    trees = tuple(_tree_node(tuple(a.tolist() for a in tree))
-                  for tree in _boost(x, y, [config.lam], [config.rho], config, feature_names))
+    trees = tuple(_boost(x, y, [config.lam], [config.rho], config, feature_names))
     return GbtModel(base_score=float(y.mean()), trees=trees, config=config,
                     feature_names=feature_names)
 
@@ -508,9 +538,10 @@ def _check_width(model: GbtModel, rows: np.ndarray) -> np.ndarray:
 def raw_predict(model: GbtModel, rows) -> np.ndarray:
     """Unclipped additive score: base + learning_rate * sum of tree outputs."""
     rows = _check_width(model, rows)
+    x_t = np.ascontiguousarray(rows.T)
     out = np.full(rows.shape[0], model.base_score)
     for tree in model.trees:
-        out = out + model.config.learning_rate * _apply_tree(tree, rows)
+        out = out + model.config.learning_rate * _apply_trees(tree, x_t, 1)[0]
     return out
 
 
@@ -536,8 +567,12 @@ class GridSearchResult:
     n_train: int  # rows in the training split (the first 80%)
 
 
-def _chronological_split(n: int, fraction_numerator: int = 4, fraction_denominator: int = 5) -> int:
-    return (n * fraction_numerator) // fraction_denominator
+# grid_search's chronological splits keep the first 4/5 of rows for training.
+_TRAIN_NUMERATOR, _TRAIN_DENOMINATOR = 4, 5
+
+
+def _chronological_split(n: int) -> int:
+    return (n * _TRAIN_NUMERATOR) // _TRAIN_DENOMINATOR
 
 
 def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID,
@@ -642,30 +677,40 @@ def run_ablation(timeline: MatchTimeline, momentum_config: MomentumConfig | None
     return AblationReport(match_id=timeline.match_id, rows=tuple(rows))
 
 
-def _node_to_obj(node: TreeNode):
-    if node.is_leaf:
-        return {"weight": node.weight}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
-    }
+def _tree_to_obj(tree) -> dict:
+    """The nested document of a flat tree, built from the last node back to the root."""
+    feature, threshold, left, right, weight = (a.tolist() for a in tree)
+    objs = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        objs[i] = {"weight": weight[i]} if feature[i] < 0 else {
+            "feature": feature[i], "threshold": threshold[i],
+            "left": objs[left[i]], "right": objs[right[i]]}
+    return objs[0]
 
 
-def _node_from_obj(obj, n_features: int) -> TreeNode:
-    if not isinstance(obj, dict):
-        raise ValueError(f"tree node must be an object, got {obj!r}")
-    fields = {name: obj.get(name) for name in ("feature", "threshold", "left", "right")}
-    if "weight" in obj:
-        return TreeNode(weight=obj["weight"], **fields)
-    for side in ("left", "right"):
-        if fields[side] is not None:
-            fields[side] = _node_from_obj(fields[side], n_features)
-    node = TreeNode(**fields)
-    if node.feature >= n_features:
-        raise ValueError(f"feature {node.feature} is out of range for {n_features} features")
-    return node
+def _tree_from_obj(root, n_features: int) -> tuple[tuple, ...]:
+    """A nested tree document's node arrays in the grower's order: level by
+    level, each level's left children before its right children."""
+    nodes, level = [], [root]
+    while level:
+        splits = []
+        for obj in level:
+            if not isinstance(obj, dict):
+                raise ValueError(f"tree node must be an object, got {obj!r}")
+            node = [obj.get(name) for name in _NODE_ARRAYS]
+            _check_node(*node, n_features)
+            if node[4] is not None:
+                node = [-1, 0.0, -1, -1, node[4]]
+            else:  # children by rank among the level's splits until the level ends
+                node[2:] = len(splits), len(splits), 0.0
+                splits.append(obj)
+            nodes.append(node)
+        for node in nodes[len(nodes) - len(level):]:
+            if node[0] >= 0:
+                node[2] += len(nodes)
+                node[3] += len(nodes) + len(splits)
+        level = [obj["left"] for obj in splits] + [obj["right"] for obj in splits]
+    return tuple(zip(*nodes))
 
 
 def model_to_json(model: GbtModel) -> str:
@@ -674,7 +719,7 @@ def model_to_json(model: GbtModel) -> str:
         "base_score": model.base_score,
         "config": asdict(model.config),
         "feature_names": list(model.feature_names),
-        "trees": [_node_to_obj(t) for t in model.trees],
+        "trees": [_tree_to_obj(t) for t in model.trees],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -699,7 +744,7 @@ def model_from_json(text: str) -> GbtModel:
         raise ValueError(f"trees must be a list, got {doc['trees']!r}")
     return GbtModel(
         base_score=doc["base_score"],
-        trees=tuple(_node_from_obj(t, len(names)) for t in doc["trees"]),
+        trees=tuple(_tree_from_obj(t, len(names)) for t in doc["trees"]),
         config=config,
         feature_names=tuple(names),
     )
@@ -708,12 +753,11 @@ def model_from_json(text: str) -> GbtModel:
 def write_ablation_csv(report: AblationReport, dest) -> None:
     import csv
 
+    rows = [["match_id", "variant", "test_accuracy", "lambda", "rho"]]
+    rows += [[report.match_id, r.variant, repr(r.test_accuracy), repr(r.chosen_lambda),
+              repr(r.chosen_rho)] for r in report.rows]
     if isinstance(dest, str):
         with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_ablation_csv(report, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["match_id", "variant", "test_accuracy", "lambda", "rho"])
-    for r in report.rows:
-        writer.writerow([report.match_id, r.variant, repr(r.test_accuracy),
-                         repr(r.chosen_lambda), repr(r.chosen_rho)])
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+    else:
+        csv.writer(dest, lineterminator="\n").writerows(rows)

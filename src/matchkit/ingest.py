@@ -176,6 +176,9 @@ class PointRecord:
                 raise ValidationError(f"{name} must be non-negative, got {values[name]}", row)
         if self.speed_mph is not None and self.speed_mph < 0:
             raise ValidationError(f"speed_mph must be non-negative, got {self.speed_mph}", row)
+        for name in ("p1_distance_run", "p2_distance_run", "speed_mph"):
+            if values[name] == math.inf:  # -inf is negative, and a file holds neither
+                raise ValidationError(f"{name} must be finite, got {values[name]}", row)
 
 
 _INT_FIELDS = ("set_no", "game_no", "point_no", "server", "point_victor",
@@ -206,6 +209,8 @@ def _record_faults(c) -> np.ndarray:
         bad |= c[name] < 0
     for name in ("p1_distance_run", "p2_distance_run"):
         bad |= ~(c[name] >= 0)
+    for name in ("p1_distance_run", "p2_distance_run", "speed_mph"):
+        bad |= c[name] == np.inf
     # Rows with a count past 5 are flagged whatever their sum wraps to.
     bad |= (c["p1_sets"] > 5) | (c["p2_sets"] > 5) | (c["p1_sets"] + c["p2_sets"] > 5)
     bad |= c["p1_ace"] & c["p1_double_fault"]

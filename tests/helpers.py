@@ -4,19 +4,18 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from matchkit.dbwp import DbwpParams, DbwpSeries
 from matchkit.gbtree import (
     GbtConfig,
-    GbtModel,
     GridSearchResult,
-    TreeNode,
-    accuracy_score,
     leaf_weight,
+    model_to_json,
     train_gbt,
 )
 from matchkit.ingest import (
@@ -154,11 +153,12 @@ def _scalar_leaf_score(G, H, lam, rho):
 
 def _scalar_grow(x, g, h, rows, depth, cfg, names):
     """The split scan train_gbt replaced: a stable argsort of the node's own
-    rows for every feature, then one scalar gain per candidate threshold."""
+    rows for every feature, then one scalar gain per candidate threshold.
+    Returns the tree as the model JSON nests it."""
     G = float(np.sum(g[rows]))
     H = float(np.sum(h[rows]))
     if depth >= cfg.max_depth or rows.size < 2:
-        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
+        return {"weight": leaf_weight(G, H, cfg.lam, cfg.rho)}
 
     parent_score = _scalar_leaf_score(G, H, cfg.lam, cfg.rho)
     best = None  # (gain, name, threshold, feature)
@@ -187,28 +187,39 @@ def _scalar_grow(x, g, h, rows, depth, cfg, names):
                 best = candidate
 
     if best is None:
-        return TreeNode(weight=leaf_weight(G, H, cfg.lam, cfg.rho))
+        return {"weight": leaf_weight(G, H, cfg.lam, cfg.rho)}
     _, _, threshold, feature = best
     mask = x[rows, feature] < threshold
-    return TreeNode(
-        feature=feature,
-        threshold=threshold,
-        left=_scalar_grow(x, g, h, rows[mask], depth + 1, cfg, names),
-        right=_scalar_grow(x, g, h, rows[~mask], depth + 1, cfg, names),
-    )
+    return {
+        "feature": feature,
+        "threshold": threshold,
+        "left": _scalar_grow(x, g, h, rows[mask], depth + 1, cfg, names),
+        "right": _scalar_grow(x, g, h, rows[~mask], depth + 1, cfg, names),
+    }
 
 
 def _scalar_apply(node, x, rows, out):
-    if node.is_leaf:
-        out[rows] = node.weight
+    if "weight" in node:
+        out[rows] = node["weight"]
         return
-    mask = x[rows, node.feature] < node.threshold
-    _scalar_apply(node.left, x, rows[mask], out)
-    _scalar_apply(node.right, x, rows[~mask], out)
+    mask = x[rows, node["feature"]] < node["threshold"]
+    _scalar_apply(node["left"], x, rows[mask], out)
+    _scalar_apply(node["right"], x, rows[~mask], out)
 
 
-def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> GbtModel:
-    """Reference boosting loop over the scalar split scan, for `==` against train_gbt."""
+def _add_trees(pred, trees, learning_rate, x):
+    """pred + learning_rate * each tree's leaf values, added tree by tree."""
+    rows = np.arange(x.shape[0])
+    for tree in trees:
+        out = np.empty(x.shape[0])
+        _scalar_apply(tree, x, rows, out)
+        pred = pred + learning_rate * out
+    return pred
+
+
+def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> str:
+    """Reference boosting loop over the scalar split scan, as model JSON
+    text, for `==` against model_to_json of train_gbt."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     names = tuple(feature_names or (f"f{i}" for i in range(x.shape[1])))
@@ -218,17 +229,24 @@ def oracle_train_gbt(x, y, config: GbtConfig, feature_names=None) -> GbtModel:
     rows = np.arange(x.shape[0])
     trees = []
     for _ in range(config.n_trees):
-        tree = _scalar_grow(x, pred - y, h, rows, 0, config, names)
-        trees.append(tree)
-        out = np.empty(x.shape[0])
-        _scalar_apply(tree, x, rows, out)
-        pred = pred + config.learning_rate * out
-    return GbtModel(base_score=base, trees=tuple(trees), config=config, feature_names=names)
+        trees.append(_scalar_grow(x, pred - y, h, rows, 0, config, names))
+        pred = _add_trees(pred, trees[-1:], config.learning_rate, x)
+    return json.dumps({"format_version": 1, "base_score": base, "config": asdict(config),
+                       "feature_names": list(names), "trees": trees}, sort_keys=True)
+
+
+def oracle_raw_predict(text: str, x) -> np.ndarray:
+    """raw_predict of a model JSON document, walking its nested trees."""
+    doc = json.loads(text)
+    x = np.asarray(x, dtype=np.float64)
+    return _add_trees(np.full(x.shape[0], doc["base_score"]), doc["trees"],
+                      doc["config"]["learning_rate"], x)
 
 
 def oracle_grid_search(x, y, lambda_grid, rho_grid, config: GbtConfig) -> GridSearchResult:
-    """The per-cell grid search grid_search replaced: one train_gbt and one
-    accuracy_score per (lam, rho) cell in sorted order, then the refit."""
+    """The per-cell grid search grid_search replaced: one train_gbt per
+    (lam, rho) cell in sorted order, scored by walking its JSON trees, then
+    the refit."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = x.shape[0]
@@ -242,7 +260,8 @@ def oracle_grid_search(x, y, lambda_grid, rho_grid, config: GbtConfig) -> GridSe
     for lam in sorted(set(float(v) for v in lambda_grid)):
         for rho in sorted(set(float(v) for v in rho_grid)):
             model = train_gbt(x_in, y_in, replace(config, lam=lam, rho=rho))
-            acc = accuracy_score(model, x_val, y_val)
+            p = np.clip(oracle_raw_predict(model_to_json(model), x_val), 0.0, 1.0)
+            acc = float(np.mean((p >= 0.5) == (y_val == 1.0)))
             if best is None or acc > best[0]:
                 best = (acc, lam, rho)
 

@@ -1,9 +1,12 @@
 """Pinned output bytes of the scoring commands on a small seeded input.
 
-Each digest below was recorded from the row-record loader, before the
-timeline went columnar.  A change that moves one output byte of `ingest`,
-`winjud`, `momentum`, `dbwp` or `correlate` (or a manifest field other than
-`duration_s`) fails here, not only in the benchmark's reference check.
+The scoring digests were recorded from the row-record loader, before the
+timeline went columnar.  The `train-gbt` and `ablate` digests were recorded
+from the model of recursive tree objects, before the model went to flat node
+arrays.  A change that moves one output byte of `ingest`, `winjud`,
+`momentum`, `dbwp`, `correlate`, `train-gbt` (its model JSON) or `ablate`
+(or a manifest field other than `duration_s`) fails here, not only in the
+benchmark's reference check.
 """
 
 from __future__ import annotations
@@ -18,6 +21,8 @@ from matchkit.cli import run_cli
 from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
 
 MATCHES = ("pin-a", "pin-b", "pin-c")
+# The output path flag of commands that do not write to --out.
+OUT_FLAG = {"train-gbt": "--model-out"}
 
 
 def _pinned_csv(path):
@@ -57,6 +62,12 @@ RUNS += [
                             "--game-factor", "1.37", "--ace-bonus", "0.4"]),
     ("dbwp-c-p2", ["dbwp", "--match-id", "pin-c", "--player", "2", "--grid-step", "7.3",
                    "--wv", "4"]),
+    ("train-gbt-pin-b", ["train-gbt", "--match-id", "pin-b"]),
+    ("train-gbt-a-flags", ["train-gbt", "--match-id", "pin-a", "--variant", "strat_only",
+                           "--n-trees", "30", "--max-depth", "3", "--min-child-weight", "2",
+                           "--min-gain", "0.01", "--lambda-grid", "0,0.3,5",
+                           "--rho-grid", "1,0.2"]),
+    ("ablate-pin-c", ["ablate", "--match-id", "pin-c"]),
 ]
 
 DIGESTS = {
@@ -109,6 +120,15 @@ DIGESTS = {
     'dbwp-c-p2': '352206412e61a6d370efaed1386dfcc50adbab8fb2f8e883780182d879e3031d',
     'dbwp-c-p2.stdout': 'da2b43da8a33153f2b5ffee2ce4299aae4eeb25a6e800e0e068d552cc21c0d29',
     'dbwp-c-p2.manifest': '73a5fb7e3bba65e54d6471fa81456671245395cb096d6a4009ebf3cd6e7e5527',
+    'train-gbt-pin-b': '829e7775cd381c455f445e0f928f112bdcbfea87d036e38584c8a5bec49801fd',
+    'train-gbt-pin-b.stdout': 'c46b10a77b7c8400f8b86e98cc93872357d12d9fba62e030a81da70ed8fa8341',
+    'train-gbt-pin-b.manifest': '1f8a03f1a1af1ef81e1be96afbdc5faba08b122246e2a4dacf21267de3d97011',
+    'train-gbt-a-flags': '1eba8fda89c09c42cb51390272c85e35cd46d5ec3bb8528fb61aa01e962aea9e',
+    'train-gbt-a-flags.stdout': '2ec7b0b042d7be7b5b9d1ff8b4c211da5985933edbe1f1bee493dfc9b2c8b795',
+    'train-gbt-a-flags.manifest': '893fdde73a6b5c6141584775a65373d2a114eb1d8a9b486212193a7f5214becf',
+    'ablate-pin-c': '09fb4c5b9b4eeef0f4f6489a309c2132d36a60a44b359bb586b973b11aa2c4ac',
+    'ablate-pin-c.stdout': '44f0bf9961b08a4a56000067871558c0c9b9d0f7fa6f31a006e3f92244acc1b3',
+    'ablate-pin-c.manifest': '6c461edda2f63ab50a4805e25707a6b0742696969396c91539d22c54938d8355',
 }
 
 
@@ -125,8 +145,8 @@ def _run_all(tmp_path):
         manifest = tmp_path / f"{name}.manifest.json"
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = run_cli([argv[0], "--input", str(source), "--out", str(out),
-                            "--manifest", str(manifest)] + argv[1:])
+            code = run_cli([argv[0], "--input", str(source), OUT_FLAG.get(argv[0], "--out"),
+                            str(out), "--manifest", str(manifest)] + argv[1:])
         assert code == 0, name
         doc = json.loads(manifest.read_text())
         doc.pop("duration_s")

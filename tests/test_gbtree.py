@@ -11,6 +11,7 @@ from helpers import (
     make_separable,
     oracle_grid_search,
     oracle_leaf_argmin,
+    oracle_raw_predict,
     oracle_train_gbt,
 )
 from matchkit import gbtree
@@ -22,7 +23,6 @@ from matchkit.gbtree import (
     AblationRow,
     GbtConfig,
     GbtModel,
-    TreeNode,
     accuracy_score,
     grad_hess,
     grid_search,
@@ -118,8 +118,8 @@ class TestTrainGbt:
         y = np.ones(10)
         model = train_gbt(x, y, GbtConfig(n_trees=3, lam=1.0, rho=0.5))
         assert model.base_score == 1.0
-        for tree in model.trees:
-            assert tree.is_leaf and tree.weight == 0.0
+        for feature, threshold, left, right, weight in model.trees:
+            assert feature.tolist() == [-1] and weight.tolist() == [0.0]
 
     def test_clean_separable_reaches_perfect_training_accuracy(self):
         rng = np.random.default_rng(0)
@@ -153,18 +153,19 @@ class TestTrainGbt:
         y = (rng.random(100) < 0.5).astype(float)
         lam = 2.5
         model = train_gbt(x, y, GbtConfig(n_trees=1, max_depth=2, lam=lam, rho=0.0))
-
-        def check(node, rows):
-            if node.is_leaf:
+        feature, threshold, left, right, weight = model.trees[0]
+        rows_at = {0: np.arange(100)}
+        for i in range(feature.size):  # children come after their parent
+            rows = rows_at.pop(i)
+            if feature[i] < 0:
                 G = float(np.sum(model.base_score - y[rows]))
                 H = float(len(rows))
-                assert node.weight == -G / (H + lam)
-                return
-            vals = x[rows, node.feature]
-            check(node.left, rows[vals < node.threshold])
-            check(node.right, rows[vals >= node.threshold])
-
-        check(model.trees[0], np.arange(100))
+                assert weight[i] == -G / (H + lam)
+                continue
+            vals = x[rows, feature[i]]
+            rows_at[left[i]] = rows[vals < threshold[i]]
+            rows_at[right[i]] = rows[vals >= threshold[i]]
+        assert rows_at == {}
 
     def test_column_permutation_invariance(self):
         rng = np.random.default_rng(5)
@@ -198,23 +199,10 @@ class TestTrainGbt:
         cfg = GbtConfig(n_trees=5, max_depth=3, lam=0.0, rho=0.0)
         model_once = train_gbt(x, y, cfg)
         model_twice = train_gbt(np.repeat(x, 2, axis=0), np.repeat(y, 2), cfg)
-
-        def structure(node):
-            if node.is_leaf:
-                return ("leaf",)
-            return (node.feature, node.threshold, structure(node.left), structure(node.right))
-
-        def weights(node, out):
-            if node.is_leaf:
-                out.append(node.weight)
-            else:
-                weights(node.left, out)
-                weights(node.right, out)
-            return out
-
         for a, b in zip(model_once.trees, model_twice.trees):
-            assert structure(a) == structure(b)
-            np.testing.assert_allclose(weights(a, []), weights(b, []), rtol=1e-9)
+            for structure_a, structure_b in zip(a[:4], b[:4]):  # feature, threshold, children
+                np.testing.assert_array_equal(structure_a, structure_b)
+            np.testing.assert_allclose(a[4], b[4], rtol=1e-9)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="2 rows"):
@@ -277,7 +265,7 @@ class TestSplitSearchMatchesScalarScan:
     ])
     def test_equal_models(self, seed, n, n_features, levels, cfg):
         x, y = _oracle_case(seed, n, n_features, levels)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
 
     def test_repeated_column_value_blocks(self):
         # Long runs of one value and a constant column: cuts exist only
@@ -285,7 +273,7 @@ class TestSplitSearchMatchesScalarScan:
         x, y = _oracle_case(8, 100, 2, levels=3)
         x = np.column_stack([x, np.repeat([0.0, 1.0], 50), np.full(100, 2.0)])
         cfg = GbtConfig(n_trees=6, max_depth=3, min_child_weight=2.0)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
 
     @pytest.mark.parametrize("seed", [3, 24])
     def test_tied_values_keep_row_order(self, seed):
@@ -296,7 +284,7 @@ class TestSplitSearchMatchesScalarScan:
         x = rng.integers(0, 4, size=(120, 3)).astype(float)
         y = (rng.random(120) < 0.5).astype(float)
         cfg = GbtConfig(n_trees=6, max_depth=3, lam=0.0, rho=0.0)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
 
     def test_identical_columns_break_ties_on_name(self):
         x, y = _oracle_case(9, 80, 2, levels=5)
@@ -304,15 +292,15 @@ class TestSplitSearchMatchesScalarScan:
         names = ("zeta", "mid", "alpha")
         cfg = GbtConfig(n_trees=5, max_depth=3)
         model = train_gbt(x, y, cfg, names)
-        assert model == oracle_train_gbt(x, y, cfg, names)
-        assert model.trees[0].feature == 2  # "alpha" wins the exact gain tie
+        assert model_to_json(model) == oracle_train_gbt(x, y, cfg, names)
+        assert model.trees[0][0][0] == 2  # the root's feature: "alpha" wins the exact gain tie
         swapped = train_gbt(x, y, cfg, ("alpha", "mid", "zeta"))
-        assert swapped.trees[0].feature == 0
+        assert swapped.trees[0][0][0] == 0
 
     def test_no_features_gives_leaf_trees(self):
         x, y = np.zeros((10, 0)), np.tile([0.0, 1.0, 1.0], 4)[:10]
         cfg = GbtConfig(n_trees=3)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
         assert (grid_search(x, y, [0.0, 1.0], [0.5], cfg)
                 == oracle_grid_search(x, y, [0.0, 1.0], [0.5], cfg))
 
@@ -322,7 +310,7 @@ class TestSplitSearchMatchesScalarScan:
         monkeypatch.setattr(gbtree, "_BLOCK_ELEMENTS", block)
         x, y = _oracle_case(11, 90, 3, levels=5)
         cfg = GbtConfig(n_trees=4, max_depth=4)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
         assert (grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg)
                 == oracle_grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg))
 
@@ -331,7 +319,7 @@ class TestSplitSearchMatchesScalarScan:
         x = np.array([[1.0], [np.nextafter(1.0, 2.0)], [3.0]])
         y = np.array([0.0, 1.0, 1.0])
         cfg = GbtConfig(n_trees=2, max_depth=3, lam=1.0, rho=0.5)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
         for f in (train_gbt, oracle_train_gbt):  # an empty leaf without l2 is degenerate
             with pytest.raises(ValueError, match="degenerate leaf"):
                 f(x, y, GbtConfig(n_trees=2, max_depth=3, lam=0.0, rho=0.0))
@@ -344,23 +332,37 @@ class TestSplitSearchMatchesScalarScan:
         y = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         cfg = GbtConfig(n_trees=1, max_depth=1, lam=lam, rho=rho)
         model = train_gbt(x, y, cfg)
-        assert model == oracle_train_gbt(x, y, cfg)
-        assert model.trees[0].threshold == 0.5  # the tie goes to the smaller threshold
+        assert model_to_json(model) == oracle_train_gbt(x, y, cfg)
+        assert model.trees[0][1][0] == 0.5  # the root's threshold: the tie goes to the smaller one
 
     def test_wide_indices(self, monkeypatch):
         # Fits too large for int32 element indices store them as int64.
         monkeypatch.setattr(gbtree, "_INT32_INDICES", 0)
         x, y = _oracle_case(10, 80, 3, levels=4)
         cfg = GbtConfig(n_trees=4, max_depth=3)
-        assert train_gbt(x, y, cfg) == oracle_train_gbt(x, y, cfg)
+        assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
         assert (grid_search(x, y, [0.0, 1.0], [0.0, 0.5], cfg)
                 == oracle_grid_search(x, y, [0.0, 1.0], [0.0, 0.5], cfg))
 
     def test_match_feature_matrix(self, match_80):
         fm = build_feature_matrix(match_80, momentum_series(match_80, MomentumConfig()), "both")
         cfg = GbtConfig(n_trees=10, max_depth=4, lam=1.0, rho=0.5)
-        assert (train_gbt(fm.x, fm.y, cfg, fm.names)
+        assert (model_to_json(train_gbt(fm.x, fm.y, cfg, fm.names))
                 == oracle_train_gbt(fm.x, fm.y, cfg, fm.names))
+
+
+def _leaf(weight):
+    """A tree of one leaf."""
+    return ([-1], [0.0], [-1], [-1], [weight])
+
+
+def _stump(feature=0, threshold=(0.5, 0.0, 0.0), left=1, right=2, weights=(0.0, -0.25, 0.25)):
+    """A root split on `feature` and its two leaves, as flat node arrays."""
+    return ([feature, -1, -1], threshold, [left, -1, -1], [right, -1, -1], weights)
+
+
+def _model(*trees):
+    return GbtModel(0.5, trees, GbtConfig(), ("f0", "f1"))
 
 
 class TestPredict:
@@ -378,11 +380,25 @@ class TestPredict:
         assert predict(model, np.array([[-5.0]]))[0] < 0.5
 
     def test_clipping(self):
-        overshoot = GbtModel(1.0, (TreeNode(weight=3.0),), GbtConfig(learning_rate=0.1), ("f0",))
+        overshoot = GbtModel(1.0, (_leaf(3.0),), GbtConfig(learning_rate=0.1), ("f0",))
         assert raw_predict(overshoot, np.zeros((1, 1)))[0] == pytest.approx(1.3)
         assert predict(overshoot, np.zeros((1, 1)))[0] == 1.0
-        undershoot = GbtModel(0.0, (TreeNode(weight=-3.0),), GbtConfig(learning_rate=0.1), ("f0",))
+        undershoot = GbtModel(0.0, (_leaf(-3.0),), GbtConfig(learning_rate=0.1), ("f0",))
         assert predict(undershoot, np.zeros((1, 1)))[0] == 0.0
+
+    def test_equals_oracle_staged_sums(self, match_80):
+        # Bit for bit, on the training rows, on rows that sit on each split's
+        # threshold (they go right) and on no rows.
+        fm = build_feature_matrix(match_80, momentum_series(match_80, MomentumConfig()), "both")
+        model = train_gbt(fm.x, fm.y, GbtConfig(n_trees=20, max_depth=4, lam=0.1, rho=0.25))
+        splits = [(f, t) for tree in model.trees
+                  for f, t in zip(tree[0].tolist(), tree[1].tolist()) if f >= 0]
+        on_thresholds = np.repeat(fm.x[:1], len(splits), axis=0)
+        for row, (f, t) in zip(on_thresholds, splits):
+            row[f] = t
+        text = model_to_json(model)
+        for rows in (fm.x, on_thresholds, fm.x[:0]):
+            np.testing.assert_array_equal(raw_predict(model, rows), oracle_raw_predict(text, rows))
 
     def test_width_mismatch(self):
         model = GbtModel(0.5, (), GbtConfig(), ("f0", "f1"))
@@ -390,26 +406,83 @@ class TestPredict:
             predict(model, np.zeros((3, 3)))
 
     def test_tree_node_validation(self):
-        with pytest.raises(ValueError, match="finite"):
-            TreeNode(weight=float("nan"))
-        with pytest.raises(ValueError, match="split fields"):
-            TreeNode(feature=0, threshold=0.5, left=TreeNode(weight=0.0), right=None)
-        with pytest.raises(ValueError, match="split fields"):
-            TreeNode(weight=1.0, feature=2)
-        with pytest.raises(ValueError, match="split fields: threshold"):
-            TreeNode(weight=1.0, threshold=0.5)
+        with pytest.raises(ValueError, match="leaf weight must be finite, got nan"):
+            _model(_leaf(float("nan")))
+        with pytest.raises(ValueError, match="internal node missing split fields"):
+            _model(_stump(right=-1))
+        # A split that carries a weight is a leaf that carries split fields.
+        with pytest.raises(ValueError, match="leaf carries split fields: feature, threshold"):
+            _model(_stump(weights=[1.0, -0.25, 0.25]))
+        with pytest.raises(ValueError, match="leaf carries split fields: threshold$"):
+            _model(([-1], [0.5], [-1], [-1], [1.0]))
+        with pytest.raises(ValueError, match="leaf carries split fields: feature$"):
+            _model(([1], [0.0], [-1], [-1], [1.0]))
 
     @pytest.mark.parametrize("feature", [-1, True, 0.0, "0"])
     def test_split_feature_must_be_a_non_negative_int(self, feature):
+        # The root's feature, in an array of its type.
+        _, *fields = _stump()
+        features = np.array([feature, -1, -1], dtype=type(feature))
         with pytest.raises(ValueError, match="feature must be a non-negative integer"):
-            TreeNode(feature=feature, threshold=0.5, left=TreeNode(weight=0.0),
-                     right=TreeNode(weight=1.0))
+            _model((features, *fields))
 
     @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), True])
     def test_split_threshold_must_be_finite(self, threshold):
+        thresholds = np.array([threshold, 0.0, 0.0], dtype=type(threshold))
         with pytest.raises(ValueError, match="threshold must be finite"):
-            TreeNode(feature=0, threshold=threshold, left=TreeNode(weight=0.0),
-                     right=TreeNode(weight=1.0))
+            _model(_stump(threshold=thresholds))
+
+    def test_split_feature_must_be_inside_the_width(self):
+        _model(_stump(feature=1))
+        with pytest.raises(ValueError, match="feature 2 is out of range for 2 features"):
+            _model(_stump(feature=2))
+
+    @pytest.mark.parametrize("tree,message", [
+        (_stump(left=0), "node 0 has child 0, not after it among 3 nodes"),
+        (_stump(right=3), "node 0 has child 3, not after it among 3 nodes"),
+        # node 2 splits into node 1, which comes before it
+        (([0, -1, 1, -1], [0.5, 0, 0.5, 0], [1, -1, 1, -1], [2, -1, 3, -1], [0, 1, 0, 1]),
+         "node 2 has child 1, not after it among 4 nodes"),
+        # node 3 is an orphan
+        (([0, -1, -1, -1], [0.5, 0, 0, 0], [1, -1, -1, -1], [2, -1, -1, -1], [0, 1, 2, 3]),
+         "node 3 has 0 parents; every node but the root has one"),
+        # node 2 is the child of nodes 0 and 1
+        (([0, 1, -1, -1], [0.5, 0.5, 0, 0], [1, 2, -1, -1], [2, 3, -1, -1], [0, 0, 1, 2]),
+         "node 2 has 2 parents; every node but the root has one"),
+    ])
+    def test_tree_shape_checked(self, tree, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            _model(tree)
+
+    @pytest.mark.parametrize("tree", [
+        _stump()[:4] + ([0.0, 1.0],),
+        ([], [], [], [], []),
+        tuple(np.array(a)[None] for a in _stump()),
+    ])
+    def test_node_arrays_are_non_empty_1d_of_one_length(self, tree):
+        with pytest.raises(ValueError, match="must be 1-D, non-empty and of one length"):
+            _model(tree)
+
+    def test_a_tree_is_five_arrays(self):
+        with pytest.raises(ValueError, match="a tree must be 5 node arrays, got 4"):
+            _model(_stump()[:4])
+
+    def test_trees_are_read_only_copies(self):
+        tree = [np.array(a) for a in _stump()]
+        model = _model(tree)
+        tree[4][1] = 7.0
+        assert model.trees[0][4].tolist() == [0.0, -0.25, 0.25]
+        assert [a.dtype for a in model.trees[0]] == [np.int64, np.float64, np.int64, np.int64,
+                                                    np.float64]
+        with pytest.raises(ValueError, match="read-only"):
+            model.trees[0][4][1] = 7.0
+
+    def test_equality_compares_the_arrays(self):
+        assert _model(_stump()) == _model(tuple(np.array(a) for a in _stump()))
+        assert _model(_stump()) != _model(_stump(weights=[0.0, -0.25, 0.5]))
+        assert _model(_stump()) != _model(_stump(), _stump())
+        assert _model(_stump()) != _model(_stump(threshold=[0.25, 0.0, 0.0]))
+        assert _model(_stump()) != "model"
 
     def test_accuracy_labels_checked(self):
         model = GbtModel(0.75, (), GbtConfig(), ("f0",))

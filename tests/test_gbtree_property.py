@@ -1,5 +1,5 @@
-"""Property tests: train_gbt equals the scalar split scan, and grid_search the
-per-cell loop, on small random matrices."""
+"""Property tests: train_gbt equals the scalar split scan, grid_search the
+per-cell loop, and model JSON round trips both ways, on small random matrices."""
 
 from __future__ import annotations
 
@@ -11,7 +11,13 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from helpers import oracle_grid_search, oracle_train_gbt  # noqa: E402
-from matchkit.gbtree import GbtConfig, grid_search, train_gbt  # noqa: E402
+from matchkit.gbtree import (  # noqa: E402
+    GbtConfig,
+    grid_search,
+    model_from_json,
+    model_to_json,
+    train_gbt,
+)
 
 # Few distinct values, so ties within and across columns are common; 1.0 is
 # the threshold between 0.0 and 2.0, so held-out rows can fall on a split.
@@ -68,14 +74,14 @@ def searches(draw):
 @given(fits())
 def test_train_gbt_equals_scalar_scan(case):
     x, y, cfg, names = case
-    assert train_gbt(x, y, cfg, names) == oracle_train_gbt(x, y, cfg, names)
+    assert model_to_json(train_gbt(x, y, cfg, names)) == oracle_train_gbt(x, y, cfg, names)
 
 
 @settings(max_examples=100, deadline=None)
 @given(duplicate_name_fits())
 def test_duplicate_names_tie_as_one_name(case):
     x, y, cfg, names = case
-    assert train_gbt(x, y, cfg, names) == oracle_train_gbt(x, y, cfg, names)
+    assert model_to_json(train_gbt(x, y, cfg, names)) == oracle_train_gbt(x, y, cfg, names)
 
 
 @settings(max_examples=100, deadline=None)
@@ -84,3 +90,13 @@ def test_grid_search_equals_per_cell_loop(case):
     x, y, lambda_grid, rho_grid, cfg = case
     assert (grid_search(x, y, lambda_grid, rho_grid, cfg)
             == oracle_grid_search(x, y, lambda_grid, rho_grid, cfg))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fits())
+def test_model_json_round_trips(case):
+    x, y, cfg, names = case
+    model = train_gbt(x, y, cfg, names)
+    text = model_to_json(model)
+    assert model_from_json(text) == model
+    assert model_to_json(model_from_json(text)) == text

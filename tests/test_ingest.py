@@ -226,6 +226,22 @@ class TestRoundTrip:
         with pytest.raises(ValidationError, match=f"^row 6: column {field!r} must be finite"):
             load_match_csv(buf)
 
+    @pytest.mark.parametrize("field", ["p1_distance_run", "p2_distance_run", "speed_mph"])
+    def test_inf_refused_as_loading_its_file_is(self, match_80, field):
+        points = list(match_80.points)
+        points[4] = dataclasses.replace(points[4], **{field: math.inf})
+        message = f"{field} must be finite, got inf"
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            points[4].check()
+        timeline = MatchTimeline(match_80.match_id, points, match_80.meta)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            timeline.check()
+        buf = io.StringIO()
+        write_timeline_csv(timeline, buf)
+        buf.seek(0)
+        with pytest.raises(ValidationError, match=f"^row 6: column {field!r} must be finite"):
+            load_match_csv(buf)
+
     def test_nan_speed_is_missing(self, match_80):
         points = list(match_80.points)
         points[4] = dataclasses.replace(points[4], speed_mph=math.nan)
