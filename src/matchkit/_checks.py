@@ -9,16 +9,24 @@ import numbers
 import operator
 
 
+def _isfinite(value: numbers.Real) -> bool:
+    """`math.isfinite`, False for an int past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def finite_real(value) -> bool:
     """True for a finite int or float (numpy scalars included), False for bools."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and _isfinite(value)
 
 
 def check_finite(name: str, value, minimum: float | None = None) -> None:
     """Raise ValueError naming `name` unless `value` is a finite number >= `minimum`."""
     if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    if not _isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")

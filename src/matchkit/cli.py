@@ -5,11 +5,6 @@ deterministic byte-level formatting, and records a run manifest (command,
 resolved configuration, input digests, seed, output paths, wall-clock
 duration) next to its primary output.  Identical inputs, flags, and seed
 produce byte-identical output files.
-
-On glibc, ``run_cli`` raises the allocator's mmap and trim thresholds once
-per process, so the LSTM's per-call arrays, freed together when a backward
-call returns, stay mapped for the next call instead of being handed back to
-the kernel and page-faulted in again.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -384,19 +379,26 @@ def _add_gbt_flags(sub):
                      default=DEFAULT_RHO_GRID, dest="rho_grid")
 
 
+def _field_defaults(cls) -> dict:
+    """The default of every field of dataclass `cls` that declares one."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 def _add_net_flags(sub):
-    sub.add_argument("--hidden-dense", type=int, default=32)
-    sub.add_argument("--hidden-lstm", type=int, default=16)
-    sub.add_argument("--dropout-rate", type=float, default=0.2)
-    sub.add_argument("--huber-delta", type=float, default=1.0)
-    sub.add_argument("--adam-lr", type=float, default=1e-3)
-    sub.add_argument("--epochs", type=int, default=100)
-    sub.add_argument("--seq-len", type=int, default=16)
+    cfg = _field_defaults(NetConfig)
+    sub.add_argument("--hidden-dense", type=int, default=cfg["hidden_dense"])
+    sub.add_argument("--hidden-lstm", type=int, default=cfg["hidden_lstm"])
+    sub.add_argument("--dropout-rate", type=float, default=cfg["dropout_rate"])
+    sub.add_argument("--huber-delta", type=float, default=cfg["huber_delta"])
+    sub.add_argument("--adam-lr", type=float, default=cfg["adam_lr"])
+    sub.add_argument("--epochs", type=int, default=cfg["epochs"])
+    sub.add_argument("--seq-len", type=int, default=cfg["seq_len"])
 
 
 def _add_dbwp_flags(sub):
-    sub.add_argument("--wv", type=int, default=5, help="half window in points")
-    sub.add_argument("--grid-step", type=float, default=1.0,
+    cfg = DbwpParams()
+    sub.add_argument("--wv", type=int, default=cfg.w_v, help="half window in points")
+    sub.add_argument("--grid-step", type=float, default=cfg.grid_step_s,
                      help="uniform time grid step in seconds")
 
 
@@ -414,9 +416,10 @@ def build_parser():
 
     wj = subs.add_parser("winjud", help="sliding-window performance scores")
     _add_common(wj)
-    wj.add_argument("--wv", type=int, default=5, help="point-victor window")
-    wj.add_argument("--ws", type=int, default=5, help="serve window")
-    wj.add_argument("--beta", type=float, default=0.5, help="serve factor")
+    wj_cfg = WinjudParams()
+    wj.add_argument("--wv", type=int, default=wj_cfg.w_v, help="point-victor window")
+    wj.add_argument("--ws", type=int, default=wj_cfg.w_s, help="serve window")
+    wj.add_argument("--beta", type=float, default=wj_cfg.beta, help="serve factor")
 
     mo = subs.add_parser("momentum", help="strategic + psychological series")
     _add_common(mo)
@@ -425,7 +428,7 @@ def build_parser():
     db = subs.add_parser("dbwp", help="fluctuation (win-rate derivative) series")
     _add_common(db)
     _add_dbwp_flags(db)
-    db.add_argument("--player", type=int, choices=(1, 2), default=1)
+    db.add_argument("--player", type=int, choices=(1, 2), default=DbwpParams().player)
 
     tg = subs.add_parser("train-gbt", help="grid-searched boosted trees")
     _add_common(tg, out_required=None)
@@ -452,13 +455,14 @@ def build_parser():
     mm.add_argument("--query", type=_id_list, default=None,
                     help="comma-separated query match ids")
     mm.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
-    mm.add_argument("--meta-lr", type=float, default=1e-4)
-    mm.add_argument("--inner-lr", type=float, default=1e-4)
-    mm.add_argument("--inner-epochs", type=int, default=3)
-    mm.add_argument("--tasks-per-batch", type=int, default=4)
-    mm.add_argument("--train-fraction", type=float, default=0.8)
-    mm.add_argument("--fine-tune-epochs", type=int, default=5)
-    mm.add_argument("--meta-iterations", type=int, default=100)
+    mm_cfg = _field_defaults(MamlConfig)
+    mm.add_argument("--meta-lr", type=float, default=mm_cfg["meta_lr"])
+    mm.add_argument("--inner-lr", type=float, default=mm_cfg["inner_lr"])
+    mm.add_argument("--inner-epochs", type=int, default=mm_cfg["inner_epochs"])
+    mm.add_argument("--tasks-per-batch", type=int, default=mm_cfg["tasks_per_batch"])
+    mm.add_argument("--train-fraction", type=float, default=mm_cfg["train_fraction"])
+    mm.add_argument("--fine-tune-epochs", type=int, default=mm_cfg["fine_tune_epochs"])
+    mm.add_argument("--meta-iterations", type=int, default=mm_cfg["meta_iterations"])
     mm.add_argument("--state-out", default=None, help="optional meta state JSON")
     _add_net_flags(mm)
     _add_dbwp_flags(mm)
@@ -538,37 +542,7 @@ def _shared_parser():
     return build_parser()
 
 
-# glibc mallopt parameter numbers (malloc.h)
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _keep_freed_heap() -> None:
-    """Keep freed heap memory in the process for reuse (glibc only).
-
-    The arrays a backward call frees together (tens of KiB each, megabytes in
-    all) leave a free heap top far over glibc's 128 KiB trim threshold, so
-    glibc hands it back to the kernel and the next call page-faults it in
-    again; a 64 MiB trim threshold keeps it.  Setting any parameter also pins
-    the mmap threshold, which glibc otherwise raises to the largest block
-    freed, at 128 KiB; at 32 MiB, blocks up to that size come from the kept
-    heap instead of a fresh mapping each time.  Elsewhere this does nothing.
-    """
-    try:
-        import ctypes
-        # TypeError: ctypes on Windows cannot open the process image (None)
-        mallopt = ctypes.CDLL(None).mallopt
-    except (ImportError, OSError, AttributeError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-
-
 def run_cli(argv=None) -> int:
-    _keep_freed_heap()
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands, dests = _shared_parser()
 
@@ -622,8 +596,12 @@ def run_cli(argv=None) -> int:
     manifest_path = args.manifest
     if manifest_path is None:
         manifest_path = (outputs[0] if outputs else args.command) + ".manifest.json"
-    _write_manifest(manifest_path, args.command, config_doc, args.input,
-                    args.seed, outputs, duration)
+    try:
+        _write_manifest(manifest_path, args.command, config_doc, args.input,
+                        args.seed, outputs, duration)
+    except OSError as exc:
+        print(f"error: cannot write manifest: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

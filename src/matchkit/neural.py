@@ -27,12 +27,25 @@ only the matmul summation order (the bias and its gradient included)
 differs from a batch-major `(B, 4h)` recurrence (kept as the test oracle):
 losses and gradients move at rounding level, which moves `train-lstm` and
 `maml` outputs at that level.
+
+`backward` takes its working arrays (the dense branch's `(B, hidden_dense)`
+arrays, z, the gates, the cells and tanh(c), and the BPTT buffers) from a
+workspace, the persistent RNN workspace of the same paper: one flat float64
+buffer per thread, carved into views.  Only `backward` uses it;
+`forward_batch` allocates per call, so a one-off large prediction batch is
+not held for the thread's life.  The buffer holds the largest `backward`
+working set the thread has seen, so later calls find these arrays in memory
+already mapped instead of page-faulting fresh memory in.  The cache a call
+builds there is dead after the thread's next `backward` call; returned
+losses, predictions and gradients never alias the workspace.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -165,14 +178,26 @@ def huber_loss(residual: float, delta: float) -> float:
     return delta * r - 0.5 * delta * delta
 
 
-def _selu(x: np.ndarray) -> np.ndarray:
+def _selu(x: np.ndarray, out=None) -> np.ndarray:
+    """SELU of `x`, into `out` when given."""
     # exp only sees the non-positive side, so it cannot overflow
-    neg = np.exp(np.minimum(x, 0.0)) - 1.0
-    return SELU_LAMBDA * np.where(x > 0, x, SELU_ALPHA * neg)
+    out = np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    out -= 1.0
+    out *= SELU_ALPHA
+    np.copyto(out, x, where=x > 0)
+    out *= SELU_LAMBDA
+    return out
 
 
-def _selu_grad(x: np.ndarray) -> np.ndarray:
-    return SELU_LAMBDA * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(np.minimum(x, 0.0)))
+def _selu_grad(x: np.ndarray, out=None) -> np.ndarray:
+    """SELU's slope at `x`, into `out` when given."""
+    out = np.minimum(x, 0.0, out=out)
+    np.exp(out, out=out)
+    out *= SELU_ALPHA
+    np.copyto(out, 1.0, where=x > 0)
+    out *= SELU_LAMBDA
+    return out
 
 
 def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
@@ -186,42 +211,78 @@ def _check_batch(net: ParallelNet, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int):
+# Per-thread flat float64 buffer behind every backward call's working arrays.
+_workspace = threading.local()
+
+
+def _workspace_alloc(size: int):
+    """Allocator carving the first `size` float64s of this thread's workspace.
+
+    The workspace is replaced by one of `size`, or of twice its size if that
+    is larger, when `size` does not fit.  It starts on a 64-byte (cache-line)
+    boundary: one float64 past it, a backward call took 7-17 % longer
+    (B = 48-400, 2-core VM, 1 BLAS thread).  Each `alloc(shape)` returns the
+    next uninitialised stretch reshaped to `shape`; asking for more than
+    `size` in all fails in `reshape`.
+    """
+    buf = getattr(_workspace, "buf", None)
+    if buf is None or buf.size < size:
+        n = max(size, 0 if buf is None else 2 * buf.size)
+        raw = np.empty(n + 7)
+        start = -raw.__array_interface__["data"][0] % 64 // 8
+        buf = _workspace.buf = raw[start:start + n]
+    region = buf[:size]
+    used = 0
+
+    def alloc(shape):
+        nonlocal used
+        n = math.prod(shape)
+        view = region[used:used + n].reshape(shape)
+        used += n
+        return view
+
+    return alloc
+
+
+def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int, alloc=np.empty):
     """Batch forward pass keeping every intermediate needed for backprop.
 
-    Each step reads its `[x_t; h_t; 1]` rows from the per-call
-    `(T + 1, d + h + 1, B)` array `z` and writes h_{t+1} into the next step's
-    rows, its gates into a `(T, 4h, B)` array and its cell and tanh(c) into
-    `(T + 1, h, B)` and `(T, h, B)` arrays, which backward reads in reverse.
+    Each step reads its `[x_t; h_t; 1]` rows from the `(T + 1, d + h + 1, B)`
+    array `z` and writes h_{t+1} into the next step's rows, its gates into a
+    `(T, 4h, B)` array and its cell and tanh(c) into `(T + 1, h, B)` and
+    `(T, h, B)` arrays, which backward reads in reverse.  `alloc(shape)`
+    supplies these and the dense branch's `(B, hidden_dense)` arrays
+    uninitialised: fresh ones by default, workspace views when backward calls.
     """
     p = net.params
     cfg = net.config
     B, T, _ = x.shape
 
     last = x[:, -1, :]
-    a1 = last @ p["dense_w1"] + p["dense_b1"]
-    z1 = _selu(a1)
+    a1, d1, drop_scale = alloc((3, B, cfg.hidden_dense))
+    np.matmul(last, p["dense_w1"], out=a1)
+    a1 += p["dense_b1"]
+    _selu(a1, d1)
     if train_mode and cfg.dropout_rate > 0.0:
-        rng = np.random.default_rng(seed)
-        keep = rng.random(z1.shape) >= cfg.dropout_rate
-        drop_scale = keep / (1.0 - cfg.dropout_rate)
+        np.random.default_rng(seed).random(out=drop_scale)
+        np.divide(drop_scale >= cfg.dropout_rate, 1.0 - cfg.dropout_rate, out=drop_scale)
     else:
-        drop_scale = np.ones_like(z1)
-    d1 = z1 * drop_scale
+        drop_scale.fill(1.0)
+    d1 *= drop_scale
     dense_out = d1 @ p["dense_w2"] + p["dense_b2"]  # (B, 1)
 
     d, H = cfg.input_dim, cfg.hidden_lstm
     # M = [W; U; b]' against rows [x_t; h_t; 1]: a step's pre-activation is one GEMM.
     m = np.vstack((p["lstm_w"], p["lstm_u"], p["lstm_b"])).T  # (4h, d + h + 1)
-    z = np.empty((T + 1, d + H + 1, B))
+    z = alloc((T + 1, d + H + 1, B))
     z[:T, :d] = x.transpose(1, 2, 0)
     z[T, :d] = 0.0  # no input after the last step; only h_T is read there
     z[0, d:d + H] = 0.0
     z[:, d + H] = 1.0
-    gates = np.empty((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
-    cs = np.empty((T + 1, H, B))
-    tanh_cs = np.empty((T, H, B))
-    ig = np.empty((H, B))
+    gates = alloc((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
+    cs = alloc((T + 1, H, B))
+    tanh_cs = alloc((T, H, B))
+    ig = alloc((H, B))
     cs[0] = 0.0
     for t in range(T):
         a = np.matmul(m, z[t], out=gates[t])
@@ -291,24 +352,31 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
         raise ValueError(f"targets shape {y.shape} does not match batch {x.shape[0]}")
     p = net.params
     cfg = net.config
-    pred, cache = _forward_cached(net, x, train_mode, seed)
+    B, T, d = x.shape
+    H = cfg.hidden_lstm
+    # The forward pass's a1, d1, drop, z, gates, cs, tanh_cs and ig, then
+    # da1, the SELU slope, da and scratch3.
+    alloc = _workspace_alloc(B * (5 * cfg.hidden_dense + (T + 1) * (d + 2 * H + 1)
+                                  + 5 * T * H + 8 * H))
+    pred, cache = _forward_cached(net, x, train_mode, seed, alloc)
     loss, dpred = _loss_terms(pred, y, cfg, loss_kind)
     dout = dpred[:, None]  # (B, 1), gradient on both branch outputs
 
-    grads = {name: np.zeros(shape) for name, shape in param_specs(cfg)}
+    grads = {}
 
     # Dense branch.
     grads["dense_w2"] = cache["d1"].T @ dout
     grads["dense_b2"] = dout.sum(axis=0)
-    # One expression, so its temporaries are freed before the BPTT buffers exist.
-    da1 = dout @ p["dense_w2"].T * cache["drop"] * _selu_grad(cache["a1"])
+    # (dout @ w2') * drop * selu'(a1), in that operand order
+    da1, slope = alloc((2, B, cfg.hidden_dense))
+    np.matmul(dout, p["dense_w2"].T, out=da1)
+    da1 *= cache["drop"]
+    da1 *= _selu_grad(cache["a1"], slope)
     grads["dense_w1"] = cache["last"].T @ da1
     grads["dense_b1"] = da1.sum(axis=0)
 
     # Recurrent branch, backprop through time, feature-major like the forward.
     z, cs, tanh_cs, gates = (cache[k] for k in ("z", "cs", "tanh_cs", "gates"))
-    d, H = cfg.input_dim, cfg.hidden_lstm
-    T, _, B = gates.shape
     grads["rw"] = z[T, d:d + H] @ dout
     grads["rb"] = dout.sum(axis=0)
     dh = p["rw"] @ dpred[None, :]  # (h, B)
@@ -318,9 +386,9 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     # One pre-activation gradient (rows i, f, o, c) and one scratch block,
     # reused by every step; each product keeps the operand order of the
     # per-gate formulas, so only the matmul summation order can move.
-    da = np.empty((4 * H, B))
+    da = alloc((4 * H, B))
     dsig, da_i, da_f, da_o, da_c = da[:3 * H], da[:H], da[H:2 * H], da[2 * H:3 * H], da[3 * H:]
-    scratch3 = np.empty((3 * H, B))
+    scratch3 = alloc((3 * H, B))
     scratch = scratch3[:H]
     for t in range(T - 1, -1, -1):
         g = gates[t]

@@ -1,23 +1,29 @@
 import csv
-import ctypes
 import json
 import os
 import platform
 import subprocess
 import sys
 import textwrap
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from matchkit import cli
-from matchkit.cli import run_cli
+from matchkit.cli import build_parser, run_cli
+from matchkit.dbwp import DbwpParams
+from matchkit.gbtree import GbtConfig
 from matchkit.ingest import (
     SyntheticSpec,
     generate_synthetic_match,
     load_match_csv,
     write_timeline_csv,
 )
+from matchkit.maml import MamlConfig
+from matchkit.momentum import MomentumConfig
+from matchkit.neural import NetConfig
+from matchkit.winjud import WinjudParams
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +303,52 @@ class TestManifest:
         assert run_cli(["dbwp", "--input", single_csv, "--out", str(out)]) == 0
         assert (tmp_path / "db.csv.manifest.json").exists()
 
+    @pytest.mark.parametrize("fault", ["missing-dir", "input-unreadable"])
+    def test_manifest_write_error_is_one_stderr_line(self, single_csv, tmp_path, capsys,
+                                                     monkeypatch, fault):
+        manifest = tmp_path / "run.json"
+        if fault == "missing-dir":
+            manifest = tmp_path / "absent" / "run.json"
+        else:  # the input is hashed for the manifest after the command ran
+            def unreadable(path):
+                raise PermissionError(f"[Errno 13] Permission denied: {path!r}")
+            monkeypatch.setattr(cli, "_sha256", unreadable)
+        code = run_cli(["winjud", "--input", single_csv, "--out", str(tmp_path / "wj.csv"),
+                        "--manifest", str(manifest)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: cannot write manifest: ")
+
+
+class TestFlagDefaults:
+    # Flags whose dest is not the field's name.
+    RENAMED = {"wv": "w_v", "ws": "w_s", "grid_step": "grid_step_s"}
+    SOURCES = {
+        "winjud": (WinjudParams,),
+        "momentum": (MomentumConfig,),
+        "dbwp": (DbwpParams,),
+        "train-gbt": (GbtConfig,),
+        "ablate": (GbtConfig,),
+        "train-lstm": (NetConfig, DbwpParams),
+        "maml": (MamlConfig, NetConfig, DbwpParams),
+        "correlate": (DbwpParams, MomentumConfig),
+    }
+
+    @pytest.mark.parametrize("command", sorted(SOURCES))
+    def test_parsed_defaults_equal_dataclass_defaults(self, command):
+        out = "--model-out" if command == "train-gbt" else "--out"
+        args = vars(build_parser()[0].parse_args([command, "--input", "in.csv", out, "o"]))
+        for cls in self.SOURCES[command]:
+            defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+            checked = 0
+            for dest, value in args.items():
+                name = self.RENAMED.get(dest, dest)
+                if name in defaults:
+                    assert value == defaults[name], (cls.__name__, dest)
+                    checked += 1
+            assert checked, cls.__name__
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, single_csv, tmp_path):
@@ -421,10 +473,6 @@ class TestDeterminism:
         assert docs[0] == docs[1]
 
 
-def _no_libc(name):
-    raise OSError(f"cannot open {name!r}")
-
-
 class TestFreedHeapKept:
     # train-lstm twice in a fresh interpreter: with freed memory returned to
     # the kernel, the second run page-faults ~22,000 times; kept, ~20
@@ -454,11 +502,3 @@ class TestFreedHeapKept:
                               env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert int(done.stdout) < 1000
-
-    @pytest.mark.parametrize("fake_cdll", [_no_libc, lambda name: object()],
-                             ids=["oserror", "no-mallopt"])
-    def test_without_mallopt_is_a_no_op(self, fake_cdll, single_csv, tmp_path, monkeypatch):
-        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
-        assert cli._keep_freed_heap.__wrapped__() is None
-        monkeypatch.setattr(cli, "_keep_freed_heap", cli._keep_freed_heap.__wrapped__)
-        assert run_cli(["dbwp", "--input", single_csv, "--out", str(tmp_path / "d.csv")]) == 0

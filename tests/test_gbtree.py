@@ -657,6 +657,10 @@ class TestSerialization:
         (("right", "weight"), float("inf"), "leaf weight must be finite"),
         (("right",), [0.25], "tree node must be an object"),
         (("threshold",), None, "internal node missing split fields"),
+        # ints past the float range, as JSON can hold them
+        pytest.param(("threshold",), 10**400, "threshold must be finite", id="huge-threshold"),
+        pytest.param(("right", "weight"), 10**400, "leaf weight must be finite",
+                     id="huge-weight"),
     ])
     def test_bad_node_rejected_on_load(self, path, value, message):
         tree = {"feature": 1, "threshold": 0.5, "left": {"weight": -0.25},
@@ -674,6 +678,7 @@ class TestSerialization:
         ("base_score", "0.5", "base_score must be finite"),
         ("base_score", float("nan"), "base_score must be finite"),
         ("trees", None, "missing fields: trees"),
+        pytest.param("base_score", 10**400, "base_score must be finite", id="huge-base_score"),
     ])
     def test_bad_document_rejected(self, field, value, message):
         doc = json.loads(model_to_json(GbtModel(0.5, (), GbtConfig(), ("f0",))))

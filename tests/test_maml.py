@@ -456,7 +456,8 @@ class TestSerializationAndReports:
         with pytest.raises(ValueError, match="meta parameter 'rb' is not finite"):
             self._load_edited(edit)
 
-    @pytest.mark.parametrize("history", [["x"], [0.5, float("nan")], [float("inf")], [True], 0.5])
+    @pytest.mark.parametrize("history", [["x"], [0.5, float("nan")], [float("inf")], [True], 0.5,
+                                         [10**400]])
     def test_bad_loss_history_rejected(self, history):
         with pytest.raises(ValueError, match="loss_history must be a list of finite numbers"):
             self._load_edited(lambda d: d.update(loss_history=history))

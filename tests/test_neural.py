@@ -1,10 +1,18 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import assert_matches_batch_major
+from matchkit import neural
 from matchkit.dbwp import DbwpParams, DbwpSeries, dbwp_scores
 from matchkit.momentum import MomentumConfig, momentum_series
 from matchkit.neural import (
@@ -117,6 +125,10 @@ class TestConfigAndParams:
     def test_config_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             tiny_config(**kw).check()
+
+    def test_int_past_float_range_is_not_finite(self):
+        with pytest.raises(ValueError, match="adam_lr must be finite"):
+            tiny_config(adam_lr=10**400).check()
 
     def test_init_equals_per_gate_draws(self):
         # The fused LSTM arrays hold the per-gate blocks drawn in the order
@@ -461,6 +473,133 @@ class TestBuffersUntouched:
             assert not np.shares_memory(grads[a], grads[b]), (a, b)
         for other in (x, *net.params.values()):
             assert not np.shares_memory(pred, other)
+        # backward's working arrays live in this thread's workspace; nothing
+        # returned may point into it.
+        for name, g in grads.items():
+            assert not np.shares_memory(g, neural._workspace.buf), name
+        assert not np.shares_memory(pred, neural._workspace.buf)
+
+
+def _in_new_thread(fn, *args, **kwargs):
+    """fn(*args, **kwargs) run in a new thread, whose workspace starts empty."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args, **kwargs).result(timeout=60)
+
+
+def _assert_same_result(got, want):
+    assert got[0] == want[0]
+    assert got[1].keys() == want[1].keys()
+    for name in want[1]:
+        np.testing.assert_array_equal(got[1][name], want[1][name], err_msg=name)
+
+
+def _batch(rng, cfg, size):
+    return rng.normal(0, 1, (size, cfg.seq_len, cfg.input_dim)), rng.normal(0, 1, size)
+
+
+def _fault_probe(body):
+    """Minor page faults `body` reports, run in a fresh interpreter without run_cli."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(body)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [int(v) for v in done.stdout.split()]
+
+
+class TestWorkspace:
+    """backward takes its working arrays from a per-thread workspace that
+    outlives the call; results must equal those of a fresh workspace."""
+
+    @staticmethod
+    def _net(seq_len, seed):
+        return init_net(NetConfig(input_dim=3, hidden_dense=6, hidden_lstm=5,
+                                  seq_len=seq_len, dropout_rate=0.25, seed=seed))
+
+    def test_interleaved_nets_equal_fresh_calls(self):
+        rng = np.random.default_rng(5)
+        cases = []
+        for net, size in ((self._net(16, 1), 40), (self._net(4, 2), 7)):
+            cases.append((net, *_batch(rng, net.config, size)))
+        want = [_in_new_thread(backward, net, x, y, train_mode=True, seed=3)
+                for net, x, y in cases]
+        for _ in range(3):
+            for (net, x, y), w in zip(cases, want):
+                _assert_same_result(backward(net, x, y, train_mode=True, seed=3), w)
+
+    def test_two_threads_at_once_equal_serial_calls(self):
+        rng = np.random.default_rng(6)
+        net = self._net(16, 4)
+        batches = [_batch(rng, net.config, size) for size in (120, 9, 64, 200, 31, 120)]
+        want = [backward(net, *batch, seed=k) for k, batch in enumerate(batches)]
+        barrier = threading.Barrier(2)
+
+        def run(order):
+            barrier.wait(timeout=30)
+            return [backward(net, *batches[k], seed=k) for k in order]
+
+        orders = (range(len(batches)), range(len(batches) - 1, -1, -1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, order) for order in orders]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for order, got in zip(orders, results):
+            for k, result in zip(order, got):
+                _assert_same_result(result, want[k])
+
+    def test_seeded_batch_sequence_never_returns_stale_rows(self):
+        rng = np.random.default_rng(7)
+        nets = {4: self._net(4, 8), 16: self._net(16, 9)}
+        for k in range(30):
+            net = nets[int(rng.choice((4, 16)))]
+            x, y = _batch(rng, net.config, int(rng.integers(1, 301)))
+            got = backward(net, x, y, train_mode=True, seed=k)
+            _assert_same_result(got, _in_new_thread(backward, net, x, y, train_mode=True, seed=k))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts as Linux reports them")
+    def test_second_library_training_does_not_fault(self):
+        # Every backward call reuses the thread's workspace, so a second
+        # training maps almost no fresh memory.
+        faults, = _fault_probe("""
+            import resource
+            from matchkit.dbwp import DbwpParams, dbwp_scores
+            from matchkit.ingest import SyntheticSpec, generate_synthetic_match
+            from matchkit.momentum import MomentumConfig, momentum_series
+            from matchkit.neural import NetConfig, train_deep_lstm
+            tl = generate_synthetic_match(SyntheticSpec(n_points=300, seed=42))
+            triple = (tl, dbwp_scores(tl, DbwpParams()), momentum_series(tl, MomentumConfig()))
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                train_deep_lstm(triple, NetConfig(input_dim=3, epochs=20))
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            print(faults)
+        """)
+        assert faults < 1000
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts as Linux reports them")
+    def test_batch_size_history_does_not_cause_faults(self):
+        # glibc sizes its mmap and trim thresholds from the blocks freed so
+        # far, so per-call arrays would fault or not by earlier batch sizes.
+        per_call = _fault_probe("""
+            import resource
+            import numpy as np
+            from matchkit.neural import NetConfig, backward, init_net
+            net = init_net(NetConfig(input_dim=3))
+            rng = np.random.default_rng(0)
+            for size in (32, 864, 228):
+                x, y = rng.normal(0, 1, (size, 16, 3)), rng.normal(0, 1, size)
+                backward(net, x, y, train_mode=True, seed=1)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                for k in range(10):
+                    backward(net, x, y, train_mode=True, seed=k)
+                print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) // 10)
+        """)
+        assert len(per_call) == 3
+        assert max(per_call) < 100
 
 
 class TestAdam:
