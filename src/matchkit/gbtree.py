@@ -17,11 +17,13 @@ once with a stable argsort, and a node's per-feature row order is that
 order filtered to the node's rows: ties stay in ascending row order, as a
 stable sort of the node's own rows leaves them.  Trees grow one depth at a
 time, and the cuts of all nodes of a depth are scored together, in blocks
-of nodes of similar size.  grid_search fits its (lam, rho) cells in one
+of nodes of similar size.  The grower reads a (lam, rho) cell only through
+its penalties l1 = lam*rho and l2 = lam*(1 - rho), so grid_search fits
+each distinct (l1, l2) pair once (at lam = 0 every rho is one pair), in one
 batch (a few for large inputs), since they share the rows and the presort:
-tree t of every cell grows together, and each new tree's leaf values go
-straight into the cells' validation scores.  train_gbt is the same grower
-with one cell.  A tree is flat node arrays in XGBoost's layout from the
+tree t of every pair grows together, and each new tree's leaf values go
+straight into the pairs' validation scores.  train_gbt is the same grower
+with one pair.  A tree is flat node arrays in XGBoost's layout from the
 grower on: GbtModel keeps them as they are grown, one walker (_apply_trees)
 scores them for grid_search and predict, and the model JSON nests them.
 
@@ -252,17 +254,21 @@ _BLOCK_ELEMENTS = 8192
 _INT32_INDICES = 2**31
 
 
+def _penalties(lam, rho) -> tuple[float, float]:
+    """The elastic-net penalties (l1, l2) = (lam*rho, lam*(1 - rho)) in float64."""
+    lam, rho = float(lam), float(rho)
+    return lam * rho, lam * (1.0 - rho)
+
+
 class _Batch:
     """What a batch of cells shares for a whole fit: the presort, the cells'
-    penalties and the split search's buffers, allocated once."""
+    (l1, l2) penalties and the split search's buffers, allocated once."""
 
-    def __init__(self, x: np.ndarray, lams, rhos, config: GbtConfig, names: tuple[str, ...]):
+    def __init__(self, x: np.ndarray, penalties, config: GbtConfig, names: tuple[str, ...]):
         n, n_features = x.shape
-        n_cells = len(lams)
-        lams = np.asarray(lams, dtype=np.float64)
-        rhos = np.asarray(rhos, dtype=np.float64)
+        n_cells = len(penalties)
         self.cfg = config
-        self.l1, self.l2 = lams * rhos, lams * (1.0 - rhos)
+        self.l1, self.l2 = np.array(penalties, dtype=np.float64).T
         rank = {name: i for i, name in enumerate(sorted(set(names)))}
         self.name_rank = np.array([rank[name] for name in names], dtype=np.intp)
         self.x_t = np.ascontiguousarray(x.T)
@@ -296,16 +302,18 @@ class _Batch:
         self.cut = np.empty(self.block_size, dtype=bool)
 
 
-def _boost(x, y, lams, rhos, config: GbtConfig, names: tuple[str, ...]):
-    """Boost one model per (lams[c], rhos[c]) cell on the same rows, together.
+def _boost(x, y, penalties, config: GbtConfig, names: tuple[str, ...]):
+    """Boost one model per cell, cell c with penalties[c] = (l1, l2), on the
+    same rows, together.
 
-    The cells share x, y, names and every setting but lam and rho.  Round t
-    grows tree t of every cell and yields the round's trees as flat node
-    arrays (feature, threshold, left, right, weight) over all cells, laid
-    out as GbtModel's trees are: node c is cell c's root.
+    The cells share x, y, names and every setting but lam and rho, which
+    the grower reads only through the penalties.  Round t grows tree t of
+    every cell and yields the round's trees as flat node arrays (feature,
+    threshold, left, right, weight) over all cells, laid out as GbtModel's
+    trees are: node c is cell c's root.
     """
-    batch = _Batch(x, lams, rhos, config, names)
-    pred = np.full((len(lams), x.shape[0]), float(y.mean()))
+    batch = _Batch(x, penalties, config, names)
+    pred = np.full((len(penalties), x.shape[0]), float(y.mean()))
     for _ in range(config.n_trees):
         leaf_out = np.empty(pred.size)
         yield _grow_round(batch, (pred - y).ravel(), leaf_out)
@@ -520,7 +528,7 @@ def train_gbt(x, y, config: GbtConfig | None = None,
         if len(feature_names) != x.shape[1]:
             raise ValueError("feature_names length does not match feature count")
 
-    trees = tuple(_boost(x, y, [config.lam], [config.rho], config, feature_names))
+    trees = tuple(_boost(x, y, [_penalties(config.lam, config.rho)], config, feature_names))
     return GbtModel(base_score=float(y.mean()), trees=trees, config=config,
                     feature_names=feature_names)
 
@@ -581,8 +589,9 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
 
     The first 80% of rows form the training split and the last 20% are left
     untouched for test evaluation by the caller.  Within the training split,
-    the first 80% fit every grid cell, batched, and the last 20% score
-    them.  The best validation accuracy wins; ties break toward
+    the first 80% fit every distinct (lam*rho, lam*(1 - rho)) penalty pair of
+    the grid, batched, and the last 20% score them; a cell takes its pair's
+    accuracy.  The best validation accuracy wins; ties break toward
     smaller lam, then smaller rho.  The winner is refit on the whole
     training split.
     """
@@ -593,7 +602,7 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
         raise ValueError("lambda_grid and rho_grid must be non-empty")
     for name, grid in (("lambda_grid", lambda_grid), ("rho_grid", rho_grid)):
         for value in grid:
-            if not math.isfinite(float(value)):
+            if not finite_real(value):
                 raise ValueError(f"{name} values must be finite, got {value}")
 
     n = x.shape[0]
@@ -612,18 +621,23 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
              for rho in sorted(set(float(v) for v in rho_grid))]
     for lam, rho in cells:
         replace(config, lam=lam, rho=rho).check()
+    # Cells with equal penalties fit equal models: fit each pair once.
+    pair_of = {}
+    cell_pair = [pair_of.setdefault(_penalties(lam, rho), len(pair_of)) for lam, rho in cells]
+    pairs = list(pair_of)
     names = tuple(f"f{i}" for i in range(x.shape[1]))
     x_val_t = np.ascontiguousarray(x_val.T)
-    scores = np.full((len(cells), x_val.shape[0]), float(y_in.mean()))
+    scores = np.full((len(pairs), x_val.shape[0]), float(y_in.mean()))
     step = max(1, _BATCH_ELEMENTS // max(1, x_in.size))
-    for start in range(0, len(cells), step):
-        lams, rhos = zip(*cells[start:start + step])
+    for start in range(0, len(pairs), step):
+        batch_pairs = pairs[start:start + step]
         batch_scores = scores[start:start + step]
-        for trees in _boost(x_in, y_in, lams, rhos, config, names):
-            batch_scores += config.learning_rate * _apply_trees(trees, x_val_t, len(lams))
+        for trees in _boost(x_in, y_in, batch_pairs, config, names):
+            batch_scores += config.learning_rate * _apply_trees(trees, x_val_t, len(batch_pairs))
     correct = (np.clip(scores, 0.0, 1.0) >= 0.5) == (y_val == 1.0)
+    pair_acc = correct.mean(axis=1).tolist()
     best = None  # (accuracy, lam, rho); sorted cells make ties pick small lam/rho
-    for (lam, rho), acc in zip(cells, correct.mean(axis=1).tolist()):
+    for (lam, rho), acc in zip(cells, (pair_acc[p] for p in cell_pair)):
         if best is None or acc > best[0]:
             best = (acc, lam, rho)
 

@@ -248,7 +248,8 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     """Batch forward pass keeping every intermediate needed for backprop.
 
     Each step reads its `[x_t; h_t; 1]` rows from the `(T + 1, d + h + 1, B)`
-    array `z` and writes h_{t+1} into the next step's rows, its gates into a
+    array `z` and writes h_{t+1} into the next step's rows (of step T only
+    h_T is read, so its input rows stay unset), its gates into a
     `(T, 4h, B)` array and its cell and tanh(c) into `(T + 1, h, B)` and
     `(T, h, B)` arrays, which backward reads in reverse.  `alloc(shape)`
     supplies these and the dense branch's `(B, hidden_dense)` arrays
@@ -276,7 +277,6 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     m = np.vstack((p["lstm_w"], p["lstm_u"], p["lstm_b"])).T  # (4h, d + h + 1)
     z = alloc((T + 1, d + H + 1, B))
     z[:T, :d] = x.transpose(1, 2, 0)
-    z[T, :d] = 0.0  # no input after the last step; only h_T is read there
     z[0, d:d + H] = 0.0
     z[:, d + H] = 1.0
     gates = alloc((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh

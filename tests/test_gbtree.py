@@ -335,6 +335,15 @@ class TestSplitSearchMatchesScalarScan:
         assert model_to_json(model) == oracle_train_gbt(x, y, cfg)
         assert model.trees[0][1][0] == 0.5  # the root's threshold: the tie goes to the smaller one
 
+    def test_penalties_round_as_the_leaf_formula(self):
+        # 0.7*(1 - 0.3) and 0.7 - 0.7*0.3 differ in the last bit, and so do 2 plus each.
+        x = np.arange(4.0).reshape(-1, 1)
+        y = np.array([0.0, 0.0, 1.0, 1.0])
+        cfg = GbtConfig(n_trees=1, max_depth=1, lam=0.7, rho=0.3)
+        model = train_gbt(x, y, cfg)
+        assert model_to_json(model) == oracle_train_gbt(x, y, cfg)
+        assert model.trees[0][4][1] == leaf_weight(1.0, 2.0, 0.7, 0.3)  # the left leaf
+
     def test_wide_indices(self, monkeypatch):
         # Fits too large for int32 element indices store them as int64.
         monkeypatch.setattr(gbtree, "_INT32_INDICES", 0)
@@ -551,6 +560,31 @@ class TestGridSearch:
         grids = ([0.0, 0.1, 1.0], [0.0, 0.5, 1.0])
         assert grid_search(x, y, *grids, cfg) == oracle_grid_search(x, y, *grids, cfg)
 
+    @pytest.mark.parametrize("grids,fits", [
+        ((DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID), 21),
+        (((0.0,), (0.0, 0.5, 1.0)), 1),
+        (([-0.0, 0.0, 1.0], [0.0, 0.5]), 3),
+        (([0.0, -0.0, 1.0], [0.0, 0.5]), 3),
+    ])
+    def test_each_penalty_pair_fits_once(self, monkeypatch, grids, fits):
+        # At lam = 0 every rho gives the penalties (0, 0), so those cells share one fit.
+        cells = []
+        boost = gbtree._boost
+
+        def counting(x, y, penalties, *args):
+            cells.append(len(penalties))
+            return boost(x, y, penalties, *args)
+
+        monkeypatch.setattr(gbtree, "_boost", counting)
+        x, y = make_separable(120, flip=0.1, seed=4)
+        cfg = GbtConfig(n_trees=6, max_depth=3)
+        result = grid_search(x, y, *grids, cfg)
+        assert cells == [fits, 1]  # the grid's one batch, then the refit
+        expected = oracle_grid_search(x, y, *grids, cfg)
+        assert result == expected
+        assert repr(result.best_lambda) == repr(expected.best_lambda)
+        assert model_to_json(result.model) == model_to_json(expected.model)
+
     def test_degenerate_split_rejected(self):
         x, y = make_separable(3, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
@@ -565,6 +599,8 @@ class TestGridSearch:
         (([0.0, float("inf")], [0.5]), "lambda_grid"),
         (([float("nan")], [0.5]), "lambda_grid"),
         (([1.0], [0.5, float("nan")]), "rho_grid"),
+        (([10 ** 400], [0.5]), "lambda_grid"),
+        (([1.0], [0.5, -10 ** 400]), "rho_grid"),
     ])
     def test_non_finite_grid_rejected(self, grids, field):
         x, y = make_separable(100, seed=0)

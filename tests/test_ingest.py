@@ -531,6 +531,29 @@ class TestClockColumn:
             ingest._clock_column(cells)
 
 
+class TestIntColumn:
+    """The column-wise integer parse reads "0" to "999" from a lookup and
+    any other column with int(), so it reads each cell as int() does."""
+
+    @pytest.mark.parametrize("cell", ["0", "999", "007", " 5", "+3", "1_000", "1000", "-1",
+                                      "1.0", str(2 ** 63)])
+    def test_cells_read_as_int_reads_them(self, cell):
+        cells = ("1", cell, "2")
+        try:
+            value = int(cell)
+        except ValueError:
+            with pytest.raises(ValueError):
+                ingest._int_column(cells)
+            return
+        if value > 2 ** 63 - 1:
+            with pytest.raises(OverflowError):
+                ingest._int_column(cells)
+        else:
+            column = ingest._int_column(cells)
+            assert column.dtype == np.int64
+            assert column.tolist() == [1, value, 2]
+
+
 class TestInt64Cells:
     """Timeline columns are int64: a larger integer cell, or a clock past
     2**63 - 1 seconds, is refused with the column and the file row."""
