@@ -17,7 +17,11 @@ once with a stable argsort, and a node's per-feature row order is that
 order filtered to the node's rows: ties stay in ascending row order, as a
 stable sort of the node's own rows leaves them.  Trees grow one depth at a
 time, and the cuts of all nodes of a depth are scored together, in blocks
-of nodes of similar size.  The grower reads a (lam, rho) cell only through
+of nodes of similar size.  A fit allocates its working set once: the
+level's element index in two buffers that alternate by depth, and the
+block buffers, per-cut node values included, so a split search allocates
+no level- or block-sized array that the allocator would map or trim each
+time.  The grower reads a (lam, rho) cell only through
 its penalties l1 = lam*rho and l2 = lam*(1 - rho), so grid_search fits
 each distinct (l1, l2) pair once (at lam = 0 every rho is one pair), in one
 batch (a few for large inputs), since they share the rows and the presort:
@@ -142,7 +146,7 @@ class GbtModel:
 
     def __post_init__(self):
         n_features = len(self.feature_names)
-        object.__setattr__(self, "trees", tuple(_flat_tree(t, n_features) for t in self.trees))
+        object.__setattr__(self, "trees", _flat_trees(self.trees, n_features))
 
     def __eq__(self, other):
         if not isinstance(other, GbtModel):
@@ -172,8 +176,23 @@ def _check_node(feature, threshold, left, right, weight, n_features: int) -> Non
         raise ValueError(f"threshold must be finite, got {threshold!r}")
 
 
-def _flat_tree(tree, n_features: int) -> tuple[np.ndarray, ...]:
-    """Checked read-only int64/float64 copies of a tree's five node arrays."""
+def _flat_trees(trees, n_features: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Checked read-only int64/float64 copies of each tree's five node arrays.
+
+    The trees are checked together, on their concatenated node arrays, and
+    an error names the first fault of the first bad tree."""
+    checked = []
+    for tree in trees:
+        try:
+            checked.append(_tree_arrays(tree))
+        except ValueError:
+            _check_trees(checked, n_features)  # an earlier tree's fault comes first
+            raise
+    return _check_trees(checked, n_features)
+
+
+def _tree_arrays(tree) -> list[np.ndarray]:
+    """A tree's five node arrays, checked for shape and dtype."""
     if len(tree) != 5:
         raise ValueError(f"a tree must be 5 node arrays, got {len(tree)}")
     arrays = [np.asarray(a) for a in tree]
@@ -181,33 +200,60 @@ def _flat_tree(tree, n_features: int) -> tuple[np.ndarray, ...]:
     if {a.shape for a in arrays} != {(n,)} or not n:
         raise ValueError("a tree's node arrays must be 1-D, non-empty and of one length, got "
                          "shapes " + ", ".join(str(a.shape) for a in arrays))
-    for i, (fault, kinds) in enumerate(_NODE_ARRAYS.values()):
-        if arrays[i].dtype.kind not in kinds:
-            raise ValueError(f"{fault}, got a {arrays[i].dtype} array")
-        arrays[i] = arrays[i].astype(np.float64 if "f" in kinds else np.int64)
-        arrays[i].flags.writeable = False
+    for a, (fault, kinds) in zip(arrays, _NODE_ARRAYS.values()):
+        if a.dtype.kind not in kinds:
+            raise ValueError(f"{fault}, got a {a.dtype} array")
+    return arrays
+
+
+def _check_trees(trees, n_features: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Trees of _tree_arrays as read-only slices of their concatenated node
+    arrays, once every node is checked."""
+    if not trees:
+        return ()
+    arrays = [np.concatenate(field, dtype=np.float64 if "f" in kinds else np.int64,
+                             casting="unsafe")
+              for field, (_, kinds) in zip(zip(*trees), _NODE_ARRAYS.values())]
     feature, threshold, left, right, weight = arrays
+    sizes = np.array([tree[0].size for tree in trees])
+    ends = sizes.cumsum()
+    first = (ends - sizes).repeat(sizes)  # each node's tree's root
+    n = sizes.repeat(sizes)
+    node = np.arange(ends[-1]) - first  # each node's index in its tree
     leaf = (left == -1) & (right == -1)
-    bad = np.where(leaf, (feature != -1) | (threshold != 0.0) | ~np.isfinite(weight),
-                   (feature < 0) | (feature >= n_features) | (left == -1) | (right == -1)
-                   | ~np.isfinite(threshold) | (weight != 0.0))
-    if bad.any():  # name the first bad node's fault as _check_node does
-        f, t, lc, rc, w = (a[bad.argmax()].item() for a in arrays)
-        if lc == rc == -1:
-            _check_node(None if f == -1 else f, t if t else None, None, None, w, n_features)
-        lc, rc = (None if c == -1 else c for c in (lc, rc))
-        _check_node(f, t, lc, rc, w if w else None, n_features)
-    parent = np.tile((~leaf).nonzero()[0], 2)
-    child = np.concatenate((left[~leaf], right[~leaf]))
-    bad = (child <= parent) | (child >= n)
-    if bad.any():
+    bad_node = np.where(leaf, (feature != -1) | (threshold != 0.0) | ~np.isfinite(weight),
+                        (feature < 0) | (feature >= n_features) | (left == -1) | (right == -1)
+                        | ~np.isfinite(threshold) | (weight != 0.0))
+    # A split's children come after it in its tree; only those are counted as parents.
+    bad_left = ~leaf & ((left <= node) | (left >= n))
+    bad_right = ~leaf & ((right <= node) | (right >= n))
+    children = np.concatenate(((first + left)[~leaf & ~bad_left],
+                               (first + right)[~leaf & ~bad_right]))
+    n_parents = np.bincount(children, minlength=node.size)
+    bad_parents = (node > 0) & (n_parents != 1)
+    bad = bad_node | bad_left | bad_right | bad_parents
+    if bad.any():  # the first bad tree's first fault, in the order above
         i = bad.argmax()
-        raise ValueError(f"node {parent[i]} has child {child[i]}, not after it among {n} nodes")
-    n_parents = np.bincount(child, minlength=n)
-    if (n_parents[1:] != 1).any():
-        i = (n_parents[1:] != 1).argmax() + 1
-        raise ValueError(f"node {i} has {n_parents[i]} parents; every node but the root has one")
-    return tuple(arrays)
+        tree = slice(first[i], first[i] + n[i])
+        if bad_node[tree].any():
+            i = tree.start + bad_node[tree].argmax()
+            f, t, lc, rc, w = (a[i].item() for a in arrays)
+            if lc == rc == -1:
+                _check_node(None if f == -1 else f, t if t else None, None, None, w, n_features)
+            lc, rc = (None if c == -1 else c for c in (lc, rc))
+            _check_node(f, t, lc, rc, w if w else None, n_features)
+        for bad_child, child in ((bad_left, left), (bad_right, right)):
+            if bad_child[tree].any():
+                i = tree.start + bad_child[tree].argmax()
+                raise ValueError(f"node {node[i]} has child {child[i]}, not after it among "
+                                 f"{n[i]} nodes")
+        i = tree.start + bad_parents[tree].argmax()
+        raise ValueError(f"node {node[i]} has {n_parents[i]} parents; every node but the root "
+                         "has one")
+    for a in arrays:
+        a.flags.writeable = False
+    return tuple(tuple(a[end - size:end] for a in arrays)
+                 for size, end in zip(sizes.tolist(), ends.tolist()))
 
 
 def soft_threshold(x: float, t: float) -> float:
@@ -248,8 +294,9 @@ def split_gain(G_L: float, H_L: float, G_R: float, H_R: float, lam: float, rho: 
 _BATCH_ELEMENTS = 2**20
 # The split search's padded blocks hold at most this many elements (more
 # only when one node is wider), so their buffers stay small whatever the
-# number of cells.
-_BLOCK_ELEMENTS = 8192
+# number of cells.  Of 8192 to 262144, 16384 was the fastest on a 21-pair
+# grid search over 300 points; re-measure before changing it.
+_BLOCK_ELEMENTS = 16384
 # Element (cell*n + row) and value-rank indices are int32 below this, else int64.
 _INT32_INDICES = 2**31
 
@@ -262,7 +309,8 @@ def _penalties(lam, rho) -> tuple[float, float]:
 
 class _Batch:
     """What a batch of cells shares for a whole fit: the presort, the cells'
-    (l1, l2) penalties and the split search's buffers, allocated once."""
+    (l1, l2) penalties and the working set, allocated once: the level
+    index buffers and the split search's block buffers."""
 
     def __init__(self, x: np.ndarray, penalties, config: GbtConfig, names: tuple[str, ...]):
         n, n_features = x.shape
@@ -291,6 +339,10 @@ class _Batch:
         self.root = ((cells[:, None, None] * n + order).astype(index).ravel(),
                      np.arange(n_cells * n, dtype=index), np.full(n_cells, n), cells)
         self.side = np.empty(n_cells * n, dtype=np.int8)
+        # A level's elements, filtered from the level above's into the other buffer.
+        self.levels = (np.empty(n_cells * n_features * n, dtype=index),
+                       np.empty(n_cells * n_features * n, dtype=index))
+        self.element_side = np.empty(n_cells * n_features * n, dtype=np.int8)
         self.block_size = max(_BLOCK_ELEMENTS, n_features * n)
         self.lanes = np.arange(n)
         self.h_left = np.arange(1.0, n)  # H_L of the cut after lane k is k + 1
@@ -300,6 +352,7 @@ class _Batch:
         self.rank = np.empty(self.block_size, dtype=index)
         self.g_left = np.empty(self.block_size)
         self.cut = np.empty(self.block_size, dtype=bool)
+        self.node_lanes = np.empty(5 * self.block_size)  # per_node repeated over each cut
 
 
 def _boost(x, y, penalties, config: GbtConfig, names: tuple[str, ...]):
@@ -322,7 +375,7 @@ def _boost(x, y, penalties, config: GbtConfig, names: tuple[str, ...]):
 
 def _grow_round(batch: _Batch, g: np.ndarray, leaf_out: np.ndarray):
     """Grow one tree per cell, one depth at a time, and write leaf values into leaf_out."""
-    cfg, n = batch.cfg, batch.x_t.shape[1]
+    cfg, (n_features, n) = batch.cfg, batch.x_t.shape
     idx, rows, m, node_cell = batch.root
     add = np.add.reduce
     parts = []
@@ -363,13 +416,18 @@ def _grow_round(batch: _Batch, g: np.ndarray, leaf_out: np.ndarray):
                             2).astype(np.int8)
         in_leaf = row_side == 2
         leaf_out[rows[in_leaf]] = weight[nid[in_leaf]]
-        if depth + 1 < cfg.max_depth:  # children at max_depth are leaves and never search
-            batch.side[rows] = row_side
-            element_side = batch.side[idx]
-            # Filtering keeps each feature's sorted order, so children never re-sort.
-            idx = np.concatenate((idx[element_side == 0], idx[element_side == 1]))
         to_left, to_right = row_side == 0, row_side == 1
         m_left = np.bincount(nid[to_left], minlength=n_nodes)[split]
+        if depth + 1 < cfg.max_depth:  # children at max_depth are leaves and never search
+            batch.side[rows] = row_side
+            element_side = batch.side.take(idx, out=batch.element_side[:idx.size], mode="clip")
+            # Filtering keeps each feature's sorted order, so children never re-sort.
+            n_left = n_features * int(m_left.sum())
+            n_right = n_features * int(m[split].sum()) - n_left
+            level = batch.levels[depth % 2]
+            np.compress(element_side == 0, idx, out=level[:n_left])
+            np.compress(element_side == 1, idx, out=level[n_left:n_left + n_right])
+            idx = level[:n_left + n_right]
         m = np.concatenate((m_left, m[split] - m_left))
         rows = np.concatenate((rows[to_left], rows[to_right]))
         node_cell = np.concatenate((node_cell[split], node_cell[split]))
@@ -438,7 +496,9 @@ def _best_splits(batch: _Batch, g, idx, G, m, node_cell, l1, l2, nodes, feature,
         # Lanes ascend, so each segment's and each node's cuts form one run.
         seg_runs = cut.sum(axis=1)
         node_runs = seg_runs.reshape(sel.size, n_features).sum(axis=1)
-        G_N, l1_N, l2_N, m_N, parent_N = per_node[:, block].repeat(node_runs, axis=1)
+        G_N, l1_N, l2_N, m_N, parent_N = per_node.take(
+            np.arange(block.start, block.start + sel.size).repeat(node_runs), axis=1, mode="clip",
+            out=batch.node_lanes[:5 * lane.size].reshape(5, lane.size))
         H_L = np.subtract(lane, np.arange(-1, n_seg * n_lanes - 1, n_lanes).repeat(seg_runs),
                           dtype=np.float64)
         G_L = g_left.ravel()[lane]

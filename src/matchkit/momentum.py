@@ -11,6 +11,7 @@ Positive values favor player 1 throughout.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -80,6 +81,18 @@ def fibonacci(n: int) -> int:
     return a
 
 
+def _lead_terms(b0: float, factor: float, field: str, leads: list[int]) -> dict[int, float]:
+    """b0 * factor**d for each distinct lead d, refusing a factor that overflows."""
+    try:
+        terms = {d: b0 * factor ** d for d in set(leads)}
+        if all(map(math.isfinite, terms.values())):
+            return terms
+    except OverflowError:
+        pass
+    raise ValueError(f"{field} is too large for this match's leads: b0 * {field} ** lead "
+                     f"overflows, got {factor!r}")
+
+
 def strategic_momentum(timeline: MatchTimeline, config: MomentumConfig | None = None) -> tuple[float, ...]:
     config = config or MomentumConfig()
     config.check()
@@ -87,10 +100,15 @@ def strategic_momentum(timeline: MatchTimeline, config: MomentumConfig | None = 
     # per distinct lead.
     set_leads = (timeline.p1_sets - timeline.p2_sets).tolist()
     game_leads = (timeline.p1_games - timeline.p2_games).tolist()
-    set_term = {d: config.b0_sets * config.set_factor ** d for d in set(set_leads)}
-    game_term = {d: config.b0_games * config.game_factor ** d for d in set(game_leads)}
-    return tuple(map(operator.mul, map(set_term.__getitem__, set_leads),
-                     map(game_term.__getitem__, game_leads)))
+    set_term = _lead_terms(config.b0_sets, config.set_factor, "set_factor", set_leads)
+    game_term = _lead_terms(config.b0_games, config.game_factor, "game_factor", game_leads)
+    strategic = tuple(map(operator.mul, map(set_term.__getitem__, set_leads),
+                          map(game_term.__getitem__, game_leads)))
+    if not all(map(math.isfinite, strategic)):
+        raise ValueError("set_factor and game_factor are too large together for this match's "
+                         f"leads: the strategic momentum overflows, got {config.set_factor!r} "
+                         f"and {config.game_factor!r}")
+    return strategic
 
 
 def psychological_momentum(timeline: MatchTimeline, config: MomentumConfig | None = None) -> tuple[float, ...]:

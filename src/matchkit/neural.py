@@ -458,7 +458,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
               loss_kind: str = "huber", lr: float | None = None,
               train_dropout: bool = True, seed: int | None = None) -> tuple[ParallelNet, tuple[float, ...]]:
-    """Full-batch Adam training; returns the trained net and per-epoch losses."""
+    """Full-batch Adam training; returns the trained net and per-epoch losses.
+
+    A diverging run raises ValueError at its first non-finite loss.
+    """
     cfg = net.config
     epochs = cfg.epochs if epochs is None else epochs
     check_int("epochs", epochs, minimum=0)
@@ -469,12 +472,16 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
     state = init_adam_state(cfg)
     losses = []
     current = ParallelNet(params, cfg)
-    for t in range(1, epochs + 1):
-        loss, grads = backward(current, x, y, loss_kind=loss_kind,
-                               train_mode=train_dropout, seed=seed + t)
-        params, state = adam_step(current.params, grads, state, t, cfg, lr=lr)
-        current = ParallelNet(params, cfg)
-        losses.append(loss)
+    # Overflow on the way to a non-finite loss is expected, not warned about.
+    with np.errstate(all="ignore"):
+        for t in range(1, epochs + 1):
+            loss, grads = backward(current, x, y, loss_kind=loss_kind,
+                                   train_mode=train_dropout, seed=seed + t)
+            if not math.isfinite(loss):
+                raise ValueError("epoch losses must be finite and non-negative")
+            params, state = adam_step(current.params, grads, state, t, cfg, lr=lr)
+            current = ParallelNet(params, cfg)
+            losses.append(loss)
     return current, tuple(losses)
 
 
@@ -590,8 +597,9 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
         net, losses = train_net(net, x_train, y_train)
         if j == 0:
             first_losses = losses
-        pred = forward_batch(net, x_test, train_mode=False)
-        mses.append(float(np.mean((pred - y_test) ** 2)))
+        with np.errstate(all="ignore"):  # TrainReport refuses a non-finite test MSE
+            pred = forward_batch(net, x_test, train_mode=False)
+            mses.append(float(np.mean((pred - y_test) ** 2)))
     return TrainReport(
         variant=variant,
         epoch_losses=first_losses,

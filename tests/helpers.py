@@ -6,7 +6,12 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -593,3 +598,13 @@ def assert_matches_batch_major(net, x, y, *, loss_kind="huber", train_mode=False
     ref_pred, _ = oracle_forward_cached(net, _check_batch(net, x), train_mode, seed)
     assert pred.shape == ref_pred.shape
     assert np.max(np.abs(pred - ref_pred)) <= 1e-12 * np.max(np.abs(ref_pred))
+
+
+def fault_probe(body):
+    """Minor page faults `body` reports, run in a fresh interpreter without run_cli."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(body)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return [int(v) for v in done.stdout.split()]

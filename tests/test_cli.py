@@ -112,6 +112,8 @@ class TestExitCodes:
         ("winjud", ["--beta", "nan"], "beta"),
         ("momentum", ["--set-factor", "nan"], "set_factor"),
         ("momentum", ["--ace-bonus", "inf"], "ace_bonus"),
+        ("momentum", ["--game-factor", "1e308"], "game_factor"),
+        ("momentum", ["--set-factor", "1e308"], "set_factor"),
     ])
     def test_unusable_scoring_settings(self, single_csv, tmp_path, capsys,
                                        command, flags, field):
@@ -121,6 +123,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert field in err
+
+    def test_diverging_lstm_is_one_stderr_line(self, single_csv, tmp_path, capsys):
+        code = run_cli(["train-lstm", "--input", single_csv, "--out", str(tmp_path / "r.json"),
+                        "--adam-lr", "1e308"] + LSTM_FAST)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: epoch losses must be finite and non-negative"]
 
     @pytest.mark.parametrize("command", ["ingest", "winjud", "momentum", "dbwp", "correlate"])
     def test_corrupt_row_is_one_stderr_line(self, single_csv, tmp_path, capsys, command):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    fault_probe,
     leaf_objective,
     make_separable,
     oracle_grid_search,
@@ -304,12 +305,18 @@ class TestSplitSearchMatchesScalarScan:
         assert (grid_search(x, y, [0.0, 1.0], [0.5], cfg)
                 == oracle_grid_search(x, y, [0.0, 1.0], [0.5], cfg))
 
-    @pytest.mark.parametrize("block", [1, 200])
-    def test_any_block_size(self, monkeypatch, block):
-        # Blocks smaller than a level, or than one node, give the same models.
+    @pytest.mark.parametrize("block,min_child_weight", [
+        pytest.param(1, 1.0, id="1"),
+        pytest.param(200, 1.0, id="200"),
+        pytest.param(16384, 1.0, id="16384"),
+        pytest.param(200, 2.0, id="200-min_child_weight"),
+    ])
+    def test_any_block_size(self, monkeypatch, block, min_child_weight):
+        # Blocks smaller than one node, smaller than a level or holding a
+        # whole grid's level give the same models.
         monkeypatch.setattr(gbtree, "_BLOCK_ELEMENTS", block)
         x, y = _oracle_case(11, 90, 3, levels=5)
-        cfg = GbtConfig(n_trees=4, max_depth=4)
+        cfg = GbtConfig(n_trees=4, max_depth=4, min_child_weight=min_child_weight)
         assert model_to_json(train_gbt(x, y, cfg)) == oracle_train_gbt(x, y, cfg)
         assert (grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg)
                 == oracle_grid_search(x, y, [0.0, 0.5], [0.0, 1.0], cfg))
@@ -463,6 +470,25 @@ class TestPredict:
         with pytest.raises(ValueError, match=f"^{message}$"):
             _model(tree)
 
+    def test_first_bad_tree_is_named(self):
+        # The trees are checked together; the error is the first bad tree's.
+        orphan = ([0, -1, -1, -1], [0.5, 0, 0, 0], [1, -1, -1, -1], [2, -1, -1, -1], [0, 1, 2, 3])
+        nan_leaf = _leaf(float("nan"))
+        for trees, message in [
+            ((_stump(), orphan, nan_leaf), "node 3 has 0 parents; every node but the root has one"),
+            ((_stump(), nan_leaf, orphan), "leaf weight must be finite, got nan"),
+            ((orphan, _stump()[:4]), "node 3 has 0 parents; every node but the root has one"),
+            ((_stump(), _stump()[:4], orphan), "a tree must be 5 node arrays, got 4"),
+            # a child past its tree's end is not a node of the next tree
+            ((_stump(right=3), _stump()), "node 0 has child 3, not after it among 3 nodes"),
+            ((_stump(), _stump(left=-2)), "node 0 has child -2, not after it among 3 nodes"),
+            # every left child is checked before any right child
+            ((([0, 0, -1], [0.5, 0.5, 0], [1, 0, -1], [9, 2, -1], [0, 0, 1]),),
+             "node 1 has child 0, not after it among 3 nodes"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                _model(*trees)
+
     @pytest.mark.parametrize("tree", [
         _stump()[:4] + ([0.0, 1.0],),
         ([], [], [], [], []),
@@ -584,6 +610,26 @@ class TestGridSearch:
         assert result == expected
         assert repr(result.best_lambda) == repr(expected.best_lambda)
         assert model_to_json(result.model) == model_to_json(expected.model)
+
+    def test_later_searches_do_not_fault(self):
+        # A fit sizes its working set once, so a later search maps almost no
+        # fresh memory.  With per-block temporaries, the second or the third
+        # search took 1,600-18,000 faults, by the heap's state.
+        pytest.importorskip("resource")
+        faults = fault_probe("""
+            import resource
+            from matchkit.gbtree import grid_search
+            from matchkit.ingest import SyntheticSpec, generate_synthetic_match
+            from matchkit.momentum import MomentumConfig, build_feature_matrix, momentum_series
+            tl = generate_synthetic_match(SyntheticSpec(n_points=300, seed=0))
+            fm = build_feature_matrix(tl, momentum_series(tl, MomentumConfig()), "both")
+            for _ in range(3):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                grid_search(fm.x, fm.y)
+                print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+        assert len(faults) == 3
+        assert max(faults[1:]) < 1000
 
     def test_degenerate_split_rejected(self):
         x, y = make_separable(3, seed=0)

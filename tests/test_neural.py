@@ -1,17 +1,13 @@
 import itertools
 import math
-import os
-import subprocess
 import sys
-import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import assert_matches_batch_major
+from helpers import assert_matches_batch_major, fault_probe
 from matchkit import neural
 from matchkit.dbwp import DbwpParams, DbwpSeries, dbwp_scores
 from matchkit.momentum import MomentumConfig, momentum_series
@@ -497,16 +493,6 @@ def _batch(rng, cfg, size):
     return rng.normal(0, 1, (size, cfg.seq_len, cfg.input_dim)), rng.normal(0, 1, size)
 
 
-def _fault_probe(body):
-    """Minor page faults `body` reports, run in a fresh interpreter without run_cli."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", textwrap.dedent(body)], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
-    return [int(v) for v in done.stdout.split()]
-
-
 class TestWorkspace:
     """backward takes its working arrays from a per-thread workspace that
     outlives the call; results must equal those of a fresh workspace."""
@@ -564,7 +550,7 @@ class TestWorkspace:
     def test_second_library_training_does_not_fault(self):
         # Every backward call reuses the thread's workspace, so a second
         # training maps almost no fresh memory.
-        faults, = _fault_probe("""
+        faults, = fault_probe("""
             import resource
             from matchkit.dbwp import DbwpParams, dbwp_scores
             from matchkit.ingest import SyntheticSpec, generate_synthetic_match
@@ -584,7 +570,7 @@ class TestWorkspace:
     def test_batch_size_history_does_not_cause_faults(self):
         # glibc sizes its mmap and trim thresholds from the blocks freed so
         # far, so per-call arrays would fault or not by earlier batch sizes.
-        per_call = _fault_probe("""
+        per_call = fault_probe("""
             import resource
             import numpy as np
             from matchkit.neural import NetConfig, backward, init_net
@@ -716,6 +702,25 @@ class TestTraining:
         x = rng.normal(0, 1, (5, cfg.seq_len, cfg.input_dim))
         with pytest.raises(ValueError, match=name):
             train_net(init_net(cfg), x, np.zeros(5), **kw)
+
+    def test_diverging_run_stops_at_its_first_non_finite_loss(self, monkeypatch):
+        # Overflow inside the run raises no RuntimeWarning (tier-1 turns them
+        # into errors); the run ends at the first non-finite loss.
+        losses = []
+
+        def recording_backward(*args, **kwargs):
+            loss, grads = backward(*args, **kwargs)
+            losses.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(neural, "backward", recording_backward)
+        cfg = tiny_config(epochs=50, adam_lr=1e308)
+        rng = np.random.default_rng(4)
+        x = rng.normal(0, 1, (5, cfg.seq_len, cfg.input_dim))
+        with pytest.raises(ValueError, match="^epoch losses must be finite and non-negative$"):
+            train_net(init_net(cfg), x, rng.normal(0, 1, 5))
+        assert 1 < len(losses) < 50
+        assert np.isfinite(losses[:-1]).all() and not np.isfinite(losses[-1])
 
     def test_training_is_deterministic(self):
         cfg = tiny_config(epochs=10, dropout_rate=0.2, seed=8)
