@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import sys
 import time
@@ -74,12 +75,8 @@ def _id_list(text: str) -> tuple[str, ...]:
     return values
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _pearson(a, b) -> float:
@@ -118,10 +115,10 @@ def _momentum_config(args) -> MomentumConfig:
 
 
 # ---------------------------------------------------------------------------
-# subcommand bodies: each returns (output paths, resolved config for manifest)
+# subcommand bodies: each takes the parsed flags and the --input file's
+# timelines and returns (output paths, resolved config for manifest)
 
-def _cmd_ingest(args):
-    timelines = load_match_csv(args.input)
+def _cmd_ingest(args, timelines):
     for tl in timelines:
         p1 = tl.meta.get("player1", "?")
         p2 = tl.meta.get("player2", "?")
@@ -135,8 +132,7 @@ def _cmd_ingest(args):
     return outputs, {"out": args.out}
 
 
-def _cmd_winjud(args):
-    timelines = load_match_csv(args.input)
+def _cmd_winjud(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     params = WinjudParams(w_v=args.wv, w_s=args.ws, beta=args.beta)
     series = winjud_scores(timeline, params)
@@ -147,8 +143,7 @@ def _cmd_winjud(args):
     return [args.out], asdict(params)
 
 
-def _cmd_momentum(args):
-    timelines = load_match_csv(args.input)
+def _cmd_momentum(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     config = _momentum_config(args)
     series = momentum_series(timeline, config)
@@ -157,8 +152,7 @@ def _cmd_momentum(args):
     return [args.out], asdict(config)
 
 
-def _cmd_dbwp(args):
-    timelines = load_match_csv(args.input)
+def _cmd_dbwp(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     params = DbwpParams(w_v=args.wv, grid_step_s=args.grid_step, player=args.player)
     series = dbwp_scores(timeline, params)
@@ -178,8 +172,7 @@ def _gbt_config(args) -> GbtConfig:
     )
 
 
-def _cmd_train_gbt(args):
-    timelines = load_match_csv(args.input)
+def _cmd_train_gbt(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     series = momentum_series(timeline, MomentumConfig())
     fm = build_feature_matrix(timeline, series, args.variant)
@@ -199,8 +192,7 @@ def _cmd_train_gbt(args):
     return [args.model_out], doc
 
 
-def _cmd_ablate(args):
-    timelines = load_match_csv(args.input)
+def _cmd_ablate(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     report = run_ablation(timeline, MomentumConfig(), _gbt_config(args),
                           args.lambda_grid, args.rho_grid)
@@ -226,8 +218,7 @@ def _net_config(args, input_dim: int) -> NetConfig:
     )
 
 
-def _cmd_train_lstm(args):
-    timelines = load_match_csv(args.input)
+def _cmd_train_lstm(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     momentum = momentum_series(timeline, MomentumConfig())
     series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
@@ -249,8 +240,7 @@ def _cmd_train_lstm(args):
     return outputs, doc
 
 
-def _cmd_maml(args):
-    timelines = load_match_csv(args.input)
+def _cmd_maml(args, timelines):
     by_id = {tl.match_id: tl for tl in timelines}
     support_ids, query_ids = split_support_query(
         list(by_id), support=args.support, query=args.query)
@@ -297,8 +287,7 @@ def _cmd_maml(args):
     return outputs, doc
 
 
-def _cmd_correlate(args):
-    timelines = load_match_csv(args.input)
+def _cmd_correlate(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     momentum = momentum_series(timeline, _momentum_config(args))
     series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
@@ -518,11 +507,12 @@ def _typed_config(sub_parser, overrides):
     return typed
 
 
-def _write_manifest(path, command, config, input_path, seed, outputs, duration):
+def _write_manifest(path, command, config, input_path, input_bytes, seed, outputs,
+                    duration):
     doc = {
         "command": command,
         "config": config,
-        "inputs": {input_path: _sha256(input_path)},
+        "inputs": {input_path: _sha256(input_bytes)},
         "seed": seed,
         "outputs": list(outputs),
         "duration_s": duration,
@@ -584,7 +574,10 @@ def run_cli(argv=None) -> int:
 
     started = time.perf_counter()
     try:
-        outputs, config_doc = _DISPATCH[args.command](args)
+        # One read serves both the parse and the manifest's digest.
+        with open(args.input, "rb") as fh:
+            data = fh.read()
+        outputs, config_doc = _DISPATCH[args.command](args, load_match_csv(io.BytesIO(data)))
     except (IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -597,7 +590,7 @@ def run_cli(argv=None) -> int:
     if manifest_path is None:
         manifest_path = (outputs[0] if outputs else args.command) + ".manifest.json"
     try:
-        _write_manifest(manifest_path, args.command, config_doc, args.input,
+        _write_manifest(manifest_path, args.command, config_doc, args.input, data,
                         args.seed, outputs, duration)
     except OSError as exc:
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)

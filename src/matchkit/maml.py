@@ -10,6 +10,22 @@ then fine-tuned from the meta-initialization and scored by MSE, side by side
 with a same-budget fine-tune from the raw random initialization.  The exact
 meta-gradient exists only as a finite-difference oracle in the tests.
 
+Meta-training runs an iteration's tasks on the machine's cores.  Each
+`meta_train` call forks `min(usable cores, tasks_per_batch) - 1` helper
+processes.  It forks none where the platform lacks `fork` or
+`sched_getaffinity`, while another thread runs (fork copies only the calling
+thread), or in a daemonic process such as a Pool worker.  Helpers inherit
+the tasks and config, so each iteration sends a helper only the current
+parameters and its share of the drawn task indices, and gets back each
+task's loss and gradients.  Shares are dealt by sequence count, largest task
+first, each to the least-loaded process, the main process first, so the
+split is deterministic.  The main process runs its own share, then adds the
+losses and gradients in the order the tasks were drawn, as one process
+would, so every output is byte-identical for any helper count.  A task that
+fails is returned, not raised, and the earliest drawn one's error is raised,
+as the serial loop would raise it.  Every helper is joined before
+`meta_train` returns, and killed first if `meta_train` raises.
+
 A saved meta-state is format 2: the parameters use the fused LSTM gate
 layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`).  Format 1 held twelve
 per-gate arrays and is rejected.
@@ -19,6 +35,9 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import os
+import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -255,13 +274,140 @@ def inner_adapt(init: dict[str, np.ndarray], task: Task, config: MamlConfig) -> 
     return _mse_gd(init, x_train, y_train, config, config.inner_epochs)
 
 
+def _task_gradient(params: dict[str, np.ndarray], task: Task,
+                   config: MamlConfig) -> tuple[float, dict[str, np.ndarray]]:
+    """Huber loss and gradient, on the task's validation split, of `params`
+    adapted to the task by `inner_adapt`.
+
+    Overflow on the way to a non-finite loss is expected, not warned about;
+    a non-finite loss is a ValueError naming the task.
+    """
+    with np.errstate(all="ignore"):
+        adapted = inner_adapt(params, task, config)
+        _, (x_val, y_val) = split_task(task, config.train_fraction)
+        loss, grads = backward(ParallelNet(adapted, config.net), x_val, y_val,
+                               loss_kind="huber", train_mode=False)
+    if not math.isfinite(loss):
+        raise ValueError(f"meta-training diverged: task {task.match_id!r} "
+                         "has a non-finite loss")
+    return loss, grads
+
+
+def _run_tasks(params, tasks, indices, config) -> list:
+    """`_task_gradient` of each indexed task, or the exception it raised."""
+    results = []
+    for i in indices:
+        try:
+            results.append(_task_gradient(params, tasks[i], config))
+        except Exception as exc:  # the caller raises the earliest drawn task's error
+            results.append(exc)
+    return results
+
+
+def _helper_count(tasks_per_batch: int) -> int:
+    """Helper processes for `meta_train`: one per usable core past the first,
+    and no more than tasks past the first.  None without `fork` or
+    `sched_getaffinity`, or while another thread runs: fork copies only the
+    calling thread, so a lock another thread holds would never be released
+    in the helper."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 0
+    return min(len(os.sched_getaffinity(0)), tasks_per_batch) - 1
+
+
+def _shares(chosen, sizes, workers: int) -> list[list[int]]:
+    """Deal the drawn task indices to `workers` processes by sequence count:
+    largest task first (earlier drawn on ties), each to the least-loaded
+    process (lowest number on ties).  Process 0 is the main process."""
+    shares = [[] for _ in range(workers)]
+    loads = [0] * workers
+    for i in sorted(chosen, key=lambda i: -sizes[i]):
+        w = loads.index(min(loads))
+        shares[w].append(i)
+        loads[w] += sizes[i]
+    return shares
+
+
+def _serve(conn, inherited, tasks, config) -> None:
+    """A helper's loop: run the tasks each request names and send back the
+    results, until the main process closes its end of the pipe."""
+    import signal  # here, not at module level, like multiprocessing
+
+    # The main process's ends of this and earlier pipes came along with the
+    # fork; closing them lets a helper see EOF when the main process exits.
+    for end in inherited:
+        end.close()
+    # Ctrl-C reaches the whole process group; the main process ends helpers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    try:
+        while True:
+            params, indices = conn.recv()
+            conn.send(_run_tasks(params, tasks, indices, config))
+    except (EOFError, ConnectionError):  # the main process has closed its end
+        return
+
+
+def _start_helpers(helpers: list, tasks, config) -> None:
+    """Fork `_helper_count` helpers, appending each (process, pipe end)."""
+    count = _helper_count(config.tasks_per_batch)
+    if not count:
+        return
+    import multiprocessing  # here, not at module level: the import alone takes 3-5 ms
+
+    if multiprocessing.current_process().daemon:  # e.g. a Pool worker: no children allowed
+        return
+    context = multiprocessing.get_context("fork")
+    for _ in range(count):
+        ours, theirs = context.Pipe()
+        inherited = [conn for _, conn in helpers] + [ours]
+        process = context.Process(target=_serve, args=(theirs, inherited, tasks, config))
+        process.start()
+        helpers.append((process, ours))
+        theirs.close()
+
+
+def _stop_helpers(helpers: list, finished: bool) -> None:
+    """Join every helper.  A finished run's helpers are idle and exit when
+    their pipe closes; otherwise a helper may still be computing or blocked
+    sending, so it is killed first."""
+    for process, conn in helpers:
+        if not finished:
+            process.terminate()
+        conn.close()
+        process.join()
+
+
+def _run_batch(helpers, params, tasks, chosen, config) -> list:
+    """Every drawn task's (loss, grads), in draw order, with the helpers
+    running their shares beside the main process's; raises the error of the
+    earliest drawn task that failed."""
+    shares = _shares(chosen, [task.x.shape[0] for task in tasks], len(helpers) + 1)
+    try:
+        for (_, conn), share in zip(helpers, shares[1:]):
+            conn.send((params, share))
+        results = dict(zip(shares[0], _run_tasks(params, tasks, shares[0], config)))
+        for (_, conn), share in zip(helpers, shares[1:]):
+            results.update(zip(share, conn.recv()))
+    except (EOFError, ConnectionError):
+        raise ChildProcessError("a meta-training helper process ended unexpectedly") from None
+    ordered = [results[i] for i in chosen]
+    for result in ordered:
+        if isinstance(result, Exception):
+            raise result
+    return ordered
+
+
 def meta_train(tasks, config: MamlConfig) -> MetaState:
     """Meta-train a shared initialization over the support tasks.
 
     Per iteration: draw tasks_per_batch tasks without replacement, adapt the
     current initialization to each, take the Huber gradient of each adapted
     net on its task's validation split, and apply the mean gradient to the
-    initialization with Adam at meta_lr (first-order approximation).
+    initialization with Adam at meta_lr (first-order approximation).  The
+    tasks run on forked helper processes beside the main process, as the
+    module docstring describes; the result does not depend on how many.
     """
     config.check()
     tasks = list(tasks)
@@ -274,35 +420,45 @@ def meta_train(tasks, config: MamlConfig) -> MetaState:
     params = init_net(config.net).params
     state = init_adam_state(config.net)
     history = []
-    for t in range(1, config.meta_iterations + 1):
-        chosen = rng.choice(len(tasks), size=config.tasks_per_batch, replace=False)
-        batch_loss = 0.0
-        mean_grads = {k: np.zeros_like(v) for k, v in params.items()}
-        for idx in chosen:
-            task = tasks[int(idx)]
-            adapted = inner_adapt(params, task, config)
-            _, (x_val, y_val) = split_task(task, config.train_fraction)
-            loss, grads = backward(ParallelNet(adapted, config.net), x_val, y_val,
-                                   loss_kind="huber", train_mode=False)
-            batch_loss += loss
-            for k in mean_grads:
-                mean_grads[k] += grads[k]
-        scale = 1.0 / config.tasks_per_batch
-        batch_loss *= scale
-        for k in mean_grads:
-            mean_grads[k] *= scale
-        params, state = adam_step(params, mean_grads, state, t, config.net,
-                                  lr=config.meta_lr)
-        history.append(batch_loss)
+    helpers = []
+    finished = False
+    try:
+        _start_helpers(helpers, tasks, config)
+        # Overflow on the way to non-finite parameters is expected, not
+        # warned about: MetaState refuses them.
+        with np.errstate(all="ignore"):
+            for t in range(1, config.meta_iterations + 1):
+                chosen = [int(i) for i in rng.choice(len(tasks), size=config.tasks_per_batch,
+                                                     replace=False)]
+                batch_loss = 0.0
+                mean_grads = {k: np.zeros_like(v) for k, v in params.items()}
+                for loss, grads in _run_batch(helpers, params, tasks, chosen, config):
+                    batch_loss += loss
+                    for k in mean_grads:
+                        mean_grads[k] += grads[k]
+                scale = 1.0 / config.tasks_per_batch
+                batch_loss *= scale
+                for k in mean_grads:
+                    mean_grads[k] *= scale
+                params, state = adam_step(params, mean_grads, state, t, config.net,
+                                          lr=config.meta_lr)
+                history.append(batch_loss)
+        finished = True
+    finally:
+        _stop_helpers(helpers, finished)
     return MetaState(params=params, loss_history=tuple(history), config=config)
 
 
 def _fine_tune_mse(start_params: dict[str, np.ndarray], task: Task,
                    config: MamlConfig) -> float:
     (x_train, y_train), (x_val, y_val) = split_task(task, config.train_fraction)
-    tuned = _mse_gd(start_params, x_train, y_train, config, config.fine_tune_epochs)
-    residual = forward_batch(ParallelNet(tuned, config.net), x_val) - y_val
-    return float(np.mean(residual * residual))
+    with np.errstate(all="ignore"):
+        tuned = _mse_gd(start_params, x_train, y_train, config, config.fine_tune_epochs)
+        residual = forward_batch(ParallelNet(tuned, config.net), x_val) - y_val
+        mse = float(np.mean(residual * residual))
+    if not math.isfinite(mse):
+        raise ValueError(f"fine-tuning diverged: task {task.match_id!r} has a non-finite MSE")
+    return mse
 
 
 def fine_tune_and_eval(meta: MetaState, task: Task, config: MamlConfig) -> float:

@@ -131,6 +131,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.splitlines() == [
             "error: epoch losses must be finite and non-negative"]
 
+    # capfd, not capsys: a helper process writes to file descriptor 2 directly
+    @pytest.mark.parametrize("flags, message", [
+        pytest.param(["--meta-lr", "1e308"], "meta-training diverged: task '", id="meta-lr"),
+        pytest.param(["--inner-lr", "1e308"], "meta-training diverged: task '", id="inner-lr"),
+        pytest.param(["--inner-lr", "1e308", "--inner-epochs", "0"],
+                     "fine-tuning diverged: task '", id="fine-tune"),
+    ])
+    def test_diverging_maml_is_one_stderr_line(self, pool_csv, tmp_path, capfd,
+                                               flags, message):
+        code = run_cli(["maml", "--input", pool_csv, "--out", str(tmp_path / "q.csv")]
+                       + MAML_FAST + flags)
+        assert code == 1
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: " + message)
+
     @pytest.mark.parametrize("command", ["ingest", "winjud", "momentum", "dbwp", "correlate"])
     def test_corrupt_row_is_one_stderr_line(self, single_csv, tmp_path, capsys, command):
         rows = read_rows(single_csv)
@@ -480,6 +496,18 @@ class TestDeterminism:
             doc.pop("outputs")  # paths differ by construction here
             docs.append(doc)
         assert docs[0] == docs[1]
+
+
+class TestImportCost:
+    def test_cli_import_leaves_multiprocessing_out(self):
+        # meta_train imports it only when it forks helpers: the import alone
+        # takes 3-5 ms of every command's start-up
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys, matchkit.cli; print('multiprocessing' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False"]
 
 
 class TestFreedHeapKept:

@@ -1,10 +1,18 @@
+import contextlib
 import io
 import json
+import multiprocessing
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from matchkit import maml
+from matchkit.cli import run_cli
 from matchkit.dbwp import DbwpParams, dbwp_scores
+from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
 from matchkit.maml import (
     QUERY_MATCH_NUMBERS,
     SUPPORT_MATCH_NUMBERS,
@@ -354,6 +362,172 @@ class TestMetaTrain:
         params["rw"] = np.array([[np.inf], [0.0]])
         with pytest.raises(ValueError, match="finite"):
             MetaState(params=params, loss_history=(1.0,), config=cfg)
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+
+
+def uneven_tasks(sizes, seed=0):
+    rng = np.random.default_rng(seed)
+    return [linear_task(rng.uniform(-1, 1), m, 3, rng, f"u{k}") for k, m in enumerate(sizes)]
+
+
+def assert_same_meta(a, b):
+    assert a.loss_history == b.loss_history
+    for k in a.params:
+        assert a.params[k].tobytes() == b.params[k].tobytes(), k
+
+
+class TestHelpers:
+    @needs_fork
+    @pytest.mark.parametrize("helpers", [1, 2, 3])
+    def test_helpers_give_the_serial_result_bit_for_bit(self, monkeypatch, helpers):
+        tasks = uneven_tasks([9, 31, 14, 52, 6, 23])
+        cfg = tiny_config(tasks_per_batch=4, meta_iterations=12)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 0)
+        serial = meta_train(tasks, cfg)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: helpers)
+        assert_same_meta(meta_train(tasks, cfg), serial)
+        assert multiprocessing.active_children() == []
+
+    def test_shares_deal_largest_first_to_the_least_loaded(self):
+        sizes = [10, 40, 20, 30, 20]
+        assert maml._shares([0, 1, 2, 3], sizes, 2) == [[1, 0], [3, 2]]
+        # ties: the earlier drawn task first, the lower-numbered process first
+        assert maml._shares([4, 2, 0], sizes, 2) == [[4, 0], [2]]
+        assert maml._shares([3, 0], sizes, 1) == [[3, 0]]
+
+    def test_helper_count(self):
+        cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        assert maml._helper_count(1) == 0
+        if hasattr(os, "fork"):
+            assert maml._helper_count(4) == min(cores, 4) - 1
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:  # fork would copy only this thread
+            assert maml._helper_count(4) == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @needs_fork
+    def test_failing_task_in_a_helper_raises_the_serial_error(self, monkeypatch):
+        # With two processes the 30-sequence task goes to the helper and the
+        # 10-sequence one stays here; both fail, and the one drawn first names
+        # the error, whichever process ran it.
+        tasks = uneven_tasks([40, 30, 20, 10])
+        for k in (1, 3):
+            tasks[k].x[0, 0, 0] = np.nan
+        assert maml._shares([0, 1, 2, 3], [40, 30, 20, 10], 2) == [[0, 3], [1, 2]]
+        messages = set()
+        for seed in range(6):
+            cfg = tiny_config(tasks_per_batch=4, seed=seed)
+            errors = []
+            for helpers in (0, 1):
+                monkeypatch.setattr(maml, "_helper_count", lambda n, h=helpers: h)
+                with pytest.raises(ValueError, match="non-finite loss") as info:
+                    meta_train(tasks, cfg)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+            messages.add(errors[0])
+        assert messages == {"meta-training diverged: task 'u1' has a non-finite loss",
+                            "meta-training diverged: task 'u3' has a non-finite loss"}
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_helper_that_dies_is_a_child_process_error(self, monkeypatch):
+        main = os.getpid()
+        task_gradient = maml._task_gradient
+
+        def dies_in_a_helper(params, task, config):
+            if os.getpid() != main:
+                os._exit(3)
+            return task_gradient(params, task, config)
+
+        monkeypatch.setattr(maml, "_task_gradient", dies_in_a_helper)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        with pytest.raises(ChildProcessError, match="ended unexpectedly"):
+            meta_train(uneven_tasks([12, 18, 15]), tiny_config())
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_diverging_run_is_a_value_error_in_either_process(self, monkeypatch):
+        # a helper's numpy warnings would be errors here (pytest.ini), so a
+        # helper without np.errstate fails this when its task is drawn first
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        tasks = uneven_tasks([12, 18, 15, 20])
+        for seed in range(6):
+            with pytest.raises(ValueError, match="meta-training diverged"):
+                meta_train(tasks, tiny_config(meta_lr=1e308, tasks_per_batch=3, seed=seed))
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_interrupt_ends_busy_helpers(self, monkeypatch):
+        main = os.getpid()
+
+        def interrupted_here(params, tasks, indices, config):
+            if os.getpid() == main:
+                raise KeyboardInterrupt
+            time.sleep(60)  # a helper still computing must be killed, not awaited
+
+        monkeypatch.setattr(maml, "_run_tasks", interrupted_here)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 2)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            meta_train(uneven_tasks([12, 18, 15, 20]), tiny_config(tasks_per_batch=3))
+        assert time.monotonic() - started < 30
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_daemonic_process_runs_its_tasks_itself(self, monkeypatch):
+        # a multiprocessing pool's workers are daemonic and may not start children
+        tasks, cfg = uneven_tasks([12, 18, 15]), tiny_config()
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        context = multiprocessing.get_context("fork")
+        ours, theirs = context.Pipe()
+
+        def run():
+            theirs.send(meta_train(tasks, cfg).loss_history)
+
+        worker = context.Process(target=run, daemon=True)
+        worker.start()
+        try:
+            assert ours.poll(60)
+            history = ours.recv()
+        finally:
+            worker.join(timeout=60)
+            ours.close()
+            theirs.close()
+        assert not worker.is_alive()
+        assert history == meta_train(tasks, cfg).loss_history
+
+
+@pytest.fixture(scope="module")
+def pool_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("pool") / "pool.csv"
+    write_timeline_csv([
+        generate_synthetic_match(SyntheticSpec(n_points=90, seed=s, match_id=f"demo-{mid}"))
+        for s, mid in enumerate([1301, 1302, 1303, 1601])], str(path))
+    return str(path)
+
+
+class TestCliLeavesNoHelper:
+    FAST = ["--hidden-dense", "4", "--hidden-lstm", "2", "--seq-len", "4",
+            "--dropout-rate", "0.0", "--wv", "3", "--meta-iterations", "3",
+            "--tasks-per-batch", "2", "--inner-lr", "0.05"]
+
+    @needs_fork
+    @pytest.mark.parametrize("meta_lr, code", [("0.01", 0), ("1e308", 1)])
+    def test_no_helper_outlives_a_maml_run(self, pool_csv, tmp_path, monkeypatch, capfd,
+                                           meta_lr, code):
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert run_cli(["maml", "--input", pool_csv, "--out", str(tmp_path / "q.csv"),
+                            "--meta-lr", meta_lr] + self.FAST) == code
+        assert multiprocessing.active_children() == []
+        assert len(capfd.readouterr().err.splitlines()) == code
 
 
 class TestFineTuneAndEval:
