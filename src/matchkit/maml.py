@@ -17,14 +17,16 @@ processes.  It forks none where the platform lacks `fork` or
 thread), or in a daemonic process such as a Pool worker.  Helpers inherit
 the tasks and config, so each iteration sends a helper only the current
 parameters and its share of the drawn task indices, and gets back each
-task's loss and gradients.  Shares are dealt by sequence count, largest task
-first, each to the least-loaded process, the main process first, so the
-split is deterministic.  The main process runs its own share, then adds the
-losses and gradients in the order the tasks were drawn, as one process
-would, so every output is byte-identical for any helper count.  A task that
-fails is returned, not raised, and the earliest drawn one's error is raised,
-as the serial loop would raise it.  Every helper is joined before
-`meta_train` returns, and killed first if `meta_train` raises.
+task's loss and gradients.  The drawn tasks are dealt round-robin in draw
+order, the main process first.  The main process runs its own share, then
+adds the losses and gradients in the order the tasks were drawn, as one
+process would, so every output is byte-identical for any helper count.  A
+task that fails is returned, not raised, and the earliest drawn one's error
+is raised, as the serial loop would raise it.  If a pipe or a fork fails
+(say, out of descriptors or processes), no more helpers are started and the
+run goes on with those already running, or in-process with none.  Every
+helper is joined before `meta_train` returns, and killed first if
+`meta_train` raises.
 
 A saved meta-state is format 2: the parameters use the fused LSTM gate
 layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`).  Format 1 held twelve
@@ -316,19 +318,6 @@ def _helper_count(tasks_per_batch: int) -> int:
     return min(len(os.sched_getaffinity(0)), tasks_per_batch) - 1
 
 
-def _shares(chosen, sizes, workers: int) -> list[list[int]]:
-    """Deal the drawn task indices to `workers` processes by sequence count:
-    largest task first (earlier drawn on ties), each to the least-loaded
-    process (lowest number on ties).  Process 0 is the main process."""
-    shares = [[] for _ in range(workers)]
-    loads = [0] * workers
-    for i in sorted(chosen, key=lambda i: -sizes[i]):
-        w = loads.index(min(loads))
-        shares[w].append(i)
-        loads[w] += sizes[i]
-    return shares
-
-
 def _serve(conn, inherited, tasks, config) -> None:
     """A helper's loop: run the tasks each request names and send back the
     results, until the main process closes its end of the pipe."""
@@ -350,7 +339,7 @@ def _serve(conn, inherited, tasks, config) -> None:
 
 
 def _start_helpers(helpers: list, tasks, config) -> None:
-    """Fork `_helper_count` helpers, appending each (process, pipe end)."""
+    """Fork up to `_helper_count` helpers, appending each (process, pipe end)."""
     count = _helper_count(config.tasks_per_batch)
     if not count:
         return
@@ -360,12 +349,21 @@ def _start_helpers(helpers: list, tasks, config) -> None:
         return
     context = multiprocessing.get_context("fork")
     for _ in range(count):
-        ours, theirs = context.Pipe()
+        # Out of descriptors or processes: run with the helpers started so far.
+        try:
+            ours, theirs = context.Pipe()
+        except OSError:
+            return
         inherited = [conn for _, conn in helpers] + [ours]
         process = context.Process(target=_serve, args=(theirs, inherited, tasks, config))
-        process.start()
+        try:
+            process.start()
+        except OSError:
+            ours.close()
+            return
+        finally:
+            theirs.close()
         helpers.append((process, ours))
-        theirs.close()
 
 
 def _stop_helpers(helpers: list, finished: bool) -> None:
@@ -383,7 +381,8 @@ def _run_batch(helpers, params, tasks, chosen, config) -> list:
     """Every drawn task's (loss, grads), in draw order, with the helpers
     running their shares beside the main process's; raises the error of the
     earliest drawn task that failed."""
-    shares = _shares(chosen, [task.x.shape[0] for task in tasks], len(helpers) + 1)
+    workers = len(helpers) + 1
+    shares = [chosen[w::workers] for w in range(workers)]
     try:
         for (_, conn), share in zip(helpers, shares[1:]):
             conn.send((params, share))

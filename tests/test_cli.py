@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 import platform
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from matchkit import cli
+from matchkit import cli, maml
 from matchkit.cli import build_parser, run_cli
 from matchkit.dbwp import DbwpParams
 from matchkit.gbtree import GbtConfig
@@ -45,6 +46,13 @@ def pool_csv(tmp_path_factory):
     ]
     write_timeline_csv(matches, str(path))
     return str(path)
+
+
+@pytest.fixture
+def one_helper(monkeypatch):
+    """Fork one meta-training helper whatever the machine's core count."""
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
 
 
 def read_rows(path):
@@ -138,11 +146,12 @@ class TestExitCodes:
         pytest.param(["--inner-lr", "1e308", "--inner-epochs", "0"],
                      "fine-tuning diverged: task '", id="fine-tune"),
     ])
-    def test_diverging_maml_is_one_stderr_line(self, pool_csv, tmp_path, capfd,
+    def test_diverging_maml_is_one_stderr_line(self, pool_csv, tmp_path, capfd, one_helper,
                                                flags, message):
         code = run_cli(["maml", "--input", pool_csv, "--out", str(tmp_path / "q.csv")]
                        + MAML_FAST + flags)
         assert code == 1
+        assert multiprocessing.active_children() == []
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: " + message)
@@ -278,12 +287,13 @@ class TestTrainingCommands:
         assert rows[0] == ["epoch", "loss"]
         assert len(rows) == 5
 
-    def test_maml_comparison_csv_and_state(self, pool_csv, tmp_path):
+    def test_maml_comparison_csv_and_state(self, pool_csv, tmp_path, one_helper):
         out = tmp_path / "queries.csv"
         state = tmp_path / "state.json"
         code = run_cli(["maml", "--input", pool_csv, "--out", str(out),
                         "--state-out", str(state)] + MAML_FAST)
         assert code == 0
+        assert multiprocessing.active_children() == []
         rows = read_rows(out)
         assert rows[0] == ["match_id", "maml_mse", "scratch_mse"]
         assert sorted(r[0] for r in rows[1:]) == ["demo-1601", "demo-1701"]
@@ -334,16 +344,22 @@ class TestManifest:
         manifest = tmp_path / "run.json"
         if fault == "missing-dir":
             manifest = tmp_path / "absent" / "run.json"
-        else:  # the input is hashed for the manifest after the command ran
-            def unreadable(path):
-                raise PermissionError(f"[Errno 13] Permission denied: {path!r}")
-            monkeypatch.setattr(cli, "_sha256", unreadable)
+        else:  # the command's one read of its input, before any output
+            def unreadable(path, *args, **kwargs):
+                if path == single_csv:
+                    raise PermissionError(13, "Permission denied", path)
+                return open(path, *args, **kwargs)
+            monkeypatch.setattr(cli, "open", unreadable, raising=False)
         code = run_cli(["winjud", "--input", single_csv, "--out", str(tmp_path / "wj.csv"),
                         "--manifest", str(manifest)])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
-        assert err[0].startswith("error: cannot write manifest: ")
+        if fault == "missing-dir":
+            assert err[0].startswith("error: cannot write manifest: ")
+        else:
+            assert err[0] == f"error: [Errno 13] Permission denied: {single_csv!r}"
+            assert not manifest.exists()
 
 
 class TestFlagDefaults:

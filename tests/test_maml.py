@@ -1,4 +1,4 @@
-import contextlib
+import errno
 import io
 import json
 import multiprocessing
@@ -10,9 +10,7 @@ import numpy as np
 import pytest
 
 from matchkit import maml
-from matchkit.cli import run_cli
 from matchkit.dbwp import DbwpParams, dbwp_scores
-from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
 from matchkit.maml import (
     QUERY_MATCH_NUMBERS,
     SUPPORT_MATCH_NUMBERS,
@@ -390,13 +388,6 @@ class TestHelpers:
         assert_same_meta(meta_train(tasks, cfg), serial)
         assert multiprocessing.active_children() == []
 
-    def test_shares_deal_largest_first_to_the_least_loaded(self):
-        sizes = [10, 40, 20, 30, 20]
-        assert maml._shares([0, 1, 2, 3], sizes, 2) == [[1, 0], [3, 2]]
-        # ties: the earlier drawn task first, the lower-numbered process first
-        assert maml._shares([4, 2, 0], sizes, 2) == [[4, 0], [2]]
-        assert maml._shares([3, 0], sizes, 1) == [[3, 0]]
-
     def test_helper_count(self):
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         assert maml._helper_count(1) == 0
@@ -414,16 +405,19 @@ class TestHelpers:
 
     @needs_fork
     def test_failing_task_in_a_helper_raises_the_serial_error(self, monkeypatch):
-        # With two processes the 30-sequence task goes to the helper and the
-        # 10-sequence one stays here; both fail, and the one drawn first names
-        # the error, whichever process ran it.
+        # Tasks u1 and u3 both fail, and the one drawn first names the error,
+        # whichever process ran it.  The seeds make each the earliest drawn,
+        # and in some the earliest runs in the helper while a later one runs
+        # here, where the main process sees its own failure first.
         tasks = uneven_tasks([40, 30, 20, 10])
         for k in (1, 3):
             tasks[k].x[0, 0, 0] = np.nan
-        assert maml._shares([0, 1, 2, 3], [40, 30, 20, 10], 2) == [[0, 3], [1, 2]]
-        messages = set()
+        messages, places = set(), set()
         for seed in range(6):
             cfg = tiny_config(tasks_per_batch=4, seed=seed)
+            chosen = list(np.random.default_rng(seed).choice(4, size=4, replace=False))
+            # with two processes, even draw positions run here, odd in the helper
+            places.add(tuple(chosen.index(k) % 2 for k in sorted((1, 3), key=chosen.index)))
             errors = []
             for helpers in (0, 1):
                 monkeypatch.setattr(maml, "_helper_count", lambda n, h=helpers: h)
@@ -434,6 +428,38 @@ class TestHelpers:
             messages.add(errors[0])
         assert messages == {"meta-training diverged: task 'u1' has a non-finite loss",
                             "meta-training diverged: task 'u3' has a non-finite loss"}
+        assert (1, 0) in places
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    @pytest.mark.parametrize("fault", ["pipe", "fork"])
+    def test_failed_pipe_or_fork_runs_with_the_helpers_started(self, monkeypatch, fault):
+        tasks = uneven_tasks([9, 31, 14, 52, 6, 23])
+        cfg = tiny_config(tasks_per_batch=4, meta_iterations=6)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 0)
+        serial = meta_train(tasks, cfg)
+        context = multiprocessing.get_context("fork")
+        pipe, start = context.Pipe, context.Process.start
+        pipes, forks = [], []
+
+        def pipe_or_fail(*args):
+            if fault == "pipe" and pipes:
+                raise OSError(errno.EMFILE, "Too many open files")
+            pipes.append(pipe(*args))
+            return pipes[-1]
+
+        def start_or_fail(process):
+            if fault == "fork" and forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(process)
+            start(process)
+
+        monkeypatch.setattr(context, "Pipe", pipe_or_fail)
+        monkeypatch.setattr(context.Process, "start", start_or_fail)
+        monkeypatch.setattr(maml, "_helper_count", lambda n: 3)
+        assert_same_meta(meta_train(tasks, cfg), serial)
+        assert len(forks) == 1
+        assert all(end.closed for ends in pipes for end in ends)
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -454,13 +480,19 @@ class TestHelpers:
 
     @needs_fork
     def test_diverging_run_is_a_value_error_in_either_process(self, monkeypatch):
-        # a helper's numpy warnings would be errors here (pytest.ini), so a
-        # helper without np.errstate fails this when its task is drawn first
+        # Task u2 overflows.  A helper's numpy warnings are errors here
+        # (pyproject's filterwarnings), so a helper without np.errstate fails
+        # this when it runs u2; the seeds put u2 in each process.
         monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
         tasks = uneven_tasks([12, 18, 15, 20])
+        tasks[2].x[...] *= 1e300
+        places = set()
         for seed in range(6):
-            with pytest.raises(ValueError, match="meta-training diverged"):
-                meta_train(tasks, tiny_config(meta_lr=1e308, tasks_per_batch=3, seed=seed))
+            chosen = list(np.random.default_rng(seed).choice(4, size=4, replace=False))
+            places.add(chosen.index(2) % 2)  # 0: the main process, 1: the helper
+            with pytest.raises(ValueError, match="meta-training diverged: task 'u2'"):
+                meta_train(tasks, tiny_config(tasks_per_batch=4, seed=seed))
+        assert places == {0, 1}
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -502,32 +534,6 @@ class TestHelpers:
             theirs.close()
         assert not worker.is_alive()
         assert history == meta_train(tasks, cfg).loss_history
-
-
-@pytest.fixture(scope="module")
-def pool_csv(tmp_path_factory):
-    path = tmp_path_factory.mktemp("pool") / "pool.csv"
-    write_timeline_csv([
-        generate_synthetic_match(SyntheticSpec(n_points=90, seed=s, match_id=f"demo-{mid}"))
-        for s, mid in enumerate([1301, 1302, 1303, 1601])], str(path))
-    return str(path)
-
-
-class TestCliLeavesNoHelper:
-    FAST = ["--hidden-dense", "4", "--hidden-lstm", "2", "--seq-len", "4",
-            "--dropout-rate", "0.0", "--wv", "3", "--meta-iterations", "3",
-            "--tasks-per-batch", "2", "--inner-lr", "0.05"]
-
-    @needs_fork
-    @pytest.mark.parametrize("meta_lr, code", [("0.01", 0), ("1e308", 1)])
-    def test_no_helper_outlives_a_maml_run(self, pool_csv, tmp_path, monkeypatch, capfd,
-                                           meta_lr, code):
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert run_cli(["maml", "--input", pool_csv, "--out", str(tmp_path / "q.csv"),
-                            "--meta-lr", meta_lr] + self.FAST) == code
-        assert multiprocessing.active_children() == []
-        assert len(capfd.readouterr().err.splitlines()) == code
 
 
 class TestFineTuneAndEval:
