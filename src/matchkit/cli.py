@@ -75,8 +75,20 @@ def _id_list(text: str) -> tuple[str, ...]:
     return values
 
 
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+class _HashingReader(io.RawIOBase):
+    """A binary file read through once, its bytes hashed as they pass."""
+
+    def __init__(self, raw):
+        self.raw = raw
+        self.sha256 = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self.raw.readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
 
 
 def _pearson(a, b) -> float:
@@ -507,12 +519,12 @@ def _typed_config(sub_parser, overrides):
     return typed
 
 
-def _write_manifest(path, command, config, input_path, input_bytes, seed, outputs,
+def _write_manifest(path, command, config, input_path, input_digest, seed, outputs,
                     duration):
     doc = {
         "command": command,
         "config": config,
-        "inputs": {input_path: _sha256(input_bytes)},
+        "inputs": {input_path: input_digest},
         "seed": seed,
         "outputs": list(outputs),
         "duration_s": duration,
@@ -575,9 +587,14 @@ def run_cli(argv=None) -> int:
     started = time.perf_counter()
     try:
         # One read serves both the parse and the manifest's digest.
-        with open(args.input, "rb") as fh:
-            data = fh.read()
-        outputs, config_doc = _DISPATCH[args.command](args, load_match_csv(io.BytesIO(data)))
+        with open(args.input, "rb", buffering=0) as fh:
+            hashing = _HashingReader(fh)
+            stream = io.BufferedReader(hashing)
+            timelines = load_match_csv(stream)
+            while stream.read(io.DEFAULT_BUFFER_SIZE):  # the digest covers the whole file
+                pass
+        input_digest = hashing.sha256.hexdigest()
+        outputs, config_doc = _DISPATCH[args.command](args, timelines)
     except (IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -590,7 +607,7 @@ def run_cli(argv=None) -> int:
     if manifest_path is None:
         manifest_path = (outputs[0] if outputs else args.command) + ".manifest.json"
     try:
-        _write_manifest(manifest_path, args.command, config_doc, args.input, data,
+        _write_manifest(manifest_path, args.command, config_doc, args.input, input_digest,
                         args.seed, outputs, duration)
     except OSError as exc:
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)

@@ -21,15 +21,17 @@ of nodes of similar size.  A fit allocates its working set once: the
 level's element index in two buffers that alternate by depth, and the
 block buffers, per-cut node values included, so a split search allocates
 no level- or block-sized array that the allocator would map or trim each
-time.  The grower reads a (lam, rho) cell only through
-its penalties l1 = lam*rho and l2 = lam*(1 - rho), so grid_search fits
-each distinct (l1, l2) pair once (at lam = 0 every rho is one pair), in one
-batch (a few for large inputs), since they share the rows and the presort:
-tree t of every pair grows together, and each new tree's leaf values go
-straight into the pairs' validation scores.  train_gbt is the same grower
-with one pair.  A tree is flat node arrays in XGBoost's layout from the
-grower on: GbtModel keeps them as they are grown, one walker (_apply_trees)
-scores them for grid_search and predict, and the model JSON nests them.
+time.  The grower reads a (lam, rho) cell only through its penalties
+l1 = lam*rho and l2 = lam*(1 - rho), so grid_search fits each distinct
+(l1, l2) pair once (at lam = 0 every rho is one pair).  The pairs are dealt
+round-robin to the main process and the forked helpers of `_fork`, and fit
+in one batch per process (a few for large inputs), since they share the
+rows and the presort: tree t of every pair grows together, and each new
+tree's leaf values go straight into the pairs' validation scores.  The
+winner's refit runs in the main process.  train_gbt is the same grower with
+one pair.  A tree is flat node arrays in XGBoost's layout from the grower
+on: GbtModel keeps them as they are grown, one walker (_apply_trees) scores
+them for grid_search and predict, and the model JSON nests them.
 
 Fitted models are byte-identical to a scan that re-sorts every node and
 scores one threshold at a time (the oracle in tests/helpers.py), and a
@@ -54,6 +56,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import _fork
 from ._checks import dataclass_from_doc, finite_real, require_finite, require_int
 from .ingest import MatchTimeline
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
@@ -650,10 +653,10 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
     The first 80% of rows form the training split and the last 20% are left
     untouched for test evaluation by the caller.  Within the training split,
     the first 80% fit every distinct (lam*rho, lam*(1 - rho)) penalty pair of
-    the grid, batched, and the last 20% score them; a cell takes its pair's
-    accuracy.  The best validation accuracy wins; ties break toward
-    smaller lam, then smaller rho.  The winner is refit on the whole
-    training split.
+    the grid, batched and spread over the machine's cores, and the last 20%
+    score them; a cell takes its pair's accuracy.  The best validation
+    accuracy wins; ties break toward smaller lam, then smaller rho.  The
+    winner is refit on the whole training split.
     """
     config = config or GbtConfig()
     config.check()
@@ -687,13 +690,21 @@ def grid_search(x, y, lambda_grid=DEFAULT_LAMBDA_GRID, rho_grid=DEFAULT_RHO_GRID
     pairs = list(pair_of)
     names = tuple(f"f{i}" for i in range(x.shape[1]))
     x_val_t = np.ascontiguousarray(x_val.T)
-    scores = np.full((len(pairs), x_val.shape[0]), float(y_in.mean()))
     step = max(1, _BATCH_ELEMENTS // max(1, x_in.size))
-    for start in range(0, len(pairs), step):
-        batch_pairs = pairs[start:start + step]
-        batch_scores = scores[start:start + step]
-        for trees in _boost(x_in, y_in, batch_pairs, config, names):
-            batch_scores += config.learning_rate * _apply_trees(trees, x_val_t, len(batch_pairs))
+
+    def fit(share):
+        """The validation scores of each pair of `share`, fitted in batches."""
+        scores = np.full((len(share), x_val.shape[0]), float(y_in.mean()))
+        for start in range(0, len(share), step):
+            batch_pairs = share[start:start + step]
+            batch_scores = scores[start:start + step]
+            for trees in _boost(x_in, y_in, batch_pairs, config, names):
+                batch_scores += config.learning_rate * _apply_trees(trees, x_val_t,
+                                                                    len(batch_pairs))
+        return list(scores)
+
+    with _fork.helpers(fit, len(pairs), "grid-search") as run:
+        scores = np.array(run((), pairs))
     correct = (np.clip(scores, 0.0, 1.0) >= 0.5) == (y_val == 1.0)
     pair_acc = correct.mean(axis=1).tolist()
     best = None  # (accuracy, lam, rho); sorted cells make ties pick small lam/rho

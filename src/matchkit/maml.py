@@ -10,23 +10,12 @@ then fine-tuned from the meta-initialization and scored by MSE, side by side
 with a same-budget fine-tune from the raw random initialization.  The exact
 meta-gradient exists only as a finite-difference oracle in the tests.
 
-Meta-training runs an iteration's tasks on the machine's cores.  Each
-`meta_train` call forks `min(usable cores, tasks_per_batch) - 1` helper
-processes.  It forks none where the platform lacks `fork` or
-`sched_getaffinity`, while another thread runs (fork copies only the calling
-thread), or in a daemonic process such as a Pool worker.  Helpers inherit
-the tasks and config, so each iteration sends a helper only the current
-parameters and its share of the drawn task indices, and gets back each
-task's loss and gradients.  The drawn tasks are dealt round-robin in draw
-order, the main process first.  The main process runs its own share, then
-adds the losses and gradients in the order the tasks were drawn, as one
-process would, so every output is byte-identical for any helper count.  A
-task that fails is returned, not raised, and the earliest drawn one's error
-is raised, as the serial loop would raise it.  If a pipe or a fork fails
-(say, out of descriptors or processes), no more helpers are started and the
-run goes on with those already running, or in-process with none.  Every
-helper is joined before `meta_train` returns, and killed first if
-`meta_train` raises.
+Meta-training runs an iteration's tasks on the machine's cores, through
+the forked helpers of `_fork`: the drawn tasks are dealt round-robin in draw
+order, each helper gets only the current parameters and its share of the
+drawn task indices, and the main process adds the returned losses and
+gradients in draw order, as one process would, so every output is
+byte-identical for any helper count.
 
 A saved meta-state is format 2: the parameters use the fused LSTM gate
 layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`).  Format 1 held twelve
@@ -38,12 +27,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import threading
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _fork
 from ._checks import (check_finite, check_int, dataclass_from_doc, finite_real, require_finite,
                       require_int)
 from .dbwp import DbwpSeries
@@ -306,98 +294,6 @@ def _run_tasks(params, tasks, indices, config) -> list:
     return results
 
 
-def _helper_count(tasks_per_batch: int) -> int:
-    """Helper processes for `meta_train`: one per usable core past the first,
-    and no more than tasks past the first.  None without `fork` or
-    `sched_getaffinity`, or while another thread runs: fork copies only the
-    calling thread, so a lock another thread holds would never be released
-    in the helper."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
-            or threading.active_count() > 1:
-        return 0
-    return min(len(os.sched_getaffinity(0)), tasks_per_batch) - 1
-
-
-def _serve(conn, inherited, tasks, config) -> None:
-    """A helper's loop: run the tasks each request names and send back the
-    results, until the main process closes its end of the pipe."""
-    import signal  # here, not at module level, like multiprocessing
-
-    # The main process's ends of this and earlier pipes came along with the
-    # fork; closing them lets a helper see EOF when the main process exits.
-    for end in inherited:
-        end.close()
-    # Ctrl-C reaches the whole process group; the main process ends helpers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        while True:
-            params, indices = conn.recv()
-            conn.send(_run_tasks(params, tasks, indices, config))
-    except (EOFError, ConnectionError):  # the main process has closed its end
-        return
-
-
-def _start_helpers(helpers: list, tasks, config) -> None:
-    """Fork up to `_helper_count` helpers, appending each (process, pipe end)."""
-    count = _helper_count(config.tasks_per_batch)
-    if not count:
-        return
-    import multiprocessing  # here, not at module level: the import alone takes 3-5 ms
-
-    if multiprocessing.current_process().daemon:  # e.g. a Pool worker: no children allowed
-        return
-    context = multiprocessing.get_context("fork")
-    for _ in range(count):
-        # Out of descriptors or processes: run with the helpers started so far.
-        try:
-            ours, theirs = context.Pipe()
-        except OSError:
-            return
-        inherited = [conn for _, conn in helpers] + [ours]
-        process = context.Process(target=_serve, args=(theirs, inherited, tasks, config))
-        try:
-            process.start()
-        except OSError:
-            ours.close()
-            return
-        finally:
-            theirs.close()
-        helpers.append((process, ours))
-
-
-def _stop_helpers(helpers: list, finished: bool) -> None:
-    """Join every helper.  A finished run's helpers are idle and exit when
-    their pipe closes; otherwise a helper may still be computing or blocked
-    sending, so it is killed first."""
-    for process, conn in helpers:
-        if not finished:
-            process.terminate()
-        conn.close()
-        process.join()
-
-
-def _run_batch(helpers, params, tasks, chosen, config) -> list:
-    """Every drawn task's (loss, grads), in draw order, with the helpers
-    running their shares beside the main process's; raises the error of the
-    earliest drawn task that failed."""
-    workers = len(helpers) + 1
-    shares = [chosen[w::workers] for w in range(workers)]
-    try:
-        for (_, conn), share in zip(helpers, shares[1:]):
-            conn.send((params, share))
-        results = dict(zip(shares[0], _run_tasks(params, tasks, shares[0], config)))
-        for (_, conn), share in zip(helpers, shares[1:]):
-            results.update(zip(share, conn.recv()))
-    except (EOFError, ConnectionError):
-        raise ChildProcessError("a meta-training helper process ended unexpectedly") from None
-    ordered = [results[i] for i in chosen]
-    for result in ordered:
-        if isinstance(result, Exception):
-            raise result
-    return ordered
-
-
 def meta_train(tasks, config: MamlConfig) -> MetaState:
     """Meta-train a shared initialization over the support tasks.
 
@@ -419,32 +315,30 @@ def meta_train(tasks, config: MamlConfig) -> MetaState:
     params = init_net(config.net).params
     state = init_adam_state(config.net)
     history = []
-    helpers = []
-    finished = False
-    try:
-        _start_helpers(helpers, tasks, config)
-        # Overflow on the way to non-finite parameters is expected, not
-        # warned about: MetaState refuses them.
-        with np.errstate(all="ignore"):
-            for t in range(1, config.meta_iterations + 1):
-                chosen = [int(i) for i in rng.choice(len(tasks), size=config.tasks_per_batch,
-                                                     replace=False)]
-                batch_loss = 0.0
-                mean_grads = {k: np.zeros_like(v) for k, v in params.items()}
-                for loss, grads in _run_batch(helpers, params, tasks, chosen, config):
-                    batch_loss += loss
-                    for k in mean_grads:
-                        mean_grads[k] += grads[k]
-                scale = 1.0 / config.tasks_per_batch
-                batch_loss *= scale
+
+    def work(params, indices):
+        return _run_tasks(params, tasks, indices, config)
+
+    # Overflow on the way to non-finite parameters is expected, not warned
+    # about: MetaState refuses them.
+    with _fork.helpers(work, config.tasks_per_batch, "meta-training") as run, \
+            np.errstate(all="ignore"):
+        for t in range(1, config.meta_iterations + 1):
+            chosen = [int(i) for i in rng.choice(len(tasks), size=config.tasks_per_batch,
+                                                 replace=False)]
+            batch_loss = 0.0
+            mean_grads = {k: np.zeros_like(v) for k, v in params.items()}
+            for loss, grads in run((params,), chosen):
+                batch_loss += loss
                 for k in mean_grads:
-                    mean_grads[k] *= scale
-                params, state = adam_step(params, mean_grads, state, t, config.net,
-                                          lr=config.meta_lr)
-                history.append(batch_loss)
-        finished = True
-    finally:
-        _stop_helpers(helpers, finished)
+                    mean_grads[k] += grads[k]
+            scale = 1.0 / config.tasks_per_batch
+            batch_loss *= scale
+            for k in mean_grads:
+                mean_grads[k] *= scale
+            params, state = adam_step(params, mean_grads, state, t, config.net,
+                                      lr=config.meta_lr)
+            history.append(batch_loss)
     return MetaState(params=params, loss_history=tuple(history), config=config)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from matchkit.ingest import SyntheticSpec, generate_synthetic_match
@@ -14,3 +16,19 @@ def match_300():
 @pytest.fixture(scope="session")
 def match_80():
     return generate_synthetic_match(SyntheticSpec(n_points=80, p_serve_win=0.6, seed=7))
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process alive, e.g. a forked helper
+    nobody joined.  Only multiprocessing starts such children, so without
+    it imported there is nothing to check, and nothing is imported here."""
+    yield
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is None:
+        return
+    alive = multiprocessing.active_children()
+    for child in alive:
+        child.terminate()
+        child.join(timeout=10)
+    assert alive == [], "the test left child processes alive"

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from matchkit import cli, maml
+from matchkit import _fork, cli, gbtree
 from matchkit.cli import build_parser, run_cli
 from matchkit.dbwp import DbwpParams
 from matchkit.gbtree import GbtConfig
@@ -50,9 +50,9 @@ def pool_csv(tmp_path_factory):
 
 @pytest.fixture
 def one_helper(monkeypatch):
-    """Fork one meta-training helper whatever the machine's core count."""
+    """Fork one helper, for meta-training or a grid search, whatever the core count."""
     if hasattr(os, "fork"):
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 1)
 
 
 def read_rows(path):
@@ -156,6 +156,25 @@ class TestExitCodes:
         assert len(err) == 1
         assert err[0].startswith("error: " + message)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+    def test_grid_search_helper_that_dies_is_one_stderr_line(self, single_csv, tmp_path, capfd,
+                                                             monkeypatch, one_helper):
+        main = os.getpid()
+        boost = gbtree._boost
+
+        def dies_in_a_helper(*args):
+            if os.getpid() != main:
+                os._exit(3)
+            return boost(*args)
+
+        monkeypatch.setattr(gbtree, "_boost", dies_in_a_helper)
+        code = run_cli(["train-gbt", "--input", single_csv,
+                        "--model-out", str(tmp_path / "m.json")] + GBT_FAST)
+        assert code == 1
+        assert multiprocessing.active_children() == []
+        assert capfd.readouterr().err.splitlines() == [
+            "error: a grid-search helper process ended unexpectedly"]
+
     @pytest.mark.parametrize("command", ["ingest", "winjud", "momentum", "dbwp", "correlate"])
     def test_corrupt_row_is_one_stderr_line(self, single_csv, tmp_path, capsys, command):
         rows = read_rows(single_csv)
@@ -254,20 +273,22 @@ class TestMatchSelection:
 
 
 class TestTrainingCommands:
-    def test_train_gbt_writes_model_json(self, single_csv, tmp_path, capsys):
+    def test_train_gbt_writes_model_json(self, single_csv, tmp_path, capsys, one_helper):
         model_path = tmp_path / "model.json"
         code = run_cli(["train-gbt", "--input", single_csv,
                         "--model-out", str(model_path)] + GBT_FAST)
         assert code == 0
+        assert multiprocessing.active_children() == []
         doc = json.loads(Path(model_path).read_text())
         assert doc["format_version"] == 1
         assert "test accuracy" in capsys.readouterr().out
 
-    def test_ablate_emits_exactly_four_variant_rows(self, single_csv, tmp_path):
+    def test_ablate_emits_exactly_four_variant_rows(self, single_csv, tmp_path, one_helper):
         out = tmp_path / "ablation.csv"
         code = run_cli(["ablate", "--input", single_csv, "--out", str(out),
                         "--seed", "7"] + GBT_FAST)
         assert code == 0
+        assert multiprocessing.active_children() == []
         rows = read_rows(out)
         assert rows[0] == ["match_id", "variant", "test_accuracy", "lambda", "rho"]
         assert [r[1] for r in rows[1:]] == ["none", "strat_only", "psych_only", "both"]
@@ -499,6 +520,26 @@ class TestDeterminism:
                 assert run_cli(args) == 0
                 runs.append([path.read_bytes() for path in (out, *sides)])
             assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+    @pytest.mark.parametrize("cmd, source, outputs, extra", [
+        ("train-gbt", "single_csv", ["--model-out"], GBT_FAST),
+        ("ablate", "single_csv", ["--out"], GBT_FAST),
+        ("maml", "pool_csv", ["--out", "--state-out"], MAML_FAST),
+    ])
+    def test_outputs_do_not_depend_on_the_helper_count(self, request, tmp_path, monkeypatch,
+                                                       cmd, source, outputs, extra):
+        runs = []
+        for helpers in (0, 1, 2):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
+            paths = [tmp_path / f"{helpers}{flag}" for flag in outputs]
+            args = [cmd, "--input", request.getfixturevalue(source)] + extra
+            for flag, path in zip(outputs, paths):
+                args += [flag, str(path)]
+            assert run_cli(args) == 0
+            assert multiprocessing.active_children() == []
+            runs.append([path.read_bytes() for path in paths])
+        assert runs[0] == runs[1] == runs[2]
 
     def test_manifests_match_excluding_duration(self, single_csv, tmp_path):
         docs = []

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import errno
 import io
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from helpers import (
     oracle_raw_predict,
     oracle_train_gbt,
 )
-from matchkit import gbtree
+from matchkit import _fork, gbtree
 from matchkit.gbtree import (
     ABLATION_VARIANTS,
     DEFAULT_LAMBDA_GRID,
@@ -602,6 +605,7 @@ class TestGridSearch:
             return boost(x, y, penalties, *args)
 
         monkeypatch.setattr(gbtree, "_boost", counting)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 0)  # count every fit here
         x, y = make_separable(120, flip=0.1, seed=4)
         cfg = GbtConfig(n_trees=6, max_depth=3)
         result = grid_search(x, y, *grids, cfg)
@@ -614,11 +618,15 @@ class TestGridSearch:
     def test_later_searches_do_not_fault(self):
         # A fit sizes its working set once, so a later search maps almost no
         # fresh memory.  With per-block temporaries, the second or the third
-        # search took 1,600-18,000 faults, by the heap's state.
+        # search took 1,600-18,000 faults, by the heap's state.  The search
+        # runs in-process: a fork's copy-on-write faults land in the parent
+        # too, and would hide the grower's own.
         pytest.importorskip("resource")
         faults = fault_probe("""
             import resource
+            from matchkit import _fork
             from matchkit.gbtree import grid_search
+            _fork._helper_count = lambda jobs: 0
             from matchkit.ingest import SyntheticSpec, generate_synthetic_match
             from matchkit.momentum import MomentumConfig, build_feature_matrix, momentum_series
             tl = generate_synthetic_match(SyntheticSpec(n_points=300, seed=0))
@@ -652,6 +660,85 @@ class TestGridSearch:
         x, y = make_separable(100, seed=0)
         with pytest.raises(ValueError, match=f"{field} values must be finite"):
             grid_search(x, y, *grids, GbtConfig(n_trees=2))
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+
+SIGNED_ZERO_GRIDS = [([-0.0, 0.0, 1.0], [0.0, 0.5]), ([0.0, -0.0, 1.0], [0.0, 0.5])]
+
+
+def assert_same_search(a, b):
+    assert a == b
+    assert repr((a.best_lambda, a.best_rho)) == repr((b.best_lambda, b.best_rho))
+    assert model_to_json(a.model) == model_to_json(b.model)
+
+
+@needs_fork
+class TestForkedGridSearch:
+    @pytest.mark.parametrize("grids", [(DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID),
+                                       *SIGNED_ZERO_GRIDS])
+    def test_any_helper_count_gives_the_serial_result(self, monkeypatch, grids):
+        x, y = make_separable(120, flip=0.1, seed=4)
+        cfg = GbtConfig(n_trees=6, max_depth=3)
+        expected = oracle_grid_search(x, y, *grids, cfg)
+        for helpers in (0, 1, 2, 3):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
+            assert_same_search(grid_search(x, y, *grids, cfg), expected)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("helpers", [1, 2, 3])
+    def test_failing_share_in_a_helper_raises_the_serial_error(self, monkeypatch, helpers):
+        # The default grid's 14th pair, (1.0*0.5, 1.0*0.5), is dealt to the
+        # first helper for any helper count here.
+        bad = gbtree._penalties(1.0, 0.5)
+        boost = gbtree._boost
+
+        def failing(x, y, penalties, *args):
+            if bad in penalties:
+                raise ValueError(f"cannot fit pair {bad!r}")
+            return boost(x, y, penalties, *args)
+
+        monkeypatch.setattr(gbtree, "_boost", failing)
+        x, y = make_separable(120, flip=0.1, seed=4)
+        cfg = GbtConfig(n_trees=4, max_depth=3)
+        errors = []
+        for count in (0, helpers):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=count: h)
+            with pytest.raises(ValueError, match="cannot fit pair") as info:
+                grid_search(x, y, config=cfg)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("fault", ["pipe", "fork"])
+    def test_failed_pipe_or_fork_runs_with_the_helpers_started(self, monkeypatch, fault):
+        x, y = make_separable(120, flip=0.1, seed=4)
+        cfg = GbtConfig(n_trees=6, max_depth=3)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 0)
+        serial = grid_search(x, y, config=cfg)
+        context = multiprocessing.get_context("fork")
+        pipe, start = context.Pipe, context.Process.start
+        pipes, forks = [], []
+
+        def pipe_or_fail(*args):
+            if fault == "pipe" and pipes:
+                raise OSError(errno.EMFILE, "Too many open files")
+            pipes.append(pipe(*args))
+            return pipes[-1]
+
+        def start_or_fail(process):
+            if fault == "fork" and forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            forks.append(process)
+            start(process)
+
+        monkeypatch.setattr(context, "Pipe", pipe_or_fail)
+        monkeypatch.setattr(context.Process, "start", start_or_fail)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 3)
+        assert_same_search(grid_search(x, y, config=cfg), serial)
+        assert len(forks) == 1
+        assert all(end.closed for ends in pipes for end in ends)
+        assert multiprocessing.active_children() == []
 
 
 SMALL_GRIDS = dict(lambda_grid=(0.0, 1.0), rho_grid=(0.0, 0.5))

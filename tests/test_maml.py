@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from matchkit import maml
+from matchkit import _fork, maml
 from matchkit.dbwp import DbwpParams, dbwp_scores
 from matchkit.maml import (
     QUERY_MATCH_NUMBERS,
@@ -382,22 +382,22 @@ class TestHelpers:
     def test_helpers_give_the_serial_result_bit_for_bit(self, monkeypatch, helpers):
         tasks = uneven_tasks([9, 31, 14, 52, 6, 23])
         cfg = tiny_config(tasks_per_batch=4, meta_iterations=12)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 0)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 0)
         serial = meta_train(tasks, cfg)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: helpers)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: helpers)
         assert_same_meta(meta_train(tasks, cfg), serial)
         assert multiprocessing.active_children() == []
 
     def test_helper_count(self):
         cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-        assert maml._helper_count(1) == 0
+        assert _fork._helper_count(1) == 0
         if hasattr(os, "fork"):
-            assert maml._helper_count(4) == min(cores, 4) - 1
+            assert _fork._helper_count(4) == min(cores, 4) - 1
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:  # fork would copy only this thread
-            assert maml._helper_count(4) == 0
+            assert _fork._helper_count(4) == 0
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -420,7 +420,7 @@ class TestHelpers:
             places.add(tuple(chosen.index(k) % 2 for k in sorted((1, 3), key=chosen.index)))
             errors = []
             for helpers in (0, 1):
-                monkeypatch.setattr(maml, "_helper_count", lambda n, h=helpers: h)
+                monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
                 with pytest.raises(ValueError, match="non-finite loss") as info:
                     meta_train(tasks, cfg)
                 errors.append(str(info.value))
@@ -436,7 +436,7 @@ class TestHelpers:
     def test_failed_pipe_or_fork_runs_with_the_helpers_started(self, monkeypatch, fault):
         tasks = uneven_tasks([9, 31, 14, 52, 6, 23])
         cfg = tiny_config(tasks_per_batch=4, meta_iterations=6)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 0)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 0)
         serial = meta_train(tasks, cfg)
         context = multiprocessing.get_context("fork")
         pipe, start = context.Pipe, context.Process.start
@@ -456,7 +456,7 @@ class TestHelpers:
 
         monkeypatch.setattr(context, "Pipe", pipe_or_fail)
         monkeypatch.setattr(context.Process, "start", start_or_fail)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 3)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 3)
         assert_same_meta(meta_train(tasks, cfg), serial)
         assert len(forks) == 1
         assert all(end.closed for ends in pipes for end in ends)
@@ -473,8 +473,9 @@ class TestHelpers:
             return task_gradient(params, task, config)
 
         monkeypatch.setattr(maml, "_task_gradient", dies_in_a_helper)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
-        with pytest.raises(ChildProcessError, match="ended unexpectedly"):
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 1)
+        with pytest.raises(ChildProcessError,
+                           match="^a meta-training helper process ended unexpectedly$"):
             meta_train(uneven_tasks([12, 18, 15]), tiny_config())
         assert multiprocessing.active_children() == []
 
@@ -483,7 +484,7 @@ class TestHelpers:
         # Task u2 overflows.  A helper's numpy warnings are errors here
         # (pyproject's filterwarnings), so a helper without np.errstate fails
         # this when it runs u2; the seeds put u2 in each process.
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 1)
         tasks = uneven_tasks([12, 18, 15, 20])
         tasks[2].x[...] *= 1e300
         places = set()
@@ -505,7 +506,7 @@ class TestHelpers:
             time.sleep(60)  # a helper still computing must be killed, not awaited
 
         monkeypatch.setattr(maml, "_run_tasks", interrupted_here)
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 2)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 2)
         started = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             meta_train(uneven_tasks([12, 18, 15, 20]), tiny_config(tasks_per_batch=3))
@@ -516,7 +517,7 @@ class TestHelpers:
     def test_daemonic_process_runs_its_tasks_itself(self, monkeypatch):
         # a multiprocessing pool's workers are daemonic and may not start children
         tasks, cfg = uneven_tasks([12, 18, 15]), tiny_config()
-        monkeypatch.setattr(maml, "_helper_count", lambda n: 1)
+        monkeypatch.setattr(_fork, "_helper_count", lambda n: 1)
         context = multiprocessing.get_context("fork")
         ours, theirs = context.Pipe()
 
