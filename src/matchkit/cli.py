@@ -75,8 +75,9 @@ def _id_list(text: str) -> tuple[str, ...]:
     return values
 
 
-class _HashingReader(io.RawIOBase):
-    """A binary file read through once, its bytes hashed as they pass."""
+class _HashingReader(io.BufferedIOBase):
+    """An unbuffered binary file read through once, its bytes hashed as they
+    pass.  A read is one read of the file, as read1 must be."""
 
     def __init__(self, raw):
         self.raw = raw
@@ -85,10 +86,12 @@ class _HashingReader(io.RawIOBase):
     def readable(self) -> bool:
         return True
 
-    def readinto(self, buffer) -> int:
-        n = self.raw.readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
-        return n
+    def read(self, size: int = -1) -> bytes:
+        data = self.raw.read(size)
+        self.sha256.update(data)
+        return data
+
+    read1 = read
 
 
 def _pearson(a, b) -> float:
@@ -588,12 +591,11 @@ def run_cli(argv=None) -> int:
     try:
         # One read serves both the parse and the manifest's digest.
         with open(args.input, "rb", buffering=0) as fh:
-            hashing = _HashingReader(fh)
-            stream = io.BufferedReader(hashing)
+            stream = _HashingReader(fh)
             timelines = load_match_csv(stream)
             while stream.read(io.DEFAULT_BUFFER_SIZE):  # the digest covers the whole file
                 pass
-        input_digest = hashing.sha256.hexdigest()
+        input_digest = stream.sha256.hexdigest()
         outputs, config_doc = _DISPATCH[args.command](args, timelines)
     except (IngestError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
