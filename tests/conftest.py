@@ -20,9 +20,9 @@ def match_80():
 
 @pytest.fixture(autouse=True)
 def no_child_process_left():
-    """Fail a test that leaves a child process alive, e.g. a forked helper
-    nobody joined.  Only multiprocessing starts such children, so without
-    it imported there is nothing to check, and nothing is imported here."""
+    """Fail a test that leaves a multiprocessing child alive, e.g. a forked
+    helper nobody joined.  Without multiprocessing imported there is no such
+    child, and the check imports nothing."""
     yield
     multiprocessing = sys.modules.get("multiprocessing")
     if multiprocessing is None:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import multiprocessing
 import os
@@ -351,8 +352,24 @@ class TestManifest:
         assert doc["outputs"] == [str(out)]
         assert doc["seed"] == 0
         assert doc["duration_s"] >= 0.0
-        digest = next(iter(doc["inputs"].values()))
-        assert len(digest) == 64
+        # the digest taken as the CSV reader pulls the file through is the file's
+        assert doc["inputs"] == {single_csv: hashlib.sha256(Path(single_csv).read_bytes())
+                                 .hexdigest()}
+
+    def test_digest_covers_what_the_reader_leaves_unread(self, single_csv, tmp_path,
+                                                          monkeypatch):
+        load = cli.load_match_csv
+
+        def reads_a_little(stream):
+            stream.read(100)
+            return load(single_csv)
+
+        monkeypatch.setattr(cli, "load_match_csv", reads_a_little)
+        manifest = tmp_path / "run.json"
+        assert run_cli(["winjud", "--input", single_csv, "--out", str(tmp_path / "wj.csv"),
+                        "--manifest", str(manifest)]) == 0
+        digest = json.loads(manifest.read_text())["inputs"][single_csv]
+        assert digest == hashlib.sha256(Path(single_csv).read_bytes()).hexdigest()
 
     def test_default_manifest_path(self, single_csv, tmp_path):
         out = tmp_path / "db.csv"
