@@ -14,6 +14,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import MISSING, asdict, fields
@@ -97,12 +98,17 @@ class _HashingReader(io.BufferedIOBase):
 def _pearson(a, b) -> float:
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    da = a - a.mean()
-    db = b - b.mean()
-    denom = float(np.sqrt(np.sum(da * da) * np.sum(db * db)))
+    # A sum that overflows is refused, not warned about.
+    with np.errstate(all="ignore"):
+        da = a - a.mean()
+        db = b - b.mean()
+        cross = np.sum(da * db)
+        denom = float(np.sqrt(np.sum(da * da) * np.sum(db * db)))
+    if not (math.isfinite(cross) and math.isfinite(denom)):
+        raise ValueError("correlation undefined: a sum over the series overflows")
     if denom == 0.0:
         raise ValueError("correlation undefined: one series is constant")
-    return float(np.sum(da * db) / denom)
+    return float(cross / denom)
 
 
 def _pick_timeline(timelines, match_id):

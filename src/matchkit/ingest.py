@@ -8,14 +8,18 @@ distances and `speed_mph` float64, with NaN for a missing speed.
 `timeline.points` is a lazy row view: its length reads a column, and
 indexing, slicing or iterating builds `PointRecord`s.
 
-`load_match_csv` parses a file with `csv.reader` 2,048 rows at a time,
+`load_match_csv` parses a file with `csv.reader` 512 rows at a time,
 which bounds the cells held at once.  It transposes a block with
 `zip(*rows)` and converts each column with one builtin `map` (`int`,
 `float`, a 0/1 lookup) into an array; a clock column of one width is read
-from the code points of one fixed-width array.  The record
+from the code points of one fixed-width array.  Of the text cells, only
+the match id and player names are kept, each as the one `str` of its
+value that the file shares, as Arrow's dictionary encoding keeps one copy
+per distinct value.  The record
 checks of `PointRecord.check` run as vectorised masks over a block's
 columns, and the order and counter checks between consecutive points over
-the file's columns sorted by match and point.  A column that the
+the file's columns sorted by match and point; rows already in that order,
+as a written file's are, keep their columns uncopied.  A column that the
 builtin conversion refuses (a padded flag such as " 1", a bad clock, nan)
 is converted again cell by cell with the per-row parsers, which accept what
 they always did and find the first bad cell.  The first bad file row, from a
@@ -625,7 +629,7 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
 
 
 # Data rows converted at a time: bounds the CSV cells held at once.
-_BLOCK_ROWS = 2048
+_BLOCK_ROWS = 512
 
 
 def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
@@ -645,8 +649,10 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
 
     # Blocks are read in file order, and each raises the error of its first
     # bad row, so the first bad row of the file names the error.  A block
-    # keeps its arrays, file rows and match id and player cells.
+    # keeps its arrays, file rows and match id and player cells, each cell
+    # the one str of its value in `shared`, not the row's own copy.
     blocks = []
+    shared: dict[str, str] = {}
     line = 2  # file row of the block's first row
     for rows in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
         lines = range(line, line + len(rows))
@@ -654,12 +660,16 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
         if not all(rows):  # csv.reader gives [] for a blank line
             lines = [n for n, raw in zip(lines, rows) if raw]
             rows = list(filter(None, rows))
-        if rows:
-            columns, cells = _read_columns(rows, lines, len(header), idx, colmap)
-            blocks.append((columns, lines, {c: cells[k] for c, k in kept.items()}))
+            if not rows:
+                continue
+        columns, cells = _read_columns(rows, lines, len(header), idx, colmap)
+        text = {c: tuple(map(shared.setdefault, cells[k], cells[k])) for c, k in kept.items()}
+        blocks.append((columns, lines, text))
+        del rows, cells  # before the next block's rows are read
     if not blocks:
         raise SchemaError("empty file: header but no data rows")
-    columns = {f: np.concatenate([b[0][f] for b in blocks]) for f in _COLUMNS}
+    # Each block's arrays are dropped as they are joined.
+    columns = {f: np.concatenate([b[0].pop(f) for b in blocks]) for f in _COLUMNS}
     lines = np.concatenate([b[1] for b in blocks])
     players = {c: tuple(itertools.chain.from_iterable(b[2][c] for b in blocks)) for c in kept}
     ids = players.pop("match_id")
@@ -673,8 +683,12 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     if len(names) > 1:
         keys.append(match)
     order = np.lexsort(keys)
-    match = match[order]
-    columns = {field: column[order] for field, column in columns.items()}
+    if (order[1:] < order[:-1]).any():  # else the rows are in order already
+        # Column by column, so that one column at a time is held twice.
+        del keys
+        match = match[order]
+        for field, column in columns.items():
+            columns[field] = column[order]
 
     # Checks between consecutive points of one match.  The first match with
     # a fault reports its first duplicate key, or else its first fault.

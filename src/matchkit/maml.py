@@ -201,6 +201,7 @@ def make_task(timeline: MatchTimeline, dbwp: DbwpSeries, momentum: MomentumSerie
     Standardization statistics come from the chronological train_fraction of
     the targets, matching the supervised training protocol.
     """
+    config.check()
     features, targets = assemble_match_features(timeline, dbwp, momentum, variant)
     if features.shape[1] != config.net.input_dim:
         raise ValueError(

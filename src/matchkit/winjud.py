@@ -76,15 +76,19 @@ def winjud_scores(timeline: MatchTimeline, params: WinjudParams | None = None) -
     v2 = params.w_v - v1
     serve2 = params.w_s - serve1
     # One IEEE multiply and add per entry, as in Python; tolist() gives the
-    # Python scalars the writer formats.
-    s1 = (v1 + params.beta * serve2).tolist()
-    s2 = (v2 + params.beta * serve1).tolist()
+    # Python scalars the writer formats.  An overflow is refused, not warned about.
+    with np.errstate(over="ignore"):
+        s1 = v1 + params.beta * serve2
+        s2 = v2 + params.beta * serve1
+    if not (np.isfinite(s1).all() and np.isfinite(s2).all()):
+        raise ValueError(f"beta is too large for this match's serve windows: beta * serves "
+                         f"overflows, got {params.beta!r}")
 
     return WinjudSeries(
         indices=tuple(range(w_max, n)),
         elapsed_s=tuple(timeline.elapsed_s[w_max:n].tolist()),
-        score_p1=tuple(s1),
-        score_p2=tuple(s2),
+        score_p1=tuple(s1.tolist()),
+        score_p2=tuple(s2.tolist()),
         params=params,
     )
 

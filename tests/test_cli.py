@@ -123,6 +123,10 @@ class TestExitCodes:
         ("momentum", ["--ace-bonus", "inf"], "ace_bonus"),
         ("momentum", ["--game-factor", "1e308"], "game_factor"),
         ("momentum", ["--set-factor", "1e308"], "set_factor"),
+        ("winjud", ["--beta", "1e308"], "beta"),
+        ("correlate", ["--ace-bonus", "1e308"], "overflows"),
+        ("correlate", ["--unforced-error-penalty", "1e308", "--grid-step", "1e308"],
+         "overflows"),
     ])
     def test_unusable_scoring_settings(self, single_csv, tmp_path, capsys,
                                        command, flags, field):
@@ -156,6 +160,15 @@ class TestExitCodes:
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: " + message)
+
+    @pytest.mark.parametrize("fraction", ["1e308", "2"])
+    def test_maml_train_fraction_checked_before_tasks(self, pool_csv, tmp_path, capsys,
+                                                      fraction):
+        code = run_cli(["maml", "--input", pool_csv, "--out", str(tmp_path / "q.csv"),
+                        "--train-fraction", fraction] + MAML_FAST)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: train_fraction must be in (0, 1), got {float(fraction)}"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
     def test_grid_search_helper_that_dies_is_one_stderr_line(self, single_csv, tmp_path, capfd,

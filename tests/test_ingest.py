@@ -6,6 +6,7 @@ import gc
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -506,6 +507,35 @@ class TestMatchesReferenceLoader:
         assert dataclasses.replace(loaded, server=2) == dataclasses.replace(built, server=2)
         with pytest.raises(dataclasses.FrozenInstanceError):
             loaded.server = 2
+
+
+class TestPeakMemory:
+    # Traced bytes a row at the loader's peak: ~210 on this file, of which
+    # the loaded timelines hold ~130.  Any of these takes a load past the
+    # bound: every row's own copy of its text cells (~380), 2,048-row blocks
+    # (~350), the blocks' arrays kept while they are joined (~335), all
+    # columns sorted at once (~315 out of order), or a block's cells kept
+    # while the next block is read (~245).
+    BOUND = 240
+
+    @pytest.mark.parametrize("in_order", [True, False])
+    def test_peak_per_row_of_a_tournament_file(self, in_order):
+        timelines = [generate_synthetic_match(SyntheticSpec(n_points=368, seed=61 + k,
+                                                            match_id=f"m-{k:02d}"))
+                     for k in range(24)]
+        if not in_order:
+            timelines.reverse()  # every column is then sorted into a copy
+        source = io.BytesIO(_csv_bytes(_csv_rows(timelines)))
+        tracemalloc.start()
+        try:
+            loaded = load_match_csv(source)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = sum(map(len, loaded))
+        assert rows == 24 * 368 > 4 * ingest._BLOCK_ROWS
+        assert loaded == sorted(timelines, key=lambda tl: tl.match_id)
+        assert peak / rows < self.BOUND
 
 
 class TestClockColumn:

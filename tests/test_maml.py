@@ -1,6 +1,7 @@
 import errno
 import io
 import json
+import math
 import multiprocessing
 import os
 import threading
@@ -136,6 +137,14 @@ class TestTasks:
         cfg = tiny_config(net=tiny_net(input_dim=2, seq_len=6))
         with pytest.raises(ValueError, match="input_dim"):
             make_task(match_300, series, mom, cfg, variant="full")
+
+    @pytest.mark.parametrize("fraction", [1e308, 2.0, math.inf])
+    def test_make_task_checks_its_config_first(self, match_300, fraction):
+        mom = momentum_series(match_300, MomentumConfig())
+        series = dbwp_scores(match_300, DbwpParams())
+        cfg = tiny_config(net=tiny_net(input_dim=3, seq_len=6), train_fraction=fraction)
+        with pytest.raises(ValueError, match="^train_fraction must be"):
+            make_task(match_300, series, mom, cfg)
 
     def test_split_task_boundaries(self):
         rng = np.random.default_rng(0)

@@ -70,6 +70,16 @@ class TestWinjudScores:
         with pytest.raises(ValueError, match=next(iter(kw))):
             WinjudParams(**kw).check()
 
+    def test_beta_that_overflows_the_scores_named(self):
+        # beta times 1 serve is finite; beta times 2 overflows.
+        tl = make_timeline(victors=[1] * 6, servers=[1] * 6)
+        series = winjud_scores(tl, WinjudParams(w_v=5, w_s=1, beta=1e308))
+        assert (series.score_p1, series.score_p2) == ((5.0,), (1e308,))
+        with pytest.raises(ValueError) as exc:
+            winjud_scores(tl, WinjudParams(w_v=5, w_s=2, beta=1e308))
+        assert str(exc.value) == ("beta is too large for this match's serve windows: "
+                                  "beta * serves overflows, got 1e+308")
+
 
 class TestWinjudProperties:
     def test_win_flip_monotonicity(self):
