@@ -15,14 +15,13 @@ which bounds the cells held at once.  It transposes a block with
 from the code points of one fixed-width array.  Of the text cells, only
 the match id and player names are kept, each as the one `str` of its
 value that the file shares, as Arrow's dictionary encoding keeps one copy
-per distinct value.  The record
-checks of `PointRecord.check` run as vectorised masks over a block's
-columns, and the order and counter checks between consecutive points over
-the file's columns sorted by match and point; rows already in that order,
-as a written file's are, keep their columns uncopied.  A column that the
-builtin conversion refuses (a padded flag such as " 1", a bad clock, nan)
-is converted again cell by cell with the per-row parsers, which accept what
-they always did and find the first bad cell.  The first bad file row, from a
+per distinct value.  The record checks of `PointRecord.check` run as
+vectorised masks over a block's columns, and the order and counter checks
+between consecutive points over the file's columns sorted by match and
+point, one column at a time.  A column that the builtin conversion refuses
+(a padded flag such as " 1", a bad clock, nan) is converted again cell by
+cell with the per-row parsers, which accept what they always did and find
+the first bad cell.  The first bad file row, from a
 short row, a conversion or a mask, is then read again by the per-row code
 (`_parse_row` and `PointRecord.check`, or `_check_pair` for the checks
 between points), so every error keeps its message and row number.
@@ -683,12 +682,11 @@ def _read_timelines(source, colmap: dict[str, str]) -> list[MatchTimeline]:
     if len(names) > 1:
         keys.append(match)
     order = np.lexsort(keys)
-    if (order[1:] < order[:-1]).any():  # else the rows are in order already
-        # Column by column, so that one column at a time is held twice.
-        del keys
-        match = match[order]
-        for field, column in columns.items():
-            columns[field] = column[order]
+    # Column by column, so that one column at a time is held twice.
+    del keys
+    match = match[order]
+    for field, column in columns.items():
+        columns[field] = column[order]
 
     # Checks between consecutive points of one match.  The first match with
     # a fault reports its first duplicate key, or else its first fault.
