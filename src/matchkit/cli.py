@@ -123,16 +123,11 @@ def _pick_timeline(timelines, match_id):
     raise ValueError(f"file holds several matches; pass --match-id (present: {ids})")
 
 
-def _momentum_config(args) -> MomentumConfig:
-    return MomentumConfig(
-        set_factor=args.set_factor,
-        game_factor=args.game_factor,
-        b0_sets=args.b0_sets,
-        b0_games=args.b0_games,
-        ace_bonus=args.ace_bonus,
-        double_fault_penalty=args.double_fault_penalty,
-        unforced_error_penalty=args.unforced_error_penalty,
-    )
+def _config(cls, args, **given):
+    """A `cls` config from the parsed flags: every field with a flag (and
+    `seed` from --seed) is read from it, and `given` supplies the rest."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags}, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +161,7 @@ def _cmd_winjud(args, timelines):
 
 def _cmd_momentum(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
-    config = _momentum_config(args)
+    config = _config(MomentumConfig, args)
     series = momentum_series(timeline, config)
     write_momentum_csv(series, args.out)
     print(f"{timeline.match_id}: momentum series for {len(series.indices)} points")
@@ -182,22 +177,11 @@ def _cmd_dbwp(args, timelines):
     return [args.out], asdict(params)
 
 
-def _gbt_config(args) -> GbtConfig:
-    return GbtConfig(
-        n_trees=args.n_trees,
-        learning_rate=args.learning_rate,
-        max_depth=args.max_depth,
-        min_child_weight=args.min_child_weight,
-        min_gain=args.min_gain,
-        seed=args.seed,
-    )
-
-
 def _cmd_train_gbt(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     series = momentum_series(timeline, MomentumConfig())
     fm = build_feature_matrix(timeline, series, args.variant)
-    config = _gbt_config(args)
+    config = _config(GbtConfig, args)
     result = grid_search(fm.x, fm.y, args.lambda_grid, args.rho_grid, config)
     test_acc = accuracy_score(result.model, fm.x[result.n_train:], fm.y[result.n_train:])
     with open(args.model_out, "w", encoding="utf-8") as fh:
@@ -215,35 +199,21 @@ def _cmd_train_gbt(args, timelines):
 
 def _cmd_ablate(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
-    report = run_ablation(timeline, MomentumConfig(), _gbt_config(args),
-                          args.lambda_grid, args.rho_grid)
+    config = _config(GbtConfig, args)
+    report = run_ablation(timeline, MomentumConfig(), config, args.lambda_grid, args.rho_grid)
     write_ablation_csv(report, args.out)
     for row in report.rows:
         print(f"{timeline.match_id}: {row.variant} accuracy {row.test_accuracy!r}")
-    doc = asdict(_gbt_config(args))
+    doc = asdict(config)
     doc.update(lambda_grid=list(args.lambda_grid), rho_grid=list(args.rho_grid))
     return [args.out], doc
-
-
-def _net_config(args, input_dim: int) -> NetConfig:
-    return NetConfig(
-        input_dim=input_dim,
-        hidden_dense=args.hidden_dense,
-        hidden_lstm=args.hidden_lstm,
-        dropout_rate=args.dropout_rate,
-        huber_delta=args.huber_delta,
-        adam_lr=args.adam_lr,
-        epochs=args.epochs,
-        seq_len=args.seq_len,
-        seed=args.seed,
-    )
 
 
 def _cmd_train_lstm(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     momentum = momentum_series(timeline, MomentumConfig())
     series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
-    config = _net_config(args, len(VARIANT_COLUMNS[args.variant]))
+    config = _config(NetConfig, args, input_dim=len(VARIANT_COLUMNS[args.variant]))
     report = train_deep_lstm([(timeline, series, momentum)], config,
                              variant=args.variant, repeats=args.repeats)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -269,18 +239,8 @@ def _cmd_maml(args, timelines):
         raise ValueError("no support matches after the split")
     if not query_ids:
         raise ValueError("no query matches after the split; pass --query")
-    net = _net_config(args, len(VARIANT_COLUMNS[args.variant]))
-    config = MamlConfig(
-        net=net,
-        meta_lr=args.meta_lr,
-        inner_lr=args.inner_lr,
-        inner_epochs=args.inner_epochs,
-        tasks_per_batch=args.tasks_per_batch,
-        train_fraction=args.train_fraction,
-        fine_tune_epochs=args.fine_tune_epochs,
-        meta_iterations=args.meta_iterations,
-        seed=args.seed,
-    )
+    net = _config(NetConfig, args, input_dim=len(VARIANT_COLUMNS[args.variant]))
+    config = _config(MamlConfig, args, net=net)
 
     def task_for(mid):
         tl = by_id[mid]
@@ -310,7 +270,8 @@ def _cmd_maml(args, timelines):
 
 def _cmd_correlate(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
-    momentum = momentum_series(timeline, _momentum_config(args))
+    config = _config(MomentumConfig, args)
+    momentum = momentum_series(timeline, config)
     series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
     dbwp_vals = list(series.dbwp)
     pairs = (
@@ -328,7 +289,7 @@ def _cmd_correlate(args, timelines):
             for name, value in rows:
                 fh.write(f"{name},{value!r}\n")
         outputs.append(args.out)
-    doc = asdict(_momentum_config(args))
+    doc = asdict(config)
     doc.update(wv=args.wv, grid_step=args.grid_step)
     return outputs, doc
 
@@ -363,46 +324,26 @@ def _add_common(sub, out_required=True, out_help="output CSV path"):
         sub.add_argument("--out", required=out_required, help=out_help)
 
 
-def _add_momentum_flags(sub):
-    cfg = MomentumConfig()
-    sub.add_argument("--set-factor", type=float, default=cfg.set_factor)
-    sub.add_argument("--game-factor", type=float, default=cfg.game_factor)
-    sub.add_argument("--b0-sets", type=float, default=cfg.b0_sets)
-    sub.add_argument("--b0-games", type=float, default=cfg.b0_games)
-    sub.add_argument("--ace-bonus", type=float, default=cfg.ace_bonus)
-    sub.add_argument("--double-fault-penalty", type=float,
-                     default=cfg.double_fault_penalty)
-    sub.add_argument("--unforced-error-penalty", type=float,
-                     default=cfg.unforced_error_penalty)
+# Fields with no flag of their own: --seed is shared by every subcommand,
+# and the grid search picks lam and rho.
+_UNFLAGGED = frozenset({"seed", "lam", "rho"})
+
+
+def _add_config_flags(sub, cls):
+    """A --field-name flag, of its default's type, for each field of `cls`
+    that has a default."""
+    for f in fields(cls):
+        if f.default is not MISSING and f.name not in _UNFLAGGED:
+            sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                             default=f.default)
 
 
 def _add_gbt_flags(sub):
-    cfg = GbtConfig()
-    sub.add_argument("--n-trees", type=int, default=cfg.n_trees)
-    sub.add_argument("--learning-rate", type=float, default=cfg.learning_rate)
-    sub.add_argument("--max-depth", type=int, default=cfg.max_depth)
-    sub.add_argument("--min-child-weight", type=float, default=cfg.min_child_weight)
-    sub.add_argument("--min-gain", type=float, default=cfg.min_gain)
+    _add_config_flags(sub, GbtConfig)
     sub.add_argument("--lambda-grid", type=_float_list,
                      default=DEFAULT_LAMBDA_GRID, dest="lambda_grid")
     sub.add_argument("--rho-grid", type=_float_list,
                      default=DEFAULT_RHO_GRID, dest="rho_grid")
-
-
-def _field_defaults(cls) -> dict:
-    """The default of every field of dataclass `cls` that declares one."""
-    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
-
-
-def _add_net_flags(sub):
-    cfg = _field_defaults(NetConfig)
-    sub.add_argument("--hidden-dense", type=int, default=cfg["hidden_dense"])
-    sub.add_argument("--hidden-lstm", type=int, default=cfg["hidden_lstm"])
-    sub.add_argument("--dropout-rate", type=float, default=cfg["dropout_rate"])
-    sub.add_argument("--huber-delta", type=float, default=cfg["huber_delta"])
-    sub.add_argument("--adam-lr", type=float, default=cfg["adam_lr"])
-    sub.add_argument("--epochs", type=int, default=cfg["epochs"])
-    sub.add_argument("--seq-len", type=int, default=cfg["seq_len"])
 
 
 def _add_dbwp_flags(sub):
@@ -433,7 +374,7 @@ def build_parser():
 
     mo = subs.add_parser("momentum", help="strategic + psychological series")
     _add_common(mo)
-    _add_momentum_flags(mo)
+    _add_config_flags(mo, MomentumConfig)
 
     db = subs.add_parser("dbwp", help="fluctuation (win-rate derivative) series")
     _add_common(db)
@@ -455,7 +396,7 @@ def build_parser():
     tl.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
     tl.add_argument("--repeats", type=int, default=1)
     tl.add_argument("--loss-csv", default=None, help="optional per-epoch loss CSV")
-    _add_net_flags(tl)
+    _add_config_flags(tl, NetConfig)
     _add_dbwp_flags(tl)
 
     mm = subs.add_parser("maml", help="meta-train, fine-tune, and compare")
@@ -465,36 +406,20 @@ def build_parser():
     mm.add_argument("--query", type=_id_list, default=None,
                     help="comma-separated query match ids")
     mm.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
-    mm_cfg = _field_defaults(MamlConfig)
-    mm.add_argument("--meta-lr", type=float, default=mm_cfg["meta_lr"])
-    mm.add_argument("--inner-lr", type=float, default=mm_cfg["inner_lr"])
-    mm.add_argument("--inner-epochs", type=int, default=mm_cfg["inner_epochs"])
-    mm.add_argument("--tasks-per-batch", type=int, default=mm_cfg["tasks_per_batch"])
-    mm.add_argument("--train-fraction", type=float, default=mm_cfg["train_fraction"])
-    mm.add_argument("--fine-tune-epochs", type=int, default=mm_cfg["fine_tune_epochs"])
-    mm.add_argument("--meta-iterations", type=int, default=mm_cfg["meta_iterations"])
+    _add_config_flags(mm, MamlConfig)
     mm.add_argument("--state-out", default=None, help="optional meta state JSON")
-    _add_net_flags(mm)
+    _add_config_flags(mm, NetConfig)
     _add_dbwp_flags(mm)
 
     co = subs.add_parser("correlate", help="Pearson r of fluctuation vs momentum")
     _add_common(co, out_required=False, out_help="optional correlation CSV")
     _add_dbwp_flags(co)
-    _add_momentum_flags(co)
+    _add_config_flags(co, MomentumConfig)
 
     for name, sub_parser in subs.choices.items():
         dests[name] = {action.dest for action in sub_parser._actions
                        if action.dest != "help"}
     return parser, subs.choices, dests
-
-
-def _extract_config_path(argv):
-    for i, token in enumerate(argv):
-        if token == "--config":
-            return argv[i + 1] if i + 1 < len(argv) else None
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
 
 
 def _typed_config(sub_parser, overrides):
@@ -556,36 +481,34 @@ def _shared_parser():
 def run_cli(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subcommands, dests = _shared_parser()
-
-    config_path = _extract_config_path(argv)
-    overrides = {}
-    if config_path:
-        try:
-            with open(config_path, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {config_path!r}: {exc}", file=sys.stderr)
-            return 1
-        if not isinstance(overrides, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return 1
-        # defaults must land on the subcommand's own parser: subparsers parse
-        # into a fresh namespace, so main-parser defaults would be clobbered
-        sub_name = argv[0] if argv and not argv[0].startswith("-") else None
-        if sub_name in subcommands:
-            # set_defaults changes the parser: this run gets its own
-            parser, subcommands, dests = build_parser()
-            try:
-                typed = _typed_config(subcommands[sub_name], overrides)
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            subcommands[sub_name].set_defaults(**typed)
-
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+
+    overrides = {}
+    if args.config:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                overrides = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"error: cannot read config {args.config!r}: {exc}", file=sys.stderr)
+            return 1
+        if not isinstance(overrides, dict):
+            print("error: config file must hold a JSON object", file=sys.stderr)
+            return 1
+        # The defaults must land on the subcommand's own parser: subparsers
+        # parse into a fresh namespace, so main-parser defaults would be
+        # clobbered.  set_defaults changes the parser, so this run gets its own.
+        parser, subcommands, dests = build_parser()
+        try:
+            typed = _typed_config(subcommands[args.command], overrides)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        subcommands[args.command].set_defaults(**typed)
+        # argv parsed once already, and the typed defaults need no conversion.
+        args = parser.parse_args(argv)
 
     unknown = set(overrides) - dests[args.command]
     if unknown:
@@ -608,6 +531,9 @@ def run_cli(argv=None) -> int:
         return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 1
 
     duration = time.perf_counter() - started

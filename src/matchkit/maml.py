@@ -17,9 +17,10 @@ drawn task indices, and the main process adds the returned losses and
 gradients in draw order, as one process would, so every output is
 byte-identical for any helper count.
 
-A saved meta-state is format 2: the parameters use the fused LSTM gate
-layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`).  Format 1 held twelve
-per-gate arrays and is rejected.
+A saved meta-state is format 3: the parameters use the fused LSTM gate
+layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`), and the net config has
+no Adam betas or `l2_mix`.  Format 1 held twelve per-gate arrays and format
+2 those three config fields; both are rejected.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .momentum import MomentumSeries
 from .neural import (
     NetConfig,
     ParallelNet,
+    _standardize,
     adam_step,
     assemble_match_features,
     backward,
@@ -215,11 +217,7 @@ def make_task(timeline: MatchTimeline, dbwp: DbwpSeries, momentum: MomentumSerie
             f"match {timeline.match_id!r} yields only {x.shape[0]} sequences; "
             "cannot split for adaptation"
         )
-    mu = float(y[:n_train].mean())
-    sigma = float(y[:n_train].std())
-    if sigma < 1e-12:
-        sigma = 1.0
-    return Task(match_id=timeline.match_id, x=x, y=(y - mu) / sigma)
+    return Task(match_id=timeline.match_id, x=x, y=_standardize(y[:n_train], y))
 
 
 def split_task(task: Task, train_fraction: float):
@@ -385,7 +383,7 @@ def evaluate_queries(meta: MetaState, tasks, config: MamlConfig) -> tuple[QueryE
 
 def meta_state_to_json(meta: MetaState) -> str:
     doc = {
-        "format_version": 2,
+        "format_version": 3,
         "params": {k: v.tolist() for k, v in meta.params.items()},
         "loss_history": list(meta.loss_history),
         "config": asdict(meta.config),
@@ -394,7 +392,7 @@ def meta_state_to_json(meta: MetaState) -> str:
 
 
 def meta_state_from_json(text: str) -> MetaState:
-    """Load a format 2 meta-state, checking every field.
+    """Load a format 3 meta-state, checking every field.
 
     The config must hold exactly the fields of `MamlConfig` (and `net` those
     of `NetConfig`) and pass `check()`; `params` must hold exactly the names
@@ -406,7 +404,7 @@ def meta_state_from_json(text: str) -> MetaState:
     if not isinstance(doc, dict):
         raise ValueError("meta state document must be a JSON object")
     version = doc.get("format_version")
-    if version != 2:
+    if version != 3:
         raise ValueError(f"unsupported meta state format version: {version!r}")
     missing = [k for k in ("config", "loss_history", "params") if k not in doc]
     if missing:

@@ -4,9 +4,9 @@ The dense branch reads the last time step of the input sequence through
 affine -> SELU -> (inverted) dropout -> affine.  The recurrent branch runs a
 single standard LSTM cell over the whole sequence and maps the final hidden
 state through an affine readout.  The scalar prediction is the sum of the two
-branch outputs.  Training is full-batch Adam on Huber loss (optionally mixed
-with a small MSE term); gradients come from handwritten backprop through
-time and are verifiable against central finite differences.
+branch outputs.  Training is full-batch Adam on Huber loss; gradients come
+from handwritten backprop through time and are verifiable against central
+finite differences.
 
 The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
 `lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
@@ -58,6 +58,8 @@ from .momentum import MomentumSeries
 __all__ = [
     "SELU_ALPHA",
     "SELU_LAMBDA",
+    "ADAM_BETA1",
+    "ADAM_BETA2",
     "ADAM_EPS",
     "NetConfig",
     "ParallelNet",
@@ -83,6 +85,9 @@ __all__ = [
 
 SELU_ALPHA = 1.6732632423543772
 SELU_LAMBDA = 1.0507009873554805
+# Adam's moment decay rates and epsilon, at the defaults of Kingma & Ba (ICLR 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Feature columns of each variant; the drop variants mirror the two-column ablation.
@@ -102,15 +107,12 @@ class NetConfig:
     dropout_rate: float = 0.2
     huber_delta: float = 1.0
     adam_lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
     epochs: int = 100
     seq_len: int = 16
     seed: int = 0
-    l2_mix: bool = False  # adds 0.05 * MSE to the Huber objective
 
     def check(self) -> None:
-        require_finite(self, "dropout_rate", "huber_delta", "adam_lr", "adam_beta1", "adam_beta2")
+        require_finite(self, "dropout_rate", "huber_delta", "adam_lr")
         require_int(self, "input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len", "seed")
         for name in ("input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len"):
             if getattr(self, name) < 1:
@@ -121,9 +123,6 @@ class NetConfig:
             raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
         if self.adam_lr <= 0:
             raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {getattr(self, name)}")
 
 
 def param_specs(config: NetConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -319,7 +318,7 @@ def forward(net: ParallelNet, sequence, train_mode: bool = False, seed: int = 0)
 
 
 def _loss_terms(pred: np.ndarray, y: np.ndarray, cfg: NetConfig, loss_kind: str):
-    """Mean loss and dLoss/dpred for 'huber' (optionally +0.05*MSE) or 'mse'."""
+    """Mean loss and dLoss/dpred for 'huber' or 'mse'."""
     r = pred - y
     B = r.shape[0]
     if loss_kind == "mse":
@@ -330,11 +329,7 @@ def _loss_terms(pred: np.ndarray, y: np.ndarray, cfg: NetConfig, loss_kind: str)
     small = np.abs(r) <= delta
     losses = np.where(small, 0.5 * r * r, delta * np.abs(r) - 0.5 * delta * delta)
     dpred = np.where(small, r, delta * np.sign(r)) / B
-    loss = float(np.mean(losses))
-    if cfg.l2_mix:
-        loss += 0.05 * float(np.mean(r * r))
-        dpred = dpred + 0.05 * 2.0 * r / B
-    return loss, dpred
+    return float(np.mean(losses)), dpred
 
 
 def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
@@ -441,7 +436,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     check_int("step index", t, minimum=1)
     lr = config.adam_lr if lr is None else lr
     check_finite("lr", lr, minimum=0.0)
-    b1, b2 = config.adam_beta1, config.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     new_params, new_m, new_v = {}, {}, {}
     for name in params:
         g = grads[name]
@@ -456,9 +451,10 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 
 def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
-              loss_kind: str = "huber", lr: float | None = None,
-              train_dropout: bool = True, seed: int | None = None) -> tuple[ParallelNet, tuple[float, ...]]:
-    """Full-batch Adam training; returns the trained net and per-epoch losses.
+              loss_kind: str = "huber",
+              lr: float | None = None) -> tuple[ParallelNet, tuple[float, ...]]:
+    """Full-batch Adam training with dropout; returns the trained net and
+    per-epoch losses.  Epoch t draws its dropout mask from config.seed + t.
 
     A diverging run raises ValueError at its first non-finite loss.
     """
@@ -467,7 +463,6 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
     check_int("epochs", epochs, minimum=0)
     if lr is not None:
         check_finite("lr", lr, minimum=0.0)
-    seed = cfg.seed if seed is None else seed
     params = dict(net.params)
     state = init_adam_state(cfg)
     losses = []
@@ -476,7 +471,7 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
     with np.errstate(all="ignore"):
         for t in range(1, epochs + 1):
             loss, grads = backward(current, x, y, loss_kind=loss_kind,
-                                   train_mode=train_dropout, seed=seed + t)
+                                   train_mode=True, seed=cfg.seed + t)
             if not math.isfinite(loss):
                 raise ValueError("epoch losses must be finite and non-negative")
             params, state = adam_step(current.params, grads, state, t, cfg, lr=lr)
@@ -555,7 +550,7 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
     """Train the two-branch regressor on fluctuation targets.
 
     `matches` is a sequence of (MatchTimeline, DbwpSeries, MomentumSeries)
-    triples (a single triple may be passed bare).  Sequences never cross
+    triples.  Sequences never cross
     match boundaries; targets are standardized per match with statistics from
     that match's chronological 80% training split; the remaining 20% of
     sequences form the test set.  `config.input_dim` is overridden by the
@@ -565,8 +560,6 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
     config.check()
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
-    if isinstance(matches, tuple) and len(matches) == 3 and isinstance(matches[0], MatchTimeline):
-        matches = [matches]
     xs_train, ys_train, xs_test, ys_test = [], [], [], []
     for timeline, dbwp, momentum in matches:
         features, targets = assemble_match_features(timeline, dbwp, momentum, variant)
@@ -612,7 +605,7 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
 
 def train_report_to_json(report: TrainReport) -> str:
     doc = asdict(report)
-    doc["format_version"] = 1
+    doc["format_version"] = 2
     return json.dumps(doc, sort_keys=True)
 
 

@@ -209,6 +209,18 @@ class TestExitCodes:
         assert code == 1
         capsys.readouterr()
 
+    def test_out_of_memory_is_one_stderr_line(self, single_csv, tmp_path, capsys,
+                                              monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 22.4 GiB for an array")
+
+        monkeypatch.setattr(cli, "train_deep_lstm", exhausted)
+        code = run_cli(["train-lstm", "--input", single_csv,
+                        "--out", str(tmp_path / "r.json")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: out of memory: Unable to allocate 22.4 GiB for an array"]
+
 
 class TestSeriesCommands:
     def test_dbwp_interface_contract(self, single_csv, tmp_path):
@@ -333,7 +345,7 @@ class TestTrainingCommands:
         assert rows[0] == ["match_id", "maml_mse", "scratch_mse"]
         assert sorted(r[0] for r in rows[1:]) == ["demo-1601", "demo-1701"]
         doc = json.loads(Path(state).read_text())
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
         assert len(doc["loss_history"]) == 5
 
     def test_maml_explicit_partition(self, pool_csv, tmp_path):
@@ -442,6 +454,102 @@ class TestFlagDefaults:
             assert checked, cls.__name__
 
 
+class TestParserPinned:
+    # Every subcommand's flags as (option, dest, type, default, choices,
+    # required), in parser order; the help flag is left out.
+    COMMON = [
+        ("--input", "input", None, None, None, True),
+        ("--match-id", "match_id", None, None, None, False),
+        ("--seed", "seed", "int", 0, None, False),
+        ("--config", "config", None, None, None, False),
+        ("--manifest", "manifest", None, None, None, False),
+    ]
+    OUT = [("--out", "out", None, None, None, True)]
+    DBWP = [
+        ("--wv", "wv", "int", 5, None, False),
+        ("--grid-step", "grid_step", "float", 1.0, None, False),
+    ]
+    MOMENTUM = [
+        ("--set-factor", "set_factor", "float", 1.5, None, False),
+        ("--game-factor", "game_factor", "float", 1.2, None, False),
+        ("--b0-sets", "b0_sets", "float", 1.0, None, False),
+        ("--b0-games", "b0_games", "float", 5.0, None, False),
+        ("--ace-bonus", "ace_bonus", "float", 1.0, None, False),
+        ("--double-fault-penalty", "double_fault_penalty", "float", -1.0, None, False),
+        ("--unforced-error-penalty", "unforced_error_penalty", "float", -0.5, None, False),
+    ]
+    GBT = [
+        ("--n-trees", "n_trees", "int", 100, None, False),
+        ("--learning-rate", "learning_rate", "float", 0.1, None, False),
+        ("--max-depth", "max_depth", "int", 4, None, False),
+        ("--min-child-weight", "min_child_weight", "float", 1.0, None, False),
+        ("--min-gain", "min_gain", "float", 0.0, None, False),
+        ("--lambda-grid", "lambda_grid", "_float_list", (0.0, 0.01, 0.1, 1.0, 10.0), None, False),
+        ("--rho-grid", "rho_grid", "_float_list", (0.0, 0.25, 0.5, 0.75, 1.0), None, False),
+    ]
+    NET = [
+        ("--hidden-dense", "hidden_dense", "int", 32, None, False),
+        ("--hidden-lstm", "hidden_lstm", "int", 16, None, False),
+        ("--dropout-rate", "dropout_rate", "float", 0.2, None, False),
+        ("--huber-delta", "huber_delta", "float", 1.0, None, False),
+        ("--adam-lr", "adam_lr", "float", 0.001, None, False),
+        ("--epochs", "epochs", "int", 100, None, False),
+        ("--seq-len", "seq_len", "int", 16, None, False),
+    ]
+    NEURAL_VARIANT = [
+        ("--variant", "variant", None, "full", ("full", "no_momentum", "no_server"), False),
+    ]
+    EXPECTED = {
+        "ingest": COMMON + [("--out", "out", None, None, None, False)],
+        "winjud": COMMON + OUT + [
+            ("--wv", "wv", "int", 5, None, False),
+            ("--ws", "ws", "int", 5, None, False),
+            ("--beta", "beta", "float", 0.5, None, False),
+        ],
+        "momentum": COMMON + OUT + MOMENTUM,
+        "dbwp": COMMON + OUT + DBWP + [("--player", "player", "int", 1, (1, 2), False)],
+        "train-gbt": COMMON + [
+            ("--model-out", "model_out", None, None, None, True),
+            ("--variant", "variant", None, "both",
+             ("both", "none", "psych_only", "strat_only"), False),
+        ] + GBT,
+        "ablate": COMMON + OUT + GBT,
+        "train-lstm": COMMON + OUT + NEURAL_VARIANT + [
+            ("--repeats", "repeats", "int", 1, None, False),
+            ("--loss-csv", "loss_csv", None, None, None, False),
+        ] + NET + DBWP,
+        "maml": COMMON + OUT + [
+            ("--support", "support", "_id_list", None, None, False),
+            ("--query", "query", "_id_list", None, None, False),
+        ] + NEURAL_VARIANT + [
+            ("--meta-lr", "meta_lr", "float", 0.0001, None, False),
+            ("--inner-lr", "inner_lr", "float", 0.0001, None, False),
+            ("--inner-epochs", "inner_epochs", "int", 3, None, False),
+            ("--tasks-per-batch", "tasks_per_batch", "int", 4, None, False),
+            ("--train-fraction", "train_fraction", "float", 0.8, None, False),
+            ("--fine-tune-epochs", "fine_tune_epochs", "int", 5, None, False),
+            ("--meta-iterations", "meta_iterations", "int", 100, None, False),
+            ("--state-out", "state_out", None, None, None, False),
+        ] + NET + DBWP,
+        "correlate": COMMON + [("--out", "out", None, None, None, False)] + DBWP + MOMENTUM,
+    }
+
+    @staticmethod
+    def _typed(rows):
+        # 1 == 1.0 in Python, so each default's own type is compared too.
+        return [row[:4] + (type(row[3]),) + row[4:] for row in rows]
+
+    def test_every_flag_is_pinned(self):
+        _, subcommands, _ = build_parser()
+        assert list(subcommands) == list(self.EXPECTED)
+        for name, sub in subcommands.items():
+            actual = [(" ".join(a.option_strings), a.dest,
+                       a.type.__name__ if a.type else None, a.default,
+                       None if a.choices is None else tuple(a.choices), a.required)
+                      for a in sub._actions if a.dest != "help"]
+            assert self._typed(actual) == self._typed(self.EXPECTED[name]), name
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, single_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -530,6 +638,23 @@ class TestConfigFile:
                         "--out", str(tmp_path / "x.csv"), "--config", str(cfg)])
         assert code == 1
         assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", ["--conf", "--config="])
+    def test_config_flag_spellings(self, single_csv, tmp_path, spelling):
+        # argparse takes an unambiguous prefix and the --flag=value form alike.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"wv": 9}))
+        flag = [spelling + str(cfg)] if spelling.endswith("=") else [spelling, str(cfg)]
+        manifest = tmp_path / "wj.manifest.json"
+        assert run_cli(["winjud", "--input", single_csv, "--out", str(tmp_path / "wj.csv"),
+                        "--manifest", str(manifest)] + flag) == 0
+        assert json.loads(manifest.read_text())["config"]["w_v"] == 9
+
+    def test_usage_error_comes_before_the_config_file(self, single_csv, tmp_path, capsys):
+        code = run_cli(["winjud", "--input", single_csv,
+                        "--config", str(tmp_path / "missing.json")])
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
 
 
 class TestDeterminism:

@@ -602,7 +602,7 @@ class TestSerializationAndReports:
             np.testing.assert_array_equal(back.params[k], meta.params[k])
         assert meta_state_to_json(back) == text
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_version_guard(self, version):
         with pytest.raises(ValueError, match="version"):
             meta_state_from_json(json.dumps({"format_version": version}))

@@ -110,11 +110,9 @@ class TestConfigAndParams:
         dict(input_dim=0), dict(hidden_dense=0), dict(hidden_lstm=0),
         dict(seq_len=0), dict(epochs=0), dict(dropout_rate=1.0),
         dict(dropout_rate=-0.1), dict(huber_delta=0.0), dict(adam_lr=0.0),
-        dict(adam_beta1=1.0), dict(adam_beta2=0.0),
         dict(adam_lr=float("nan")), dict(adam_lr=float("inf")),
         dict(huber_delta=float("nan")), dict(huber_delta=float("inf")),
-        dict(dropout_rate=float("nan")), dict(adam_beta1=float("-inf")),
-        dict(adam_beta2=float("nan")),
+        dict(dropout_rate=float("nan")),
         dict(epochs=2.5), dict(hidden_lstm=2.5), dict(input_dim=3.0),
         dict(hidden_dense=4.5), dict(seq_len=6.0), dict(seed=0.5),
     ])
@@ -298,19 +296,6 @@ class TestBackward:
                 fd = (lp - lm) / (2 * h)
                 assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4
 
-    def test_l2_mix_adds_scaled_mse(self):
-        rng = np.random.default_rng(6)
-        cfg_plain = tiny_config(seed=2)
-        cfg_mix = tiny_config(seed=2, l2_mix=True)
-        net_plain = init_net(cfg_plain)
-        net_mix = init_net(cfg_mix)  # same seed -> same params
-        x = rng.normal(0, 1, (6, 3, 2))
-        y = rng.normal(0, 3, 6)  # large residuals exercise the linear zone
-        loss_plain, _ = backward(net_plain, x, y)
-        loss_mix, _ = backward(net_mix, x, y)
-        r = forward_batch(net_plain, x) - y
-        assert loss_mix == pytest.approx(loss_plain + 0.05 * float(np.mean(r * r)), rel=1e-12)
-
     def test_zero_residual_gives_zero_gradients(self):
         cfg = tiny_config(seed=4)
         net = init_net(cfg)
@@ -387,22 +372,19 @@ class TestFeatureMajorMatchesBatchMajor:
     SHAPES = [  # (hidden_lstm, input_dim, seq_len)
         (1, 1, 1), (3, 2, 5), (16, 3, 16), (5, 4, 2),
     ]
-    MODES = [  # (loss_kind, l2_mix, dropout_rate, train_mode)
-        ("huber", False, 0.0, False),
-        ("huber", False, 0.3, True),
-        ("mse", False, 0.2, True),
-        ("huber", True, 0.2, True),
-        ("huber", True, 0.0, False),
+    MODES = [  # (loss_kind, dropout_rate, train_mode)
+        ("huber", 0.0, False),
+        ("huber", 0.3, True),
+        ("mse", 0.2, True),
     ]
 
     @pytest.mark.parametrize("batch", [1, 2, 57, 228])
     def test_seeded_sweep(self, batch):
         rng = np.random.default_rng(batch)
         for hidden, dim, steps in self.SHAPES:
-            for loss_kind, l2_mix, rate, train_mode in self.MODES:
+            for loss_kind, rate, train_mode in self.MODES:
                 cfg = NetConfig(input_dim=dim, hidden_dense=5, hidden_lstm=hidden,
-                                seq_len=steps, dropout_rate=rate, l2_mix=l2_mix,
-                                seed=int(rng.integers(100)))
+                                seq_len=steps, dropout_rate=rate, seed=int(rng.integers(100)))
                 net = init_net(cfg)
                 for k in net.params:
                     net.params[k] = net.params[k] + rng.normal(0, 0.3, net.params[k].shape)
@@ -560,7 +542,7 @@ class TestWorkspace:
             triple = (tl, dbwp_scores(tl, DbwpParams()), momentum_series(tl, MomentumConfig()))
             for _ in range(2):
                 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                train_deep_lstm(triple, NetConfig(input_dim=3, epochs=20))
+                train_deep_lstm([triple], NetConfig(input_dim=3, epochs=20))
                 faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             print(faults)
         """)
@@ -803,12 +785,6 @@ class TestTrainDeepLstm:
         assert a.test_mse == b.test_mse
         assert a.config.input_dim == 3
 
-    def test_bare_triple_accepted(self, bundle):
-        cfg = tiny_config(input_dim=3, hidden_dense=6, hidden_lstm=3, seq_len=6, epochs=3)
-        a = train_deep_lstm(bundle, cfg, variant="full")
-        b = train_deep_lstm([bundle], cfg, variant="full")
-        assert a.test_mse == b.test_mse
-
     def test_input_dim_follows_variant(self, bundle):
         cfg = tiny_config(input_dim=3, hidden_dense=6, hidden_lstm=3, seq_len=6, epochs=3)
         r = train_deep_lstm([bundle], cfg, variant="no_momentum")
@@ -860,7 +836,7 @@ class TestTrainDeepLstm:
         cfg = tiny_config(input_dim=3, hidden_dense=6, hidden_lstm=3, seq_len=6, epochs=3)
         report = train_deep_lstm([bundle], cfg, variant="full")
         doc = json.loads(train_report_to_json(report))
-        assert doc["format_version"] == 1
+        assert doc["format_version"] == 2
         assert doc["variant"] == "full"
         assert doc["test_mse"] == report.test_mse
         assert train_report_to_json(report) == train_report_to_json(report)

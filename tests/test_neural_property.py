@@ -22,7 +22,6 @@ def cases(draw):
         hidden_lstm=draw(st.integers(1, 6)),
         seq_len=draw(st.integers(1, 8)),
         dropout_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
-        l2_mix=draw(st.booleans()),
         seed=draw(st.integers(0, 50)),
     )
     batch = draw(st.integers(1, 40))
