@@ -1,6 +1,10 @@
 """Forked helper processes that run a share of a caller's jobs beside the
 main process.
 
+Three callers use them: `maml.meta_train` runs each meta-iteration's support
+tasks on them, `gbtree.grid_search` its distinct penalty pairs, and
+`neural.train_net` each epoch's row shards.
+
 `helpers(work, jobs, caller)` forks `min(usable cores, jobs) - 1` helper
 processes.  It forks none where the platform lacks `fork` or
 `sched_getaffinity`, while another thread runs (fork copies only the calling

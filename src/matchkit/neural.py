@@ -8,6 +8,21 @@ branch outputs.  Training is full-batch Adam on Huber loss; gradients come
 from handwritten backprop through time and are verifiable against central
 finite differences.
 
+Training runs data-parallel: `train_net` splits each epoch's batch into
+contiguous row shards, whose boundaries depend only on the batch size (two
+near-equal halves at B = 128-255), and runs them on the main process and the
+forked helpers of `_fork`, the way synchronous data-parallel SGD sums
+per-shard gradients (Goyal et al., arXiv:1706.02677).  `backward(rows=...)`
+computes one shard's share of the full-batch result: its rows' losses and
+dLoss/dpred divided by the full batch size, under its rows of the full
+batch's dropout mask, so every sequence keeps the subnetwork it samples
+unsharded.  The main process adds the shares in shard order and takes one
+Adam step, so outputs are byte-identical for any helper count.  Against one
+pass over the whole batch only the summation order of the loss and the
+gradients moves: a batch of 128 rows or more moves `train-lstm` outputs at
+rounding level (about 2e-16 relative), and a smaller batch, one shard, gives
+the same bytes.
+
 The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
 `lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
 i, f, o, c.  The recurrence runs feature-major, as cuDNN does, on one
@@ -31,13 +46,16 @@ losses and gradients move at rounding level, which moves `train-lstm` and
 `backward` takes its working arrays (the dense branch's `(B, hidden_dense)`
 arrays, z, the gates, the cells and tanh(c), and the BPTT buffers) from a
 workspace, the persistent RNN workspace of the same paper: one flat float64
-buffer per thread, carved into views.  Only `backward` uses it;
-`forward_batch` allocates per call, so a one-off large prediction batch is
-not held for the thread's life.  The buffer holds the largest `backward`
-working set the thread has seen, so later calls find these arrays in memory
-already mapped instead of page-faulting fresh memory in.  The cache a call
-builds there is dead after the thread's next `backward` call; returned
-losses, predictions and gradients never alias the workspace.
+buffer per thread, carved into views.  Only `backward` uses it.  The
+buffer holds the largest `backward` working set the thread has seen, so
+later calls find these arrays in memory already mapped instead of
+page-faulting fresh memory in.  The cache a call builds there is dead after
+the thread's next `backward` call; returned losses, predictions and
+gradients never alias the workspace.  `forward_batch` allocates per call, so
+a one-off large prediction batch is not held for the thread's life, and it
+keeps only the running state, since inference reads only the last h: one
+step's gates and tanh(c) and two steps' z rows and cells, which the steps
+take turns in.
 """
 
 from __future__ import annotations
@@ -50,6 +68,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import _fork
 from ._checks import check_finite, check_int, require_finite, require_int
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
@@ -243,16 +262,23 @@ def _workspace_alloc(size: int):
     return alloc
 
 
-def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int, alloc=np.empty):
-    """Batch forward pass keeping every intermediate needed for backprop.
+def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int,
+                    alloc=np.empty, *, keep: bool = True, first_row: int = 0):
+    """Batch forward pass; with `keep`, it keeps every intermediate needed
+    for backprop.
 
     Each step reads its `[x_t; h_t; 1]` rows from the `(T + 1, d + h + 1, B)`
     array `z` and writes h_{t+1} into the next step's rows (of step T only
     h_T is read, so its input rows stay unset), its gates into a
     `(T, 4h, B)` array and its cell and tanh(c) into `(T + 1, h, B)` and
-    `(T, h, B)` arrays, which backward reads in reverse.  `alloc(shape)`
-    supplies these and the dense branch's `(B, hidden_dense)` arrays
-    uninitialised: fresh ones by default, workspace views when backward calls.
+    `(T, h, B)` arrays, which backward reads in reverse.  Without `keep`,
+    as for inference, which reads only the last h, these arrays hold one
+    step (two for z and the cells, which a step reads and writes) and the
+    steps take turns in them.  `alloc(shape)` supplies these and the dense
+    branch's `(B, hidden_dense)` arrays uninitialised: fresh ones by
+    default, workspace views when backward calls.  `x` is rows
+    `first_row ..` of a larger batch, whose dropout mask is drawn from
+    `seed`: each row gets that batch's mask row.
     """
     p = net.params
     cfg = net.config
@@ -264,7 +290,9 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     a1 += p["dense_b1"]
     _selu(a1, d1)
     if train_mode and cfg.dropout_rate > 0.0:
-        np.random.default_rng(seed).random(out=drop_scale)
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(first_row * cfg.hidden_dense)  # one draw a double
+        rng.random(out=drop_scale)
         np.divide(drop_scale >= cfg.dropout_rate, 1.0 - cfg.dropout_rate, out=drop_scale)
     else:
         drop_scale.fill(1.0)
@@ -274,17 +302,23 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
     d, H = cfg.input_dim, cfg.hidden_lstm
     # M = [W; U; b]' against rows [x_t; h_t; 1]: a step's pre-activation is one GEMM.
     m = np.vstack((p["lstm_w"], p["lstm_u"], p["lstm_b"])).T  # (4h, d + h + 1)
-    z = alloc((T + 1, d + H + 1, B))
-    z[:T, :d] = x.transpose(1, 2, 0)
+    kept = T if keep else 1  # steps whose gates and tanh(c) stay
+    x_steps = x.transpose(1, 2, 0)  # (T, d, B)
+    z = alloc((kept + 1, d + H + 1, B))
+    if keep:
+        z[:T, :d] = x_steps
     z[0, d:d + H] = 0.0
     z[:, d + H] = 1.0
-    gates = alloc((T, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
-    cs = alloc((T + 1, H, B))
-    tanh_cs = alloc((T, H, B))
+    gates = alloc((kept, 4 * H, B))  # rows i, f, o hold sigmoids, rows c tanh
+    cs = alloc((kept + 1, H, B))
+    tanh_cs = alloc((kept, H, B))
     ig = alloc((H, B))
     cs[0] = 0.0
     for t in range(T):
-        a = np.matmul(m, z[t], out=gates[t])
+        s, now, nxt = t % kept, t % (kept + 1), (t + 1) % (kept + 1)
+        if not keep:
+            z[now, :d] = x_steps[t]
+        a = np.matmul(m, z[now], out=gates[s])
         # sigmoid(x) = 0.5 * (1 + tanh(x / 2)) on rows i, f, o; tanh on rows c
         sig = a[:3 * H]
         sig *= 0.5
@@ -292,11 +326,11 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
         sig += 1.0
         sig *= 0.5
         gi, gf, go, gc = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
-        c_new = np.multiply(gf, cs[t], out=cs[t + 1])
+        c_new = np.multiply(gf, cs[now], out=cs[nxt])
         c_new += np.multiply(gi, gc, out=ig)
-        np.tanh(c_new, out=tanh_cs[t])
-        np.multiply(go, tanh_cs[t], out=z[t + 1, d:d + H])
-    recurrent_out = p["rw"].T @ z[T, d:d + H] + p["rb"][:, None]  # (1, B)
+        np.tanh(c_new, out=tanh_cs[s])
+        np.multiply(go, tanh_cs[s], out=z[nxt, d:d + H])
+    recurrent_out = p["rw"].T @ z[T % (kept + 1), d:d + H] + p["rb"][:, None]  # (1, B)
 
     pred = dense_out[:, 0] + recurrent_out[0]
     cache = {"last": last, "a1": a1, "d1": d1, "drop": drop_scale,
@@ -306,7 +340,7 @@ def _forward_cached(net: ParallelNet, x: np.ndarray, train_mode: bool, seed: int
 
 def forward_batch(net: ParallelNet, x, train_mode: bool = False, seed: int = 0) -> np.ndarray:
     x = _check_batch(net, x)
-    pred, _ = _forward_cached(net, x, train_mode, seed)
+    pred, _ = _forward_cached(net, x, train_mode, seed, keep=False)
     return pred
 
 
@@ -317,27 +351,35 @@ def forward(net: ParallelNet, sequence, train_mode: bool = False, seed: int = 0)
     return float(forward_batch(net, sequence[None, :, :], train_mode, seed)[0])
 
 
-def _loss_terms(pred: np.ndarray, y: np.ndarray, cfg: NetConfig, loss_kind: str):
-    """Mean loss and dLoss/dpred for 'huber' or 'mse'."""
+def _loss_terms(pred: np.ndarray, y: np.ndarray, cfg: NetConfig, loss_kind: str,
+                batch: int | None = None):
+    """Loss summed over these rows and dLoss/dpred for 'huber' or 'mse', both
+    divided by `batch` (by default the row count, giving the mean loss)."""
     r = pred - y
-    B = r.shape[0]
+    B = r.shape[0] if batch is None else batch
     if loss_kind == "mse":
-        return float(np.mean(r * r)), 2.0 * r / B
+        return float(np.sum(r * r)) / B, 2.0 * r / B
     if loss_kind != "huber":
         raise ValueError(f"unknown loss kind {loss_kind!r}")
     delta = cfg.huber_delta
     small = np.abs(r) <= delta
     losses = np.where(small, 0.5 * r * r, delta * np.abs(r) - 0.5 * delta * delta)
     dpred = np.where(small, r, delta * np.sign(r)) / B
-    return float(np.mean(losses)), dpred
+    return float(np.sum(losses)) / B, dpred
 
 
-def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
-             train_mode: bool = False, seed: int = 0) -> tuple[float, dict[str, np.ndarray]]:
+def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber", train_mode: bool = False,
+             seed: int = 0, rows: slice | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean loss over the batch and its gradient for every parameter.
 
     The dropout mask (train_mode only) is drawn once from `seed`, so the
     returned gradients correspond exactly to the sampled subnetwork.
+
+    `rows`, a contiguous slice of the batch, asks for that shard's share
+    of the result instead: its rows' summed loss and the gradient of that
+    sum, both divided by the whole batch size, under the whole batch's
+    dropout mask.  Summed over shards that cover the batch, the shares
+    give the whole batch's result, up to summation order.
     """
     x = _check_batch(net, x)
     if x.shape[0] == 0:
@@ -345,6 +387,12 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (x.shape[0],):
         raise ValueError(f"targets shape {y.shape} does not match batch {x.shape[0]}")
+    batch = x.shape[0]
+    rows = slice(None) if rows is None else rows
+    shard = range(batch)[rows] if isinstance(rows, slice) else range(0)
+    if shard.step != 1 or not shard:
+        raise ValueError(f"rows {rows!r} are not a non-empty contiguous slice of {batch} rows")
+    x, y = x[shard.start:shard.stop], y[shard.start:shard.stop]
     p = net.params
     cfg = net.config
     B, T, d = x.shape
@@ -353,8 +401,8 @@ def backward(net: ParallelNet, x, y, *, loss_kind: str = "huber",
     # da1, the SELU slope, da and scratch3.
     alloc = _workspace_alloc(B * (5 * cfg.hidden_dense + (T + 1) * (d + 2 * H + 1)
                                   + 5 * T * H + 8 * H))
-    pred, cache = _forward_cached(net, x, train_mode, seed, alloc)
-    loss, dpred = _loss_terms(pred, y, cfg, loss_kind)
+    pred, cache = _forward_cached(net, x, train_mode, seed, alloc, first_row=shard.start)
+    loss, dpred = _loss_terms(pred, y, cfg, loss_kind, batch)
     dout = dpred[:, None]  # (B, 1), gradient on both branch outputs
 
     grads = {}
@@ -426,6 +474,16 @@ def init_adam_state(config: NetConfig) -> AdamState:
     )
 
 
+def _unflatten(flat: np.ndarray, config: NetConfig) -> dict[str, np.ndarray]:
+    """Views of a flat vector as the named parameter arrays, in `param_specs` order."""
+    arrays, start = {}, 0
+    for name, shape in param_specs(config):
+        size = math.prod(shape)
+        arrays[name] = flat[start:start + size].reshape(shape)
+        start += size
+    return arrays
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: AdamState, t: int, config: NetConfig,
               lr: float | None = None) -> tuple[dict[str, np.ndarray], AdamState]:
@@ -450,34 +508,78 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return new_params, AdamState(m=new_m, v=new_v)
 
 
+# A training batch splits only into shards of at least this many rows.
+_SHARD_ROWS = 64
+
+
+def _shards(batch: int) -> list[slice]:
+    """Contiguous near-equal row shards of a `batch`-row training batch.
+
+    There are as many as the largest power of two that leaves each at least
+    `_SHARD_ROWS` rows, and one for a smaller batch.  A power of two deals
+    evenly to 2 or 4 cores; the boundaries depend on nothing but `batch`.
+    """
+    count = 1
+    while batch // (2 * count) >= _SHARD_ROWS:
+        count *= 2
+    bounds = [batch * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
               loss_kind: str = "huber",
               lr: float | None = None) -> tuple[ParallelNet, tuple[float, ...]]:
     """Full-batch Adam training with dropout; returns the trained net and
     per-epoch losses.  Epoch t draws its dropout mask from config.seed + t.
 
-    A diverging run raises ValueError at its first non-finite loss.
+    Each epoch's batch splits into the row shards of `_shards`, which
+    `backward` runs one at a time on the main process and the forked
+    helpers of `_fork`; the helpers inherit x and y, and a request sends
+    only the parameters and the epoch's seed.  The shard losses and
+    gradients are added in shard order, so the result does not depend on
+    the helper count.  A diverging run raises ValueError at its first
+    non-finite loss.
     """
     cfg = net.config
     epochs = cfg.epochs if epochs is None else epochs
     check_int("epochs", epochs, minimum=0)
     if lr is not None:
         check_finite("lr", lr, minimum=0.0)
-    params = dict(net.params)
-    state = init_adam_state(cfg)
+    x = _check_batch(net, x)
+    y = np.asarray(y, dtype=np.float64)
+    shards = _shards(x.shape[0])
+    names = [name for name, _ in param_specs(cfg)]
+
+    def flatten(arrays):
+        return np.concatenate([arrays[name].ravel() for name in names])
+
+    def work(flat, seed, share):
+        # Overflow on the way to a non-finite loss is expected, not warned
+        # about, in a helper as in the main process.
+        shard_net = ParallelNet(_unflatten(flat, cfg), cfg)
+        with np.errstate(all="ignore"):
+            results = [backward(shard_net, x, y, loss_kind=loss_kind, train_mode=True,
+                                seed=seed, rows=rows) for rows in share]
+        return [(loss, flatten(grads)) for loss, grads in results]
+
+    # Adam updates each element on its own, so one update of the flat vector
+    # equals adam_step over the named arrays.
+    flat = flatten(net.params)
+    state = AdamState(m={"flat": np.zeros_like(flat)}, v={"flat": np.zeros_like(flat)})
     losses = []
-    current = ParallelNet(params, cfg)
-    # Overflow on the way to a non-finite loss is expected, not warned about.
-    with np.errstate(all="ignore"):
+    with _fork.helpers(work, len(shards), "training") as run, np.errstate(all="ignore"):
         for t in range(1, epochs + 1):
-            loss, grads = backward(current, x, y, loss_kind=loss_kind,
-                                   train_mode=True, seed=cfg.seed + t)
+            (loss, grad), *rest = run((flat, cfg.seed + t), shards)
+            for shard_loss, shard_grad in rest:
+                loss += shard_loss
+                grad += shard_grad
             if not math.isfinite(loss):
                 raise ValueError("epoch losses must be finite and non-negative")
-            params, state = adam_step(current.params, grads, state, t, cfg, lr=lr)
-            current = ParallelNet(params, cfg)
+            new, state = adam_step({"flat": flat}, {"flat": grad}, state, t, cfg, lr=lr)
+            flat = new["flat"]
             losses.append(loss)
-    return current, tuple(losses)
+    params = {name: view.copy() for name, view in _unflatten(flat, cfg).items()}
+    return ParallelNet(params, cfg), tuple(losses)
 
 
 def build_sequences(features: np.ndarray, targets: np.ndarray, seq_len: int):

@@ -137,12 +137,16 @@ class TestExitCodes:
         assert len(err.splitlines()) == 1
         assert field in err
 
-    def test_diverging_lstm_is_one_stderr_line(self, single_csv, tmp_path, capsys):
-        code = run_cli(["train-lstm", "--input", single_csv, "--out", str(tmp_path / "r.json"),
-                        "--adam-lr", "1e308"] + LSTM_FAST)
-        assert code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            "error: epoch losses must be finite and non-negative"]
+    # capfd, not capsys: a helper process writes to file descriptor 2 directly
+    def test_diverging_lstm_is_one_stderr_line(self, single_csv, tmp_path, capfd, monkeypatch):
+        for helpers in (0, 1, 2) if hasattr(os, "fork") else (0,):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
+            code = run_cli(["train-lstm", "--input", single_csv,
+                            "--out", str(tmp_path / "r.json"), "--adam-lr", "1e308"] + LSTM_FAST)
+            assert code == 1
+            assert multiprocessing.active_children() == []
+            assert capfd.readouterr().err.splitlines() == [
+                "error: epoch losses must be finite and non-negative"]
 
     # capfd, not capsys: a helper process writes to file descriptor 2 directly
     @pytest.mark.parametrize("flags, message", [
@@ -681,6 +685,7 @@ class TestDeterminism:
         ("train-gbt", "single_csv", ["--model-out"], GBT_FAST),
         ("ablate", "single_csv", ["--out"], GBT_FAST),
         ("maml", "pool_csv", ["--out", "--state-out"], MAML_FAST),
+        ("train-lstm", "single_csv", ["--out", "--loss-csv"], LSTM_FAST),
     ])
     def test_outputs_do_not_depend_on_the_helper_count(self, request, tmp_path, monkeypatch,
                                                        cmd, source, outputs, extra):
@@ -724,9 +729,13 @@ class TestImportCost:
 
 class TestFreedHeapKept:
     # train-lstm twice in a fresh interpreter: with freed memory returned to
-    # the kernel, the second run page-faults ~22,000 times; kept, ~20
+    # the kernel, the second run page-faults ~22,000 times; kept, ~20.  The
+    # training runs in-process: a fork's copy-on-write faults land in the
+    # parent too, and would hide the allocator's own.
     FAULT_SCRIPT = textwrap.dedent("""
         import contextlib, io, os, resource, sys
+        from matchkit import _fork
+        _fork._helper_count = lambda jobs: 0
         from matchkit.cli import run_cli
         from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
         tmp = sys.argv[1]

@@ -1,20 +1,24 @@
 import itertools
 import math
+import multiprocessing
+import os
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
-from helpers import assert_matches_batch_major, fault_probe
-from matchkit import neural
+from helpers import assert_matches_batch_major, fault_probe, oracle_backward
+from matchkit import _fork, neural
 from matchkit.dbwp import DbwpParams, DbwpSeries, dbwp_scores
 from matchkit.momentum import MomentumConfig, momentum_series
 from matchkit.neural import (
     NEURAL_VARIANTS,
     AdamState,
     NetConfig,
+    ParallelNet,
     adam_step,
     assemble_match_features,
     backward,
@@ -531,9 +535,13 @@ class TestWorkspace:
     @pytest.mark.skipif(sys.platform != "linux", reason="minor-fault counts as Linux reports them")
     def test_second_library_training_does_not_fault(self):
         # Every backward call reuses the thread's workspace, so a second
-        # training maps almost no fresh memory.
+        # training maps almost no fresh memory.  The training runs
+        # in-process: a fork's copy-on-write faults land in the parent too,
+        # and would hide the workspace's own.
         faults, = fault_probe("""
             import resource
+            from matchkit import _fork
+            _fork._helper_count = lambda jobs: 0
             from matchkit.dbwp import DbwpParams, dbwp_scores
             from matchkit.ingest import SyntheticSpec, generate_synthetic_match
             from matchkit.momentum import MomentumConfig, momentum_series
@@ -687,22 +695,34 @@ class TestTraining:
 
     def test_diverging_run_stops_at_its_first_non_finite_loss(self, monkeypatch):
         # Overflow inside the run raises no RuntimeWarning (tier-1 turns them
-        # into errors); the run ends at the first non-finite loss.
-        losses = []
+        # into errors), in a helper as in the main process; the run ends at
+        # the first non-finite loss.  Each epoch runs its 2 shards through
+        # backward, and the main process always runs the first.
+        calls = []
 
         def recording_backward(*args, **kwargs):
             loss, grads = backward(*args, **kwargs)
-            losses.append(loss)
+            calls.append((kwargs["seed"], loss))
             return loss, grads
 
         monkeypatch.setattr(neural, "backward", recording_backward)
         cfg = tiny_config(epochs=50, adam_lr=1e308)
         rng = np.random.default_rng(4)
-        x = rng.normal(0, 1, (5, cfg.seq_len, cfg.input_dim))
-        with pytest.raises(ValueError, match="^epoch losses must be finite and non-negative$"):
-            train_net(init_net(cfg), x, rng.normal(0, 1, 5))
-        assert 1 < len(losses) < 50
-        assert np.isfinite(losses[:-1]).all() and not np.isfinite(losses[-1])
+        x = rng.normal(0, 1, (128, cfg.seq_len, cfg.input_dim))
+        y = rng.normal(0, 1, 128)
+        for helpers in (0, 1, 2) if hasattr(os, "fork") else (0,):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
+            calls.clear()
+            with pytest.raises(ValueError,
+                               match="^epoch losses must be finite and non-negative$"):
+                train_net(init_net(cfg), x, y)
+            assert multiprocessing.active_children() == []
+            epochs = sorted({seed for seed, _ in calls})
+            assert epochs == list(range(cfg.seed + 1, cfg.seed + 1 + len(epochs)))
+            assert 1 < len(epochs) < 50
+            assert len(calls) == (2 if helpers == 0 else 1) * len(epochs)
+            assert all(math.isfinite(loss) for seed, loss in calls if seed != epochs[-1])
+            assert not math.isfinite(calls[-1][1])
 
     def test_training_is_deterministic(self):
         cfg = tiny_config(epochs=10, dropout_rate=0.2, seed=8)
@@ -714,6 +734,137 @@ class TestTraining:
         assert losses_a == losses_b
         for k in a.params:
             assert np.array_equal(a.params[k], b.params[k])
+
+
+def _perturbed_net(cfg, rng, scale=0.3):
+    net = init_net(cfg)
+    for k in net.params:
+        net.params[k] = net.params[k] + rng.normal(0, scale, net.params[k].shape)
+    return net
+
+
+class TestShardedTraining:
+    """train_net runs each epoch's batch as row shards through
+    backward(rows=...), on the main process and forked helpers."""
+
+    def test_shards_are_near_equal_and_depend_only_on_the_batch(self):
+        assert neural._shards(220) == [slice(0, 110), slice(110, 220)]
+        for batch in (1, 63, 127, 128, 255, 256, 300, 511, 512, 1000):
+            shards = neural._shards(batch)
+            sizes = [s.stop - s.start for s in shards]
+            assert len(sizes) & (len(sizes) - 1) == 0  # a power of two
+            assert shards[0].start == 0 and shards[-1].stop == batch
+            assert all(a.stop == b.start for a, b in zip(shards, shards[1:]))
+            assert max(sizes) - min(sizes) <= 1
+            assert len(sizes) == 1 or min(sizes) >= neural._SHARD_ROWS
+            assert batch // (2 * len(sizes)) < neural._SHARD_ROWS  # no more shards fit
+
+    @pytest.mark.parametrize("loss_kind", ["huber", "mse"])
+    def test_shard_shares_sum_to_the_full_batch(self, loss_kind):
+        # With dropout on, each shard must take its rows of the full batch's
+        # mask, so the shares add up to the batch-major oracle's result.
+        rng = np.random.default_rng(31)
+        cfg = NetConfig(input_dim=3, hidden_dense=5, hidden_lstm=4, seq_len=5,
+                        dropout_rate=0.3, seed=2)
+        net = _perturbed_net(cfg, rng)
+        x = rng.normal(0, 1, (11, cfg.seq_len, cfg.input_dim))
+        y = rng.normal(0, 1.5, 11)  # both Huber zones
+        ref_loss, ref_grads = oracle_backward(net, x, y, loss_kind=loss_kind,
+                                              train_mode=True, seed=9)
+        for bounds in ([0, 11], [0, 5, 11], [0, 1, 4, 10, 11]):
+            shares = [backward(net, x, y, loss_kind=loss_kind, train_mode=True, seed=9,
+                               rows=slice(lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+            loss = sum(share_loss for share_loss, _ in shares)
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+            for name, ref in ref_grads.items():
+                got = sum(grads[name] for _, grads in shares)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), name
+        _assert_same_result(backward(net, x, y, loss_kind=loss_kind, train_mode=True,
+                                     seed=9, rows=slice(0, 11)),
+                            backward(net, x, y, loss_kind=loss_kind, train_mode=True, seed=9))
+
+    def test_shard_gradient_matches_central_differences(self):
+        # One middle shard's share, against finite differences of its rows'
+        # Huber losses over the full batch's masked forward pass.
+        rng = np.random.default_rng(32)
+        cfg = NetConfig(input_dim=2, hidden_dense=4, hidden_lstm=3, seq_len=4,
+                        dropout_rate=0.5, seed=5)
+        net = _perturbed_net(cfg, rng, 0.4)
+        x = rng.normal(0, 1, (9, cfg.seq_len, cfg.input_dim))
+        y = rng.normal(0, 1.5, 9)
+        lo, hi = 3, 7
+
+        def share_loss():
+            preds = forward_batch(net, x, train_mode=True, seed=17)[lo:hi]
+            return sum(huber_loss(float(r), cfg.huber_delta) for r in preds - y[lo:hi]) / 9
+
+        loss, grads = backward(net, x, y, train_mode=True, seed=17, rows=slice(lo, hi))
+        assert loss == pytest.approx(share_loss(), rel=1e-12)
+        h = 1e-5
+        for name in ("dense_w1", "dense_b1", "lstm_w", "lstm_u", "rw"):
+            flat = net.params[name].reshape(-1)
+            gflat = grads[name].reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp = share_loss()
+                flat[i] = orig - h
+                lm = share_loss()
+                flat[i] = orig
+                fd = (lp - lm) / (2 * h)
+                assert abs(gflat[i] - fd) / max(1.0, abs(fd)) < 1e-4, name
+
+    @pytest.mark.parametrize("rows", [slice(3, 3), slice(0, 4, 2), slice(9, 12), 2])
+    def test_bad_rows_rejected(self, rows):
+        net = init_net(tiny_config())
+        with pytest.raises(ValueError, match="rows"):
+            backward(net, np.zeros((6, 3, 2)), np.zeros(6), rows=rows)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="helpers are forked")
+    def test_any_helper_count_gives_the_same_net(self, monkeypatch):
+        # 300 rows make 4 shards, so up to 3 helpers each take one.
+        rng = np.random.default_rng(33)
+        cfg = NetConfig(input_dim=2, hidden_dense=5, hidden_lstm=4, seq_len=4,
+                        dropout_rate=0.3, epochs=6, adam_lr=0.01, seed=3)
+        x = rng.normal(0, 1, (300, cfg.seq_len, cfg.input_dim))
+        y = rng.normal(0, 1.5, 300)
+        runs = []
+        for helpers in (0, 1, 2, 3):
+            monkeypatch.setattr(_fork, "_helper_count", lambda n, h=helpers: h)
+            net, losses = train_net(init_net(cfg), x, y)
+            assert multiprocessing.active_children() == []
+            runs.append((losses, {name: v.tobytes() for name, v in net.params.items()}))
+        assert runs[1] == runs[0] and runs[2] == runs[0] and runs[3] == runs[0]
+        # Against unsharded full-batch Adam, only the summation order moves.
+        params, state = init_net(cfg).params, init_adam_state(cfg)
+        for t, got in enumerate(runs[0][0], start=1):
+            loss, grads = oracle_backward(ParallelNet(params, cfg), x, y, train_mode=True,
+                                          seed=cfg.seed + t)
+            assert got == pytest.approx(loss, rel=1e-12)
+            params, state = adam_step(params, grads, state, t, cfg)
+        for name, want in params.items():
+            got = np.frombuffer(runs[0][1][name]).reshape(want.shape)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want)), name
+
+
+class TestForwardBatchMemory:
+    def test_inference_keeps_only_the_running_state(self):
+        # forward_batch reads only the last step's h, so its peak stays well
+        # under the 3.7 MB that keeping every step's arrays took at B = 228,
+        # and does not grow with the sequence length.
+        rng = np.random.default_rng(34)
+        peaks = []
+        for steps in (16, 64):
+            net = init_net(NetConfig(input_dim=3, seq_len=steps))
+            x = rng.normal(0, 1, (228, steps, 3))
+            tracemalloc.start()
+            try:
+                forward_batch(net, x)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 600_000
+        assert peaks[1] <= 1.05 * peaks[0]
 
 
 class TestSequencesAndFeatures:
