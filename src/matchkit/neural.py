@@ -10,18 +10,21 @@ finite differences.
 
 Training runs data-parallel: `train_net` splits each epoch's batch into
 contiguous row shards, whose boundaries depend only on the batch size (two
-near-equal halves at B = 128-255), and runs them on the main process and the
-forked helpers of `_fork`, the way synchronous data-parallel SGD sums
-per-shard gradients (Goyal et al., arXiv:1706.02677).  `backward(rows=...)`
-computes one shard's share of the full-batch result: its rows' losses and
-dLoss/dpred divided by the full batch size, under its rows of the full
-batch's dropout mask, so every sequence keeps the subnetwork it samples
-unsharded.  The main process adds the shares in shard order and takes one
-Adam step, so outputs are byte-identical for any helper count.  Against one
-pass over the whole batch only the summation order of the loss and the
-gradients moves: a batch of 128 rows or more moves `train-lstm` outputs at
-rounding level (about 2e-16 relative), and a smaller batch, one shard, gives
-the same bytes.
+near-equal halves from B = 128 on, one shard below), and runs them on the
+main process and a forked helper of `_fork`, the way synchronous
+data-parallel SGD sums per-shard gradients (Goyal et al., arXiv:1706.02677).
+`backward(rows=...)` computes one shard's share of the full-batch result:
+its rows' losses and dLoss/dpred divided by the full batch size, under its
+rows of the full batch's dropout mask, so every sequence keeps the
+subnetwork it samples unsharded.  The main process adds the shares in shard
+order and takes one Adam step, so outputs are byte-identical for any helper
+count.  Against one pass over the whole batch only the summation order of
+the loss and the gradients moves: a batch of 128 rows or more moves
+`train-lstm` outputs at rounding level (about 1e-15 relative at most), and
+a smaller batch, one shard, gives the same bytes.  With no helper the two
+shards run one after another, each paying a pass's fixed per-step cost,
+so in-process training is slower than one unsharded pass (11-16 % at
+B = 220-300 on one core): outputs must not depend on the core count.
 
 The LSTM gates are fused as in cuDNN (Appleyard, Kocisky & Blunsom 2016):
 `lstm_w (d, 4h)`, `lstm_u (h, 4h)` and `lstm_b (4h,)` with gate columns
@@ -508,22 +511,17 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
     return new_params, AdamState(m=new_m, v=new_v)
 
 
-# A training batch splits only into shards of at least this many rows.
+# A training batch splits into two shards from twice this many rows on.
 _SHARD_ROWS = 64
 
 
 def _shards(batch: int) -> list[slice]:
-    """Contiguous near-equal row shards of a `batch`-row training batch.
-
-    There are as many as the largest power of two that leaves each at least
-    `_SHARD_ROWS` rows, and one for a smaller batch.  A power of two deals
-    evenly to 2 or 4 cores; the boundaries depend on nothing but `batch`.
-    """
-    count = 1
-    while batch // (2 * count) >= _SHARD_ROWS:
-        count *= 2
-    bounds = [batch * k // count for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    """Contiguous row shards of a `batch`-row training batch: two near-equal
+    halves from 2 * `_SHARD_ROWS` rows on, the whole batch below.  The
+    boundaries depend on nothing but `batch`."""
+    if batch < 2 * _SHARD_ROWS:
+        return [slice(0, batch)]
+    return [slice(0, batch // 2), slice(batch // 2, batch)]
 
 
 def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
@@ -578,8 +576,7 @@ def train_net(net: ParallelNet, x, y, *, epochs: int | None = None,
             new, state = adam_step({"flat": flat}, {"flat": grad}, state, t, cfg, lr=lr)
             flat = new["flat"]
             losses.append(loss)
-    params = {name: view.copy() for name, view in _unflatten(flat, cfg).items()}
-    return ParallelNet(params, cfg), tuple(losses)
+    return ParallelNet(_unflatten(flat, cfg), cfg), tuple(losses)
 
 
 def build_sequences(features: np.ndarray, targets: np.ndarray, seq_len: int):
