@@ -2,8 +2,8 @@
 
 Every subcommand reads a point-by-point CSV, writes its outputs with
 deterministic byte-level formatting, and records a run manifest (command,
-resolved configuration, input digests, seed, output paths, wall-clock
-duration) next to its primary output.  Identical inputs, flags, and seed
+resolved configuration, input digests, the learners' seed, output paths,
+wall-clock duration) next to its primary output.  Identical inputs and flags
 produce byte-identical output files.
 """
 
@@ -310,12 +310,12 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # parser construction
 
-def _add_common(sub, out_required=True, out_help="output CSV path"):
+def _add_common(sub, out_required=True, out_help="output CSV path", seed=False):
     sub.add_argument("--input", required=True, help="point-by-point CSV file")
     sub.add_argument("--match-id", default=None,
                      help="select one match when the file has several")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for anything stochastic (default 0)")
+    if seed:
+        sub.add_argument("--seed", type=int, default=0, help="the learner's seed (default 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag defaults (explicit flags win)")
     sub.add_argument("--manifest", default=None,
@@ -324,8 +324,8 @@ def _add_common(sub, out_required=True, out_help="output CSV path"):
         sub.add_argument("--out", required=out_required, help=out_help)
 
 
-# Fields with no flag of their own: --seed is shared by every subcommand,
-# and the grid search picks lam and rho.
+# Fields with no flag of their own: --seed is shared by the learners, and
+# the grid search picks lam and rho.
 _UNFLAGGED = frozenset({"seed", "lam", "rho"})
 
 
@@ -382,17 +382,17 @@ def build_parser():
     db.add_argument("--player", type=int, choices=(1, 2), default=DbwpParams().player)
 
     tg = subs.add_parser("train-gbt", help="grid-searched boosted trees")
-    _add_common(tg, out_required=None)
+    _add_common(tg, out_required=None, seed=True)
     tg.add_argument("--model-out", required=True, help="model JSON path")
     tg.add_argument("--variant", choices=sorted(FEATURE_SETS), default="both")
     _add_gbt_flags(tg)
 
     ab = subs.add_parser("ablate", help="accuracy for every feature variant")
-    _add_common(ab, out_help="ablation report CSV")
+    _add_common(ab, out_help="ablation report CSV", seed=True)
     _add_gbt_flags(ab)
 
     tl = subs.add_parser("train-lstm", help="two-branch regressor on fluctuation targets")
-    _add_common(tl, out_help="training report JSON")
+    _add_common(tl, out_help="training report JSON", seed=True)
     tl.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
     tl.add_argument("--repeats", type=int, default=1)
     tl.add_argument("--loss-csv", default=None, help="optional per-epoch loss CSV")
@@ -400,7 +400,7 @@ def build_parser():
     _add_dbwp_flags(tl)
 
     mm = subs.add_parser("maml", help="meta-train, fine-tune, and compare")
-    _add_common(mm, out_help="query comparison CSV")
+    _add_common(mm, out_help="query comparison CSV", seed=True)
     mm.add_argument("--support", type=_id_list, default=None,
                     help="comma-separated support match ids")
     mm.add_argument("--query", type=_id_list, default=None,
@@ -459,10 +459,11 @@ def _write_manifest(path, command, config, input_path, input_digest, seed, outpu
         "command": command,
         "config": config,
         "inputs": {input_path: input_digest},
-        "seed": seed,
         "outputs": list(outputs),
         "duration_s": duration,
     }
+    if seed is not None:
+        doc["seed"] = seed
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -542,7 +543,7 @@ def run_cli(argv=None) -> int:
         manifest_path = (outputs[0] if outputs else args.command) + ".manifest.json"
     try:
         _write_manifest(manifest_path, args.command, config_doc, args.input, input_digest,
-                        args.seed, outputs, duration)
+                        getattr(args, "seed", None), outputs, duration)
     except OSError as exc:
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)
         return 1

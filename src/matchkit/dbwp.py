@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import check_config, integer, real
 from .ingest import MatchTimeline, prefix_counts
 
 __all__ = [
@@ -47,19 +47,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DbwpParams:
-    w_v: int = 5
-    grid_step_s: float = 1.0
-    player: int = 1
+    w_v: int = integer(5, ge=1)
+    grid_step_s: float = real(1.0, gt=0)
+    player: int = integer(1, choices=(1, 2))
 
-    def check(self) -> None:
-        require_int(self, "w_v")
-        require_finite(self, "grid_step_s")
-        if self.w_v < 1:
-            raise ValueError(f"w_v must be >= 1, got {self.w_v}")
-        if not self.grid_step_s > 0:
-            raise ValueError(f"grid_step_s must be positive, got {self.grid_step_s}")
-        if self.player not in (1, 2):
-            raise ValueError(f"player must be 1 or 2, got {self.player}")
+    check = check_config
 
 
 @dataclass(frozen=True)

@@ -57,7 +57,7 @@ from itertools import chain
 import numpy as np
 
 from . import _fork
-from ._checks import dataclass_from_doc, finite_real, require_finite, require_int
+from ._checks import check_config, dataclass_from_doc, finite_real, integer, real
 from .ingest import MatchTimeline
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
@@ -94,32 +94,16 @@ ABLATION_VARIANTS = ("none", "strat_only", "psych_only", "both")
 
 @dataclass(frozen=True)
 class GbtConfig:
-    n_trees: int = 100
-    learning_rate: float = 0.1
-    max_depth: int = 4
-    min_child_weight: float = 1.0
-    lam: float = 1.0
-    rho: float = 0.5
-    min_gain: float = 0.0
-    seed: int = 0
+    n_trees: int = integer(100, ge=1)
+    learning_rate: float = real(0.1, gt=0, le=1)
+    max_depth: int = integer(4, ge=1)
+    min_child_weight: float = real(1.0, ge=0)
+    lam: float = real(1.0, ge=0)
+    rho: float = real(0.5, ge=0, le=1)
+    min_gain: float = real(0.0, ge=0)
+    seed: int = integer(0)
 
-    def check(self) -> None:
-        require_finite(self, "learning_rate", "min_child_weight", "lam", "rho", "min_gain")
-        require_int(self, "n_trees", "max_depth")
-        if self.n_trees < 1:
-            raise ValueError(f"n_trees must be >= 1, got {self.n_trees}")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if self.max_depth < 1:
-            raise ValueError(f"max_depth must be >= 1, got {self.max_depth}")
-        if self.min_child_weight < 0:
-            raise ValueError(f"min_child_weight must be >= 0, got {self.min_child_weight}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not 0.0 <= self.rho <= 1.0:
-            raise ValueError(f"rho must be in [0, 1], got {self.rho}")
-        if self.min_gain < 0:
-            raise ValueError(f"min_gain must be >= 0, got {self.min_gain}")
+    check = check_config
 
 
 # What a node array's values must be, and the dtype kinds that can hold them.

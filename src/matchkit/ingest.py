@@ -36,13 +36,14 @@ import math
 import operator
 import random
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import check_config, integer, real, setting
 
 __all__ = [
     "IngestError",
@@ -807,33 +808,17 @@ def _write_timeline_rows(timeline: MatchTimeline, writer, quote_all) -> None:
 class SyntheticSpec:
     """Knobs for the deterministic synthetic-match generator."""
 
-    n_points: int
-    p_serve_win: float = 0.65
-    seed: int = 0
-    ace_rate: float = 0.08
-    double_fault_rate: float = 0.05
-    unf_err_rate: float = 0.15
-    mean_point_duration_s: float = 40.0
-    match_id: str = "synthetic-0001"
+    n_points: int = integer(ge=1)
+    p_serve_win: float = real(0.65, ge=0, le=1)
+    seed: int = integer(0, ge=0)  # random.Random(-7) draws what random.Random(7) does
+    ace_rate: float = real(0.08, ge=0, le=1)
+    double_fault_rate: float = real(0.05, ge=0, le=1)
+    unf_err_rate: float = real(0.15, ge=0, le=1)
+    # A point lasts up to 1.5x the mean and is made an int, so 1.5x must be finite.
+    mean_point_duration_s: float = real(40.0, gt=0, le=math.nextafter(sys.float_info.max / 1.5, 0))
+    match_id: str = setting(str, "synthetic-0001")
 
-    def check(self) -> None:
-        require_int(self, "n_points", "seed")
-        require_finite(self, "p_serve_win", "ace_rate", "double_fault_rate", "unf_err_rate",
-                       "mean_point_duration_s")
-        if self.n_points < 1:
-            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
-        if not 0.0 <= self.p_serve_win <= 1.0:
-            raise ValueError(f"p_serve_win must be in [0, 1], got {self.p_serve_win}")
-        for name in ("ace_rate", "double_fault_rate", "unf_err_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.mean_point_duration_s <= 0:
-            raise ValueError(f"mean_point_duration_s must be positive, got {self.mean_point_duration_s}")
-        # a point lasts up to 1.5x the mean, and that duration is made an int
-        if not math.isfinite(1.5 * self.mean_point_duration_s):
-            raise ValueError("mean_point_duration_s must be under the largest float / 1.5, "
-                             f"got {self.mean_point_duration_s}")
+    check = check_config
 
 
 def generate_synthetic_match(spec: SyntheticSpec) -> MatchTimeline:

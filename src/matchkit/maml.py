@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _fork
-from ._checks import (check_finite, check_int, dataclass_from_doc, finite_real, require_finite,
-                      require_int)
+from ._checks import (check_config, check_finite, check_int, dataclass_from_doc, finite_real,
+                      integer, real, setting)
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -81,35 +81,17 @@ QUERY_MATCH_NUMBERS = frozenset({1601, 1602, 1701})
 
 @dataclass(frozen=True)
 class MamlConfig:
-    net: NetConfig
-    meta_lr: float = 1e-4
-    inner_lr: float = 1e-4
-    inner_epochs: int = 3
-    tasks_per_batch: int = 4
-    train_fraction: float = 0.8
-    fine_tune_epochs: int = 5
-    meta_iterations: int = 100
-    seed: int = 0
+    net: NetConfig = setting(NetConfig)
+    meta_lr: float = real(1e-4, ge=0)
+    inner_lr: float = real(1e-4, gt=0)
+    inner_epochs: int = integer(3, ge=0)
+    tasks_per_batch: int = integer(4, ge=1)
+    train_fraction: float = real(0.8, gt=0, lt=1)
+    fine_tune_epochs: int = integer(5, ge=0)
+    meta_iterations: int = integer(100, ge=1)
+    seed: int = integer(0, ge=0)  # numpy's default_rng refuses a negative seed
 
-    def check(self) -> None:
-        self.net.check()
-        require_finite(self, "meta_lr", "inner_lr", "train_fraction")
-        require_int(self, "inner_epochs", "tasks_per_batch", "fine_tune_epochs",
-                    "meta_iterations", "seed")
-        if self.meta_lr < 0:
-            raise ValueError(f"meta_lr must be >= 0, got {self.meta_lr}")
-        if self.inner_lr <= 0:
-            raise ValueError(f"inner_lr must be positive, got {self.inner_lr}")
-        for name in ("inner_epochs", "fine_tune_epochs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in ("tasks_per_batch", "meta_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(
-                f"train_fraction must be in (0, 1), got {self.train_fraction}"
-            )
+    check = check_config
 
 
 @dataclass(eq=False)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require_finite
+from ._checks import check_config, real
 from .ingest import MatchTimeline
 
 __all__ = [
@@ -36,25 +36,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MomentumConfig:
-    set_factor: float = 1.5
-    game_factor: float = 1.2
-    b0_sets: float = 1.0
-    b0_games: float = 5.0
-    ace_bonus: float = 1.0
-    double_fault_penalty: float = -1.0
-    unforced_error_penalty: float = -0.5
+    set_factor: float = real(1.5, gt=1)
+    game_factor: float = real(1.2, gt=1)
+    b0_sets: float = real(1.0, gt=0)
+    b0_games: float = real(5.0, gt=0)
+    ace_bonus: float = real(1.0)
+    double_fault_penalty: float = real(-1.0)
+    unforced_error_penalty: float = real(-0.5)
 
-    def check(self) -> None:
-        require_finite(self, "set_factor", "game_factor", "b0_sets", "b0_games",
-                       "ace_bonus", "double_fault_penalty", "unforced_error_penalty")
-        if self.set_factor <= 1:
-            raise ValueError(f"set_factor must be > 1, got {self.set_factor}")
-        if self.game_factor <= 1:
-            raise ValueError(f"game_factor must be > 1, got {self.game_factor}")
-        if self.b0_sets <= 0:
-            raise ValueError(f"b0_sets must be > 0, got {self.b0_sets}")
-        if self.b0_games <= 0:
-            raise ValueError(f"b0_games must be > 0, got {self.b0_games}")
+    check = check_config
 
 
 @dataclass(frozen=True)

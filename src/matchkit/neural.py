@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _fork
-from ._checks import check_finite, check_int, require_finite, require_int
+from ._checks import check_config, check_finite, check_int, field_ranges, integer, real
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline
 from .momentum import MomentumSeries
@@ -123,28 +123,17 @@ NEURAL_VARIANTS = tuple(VARIANT_COLUMNS)
 
 @dataclass(frozen=True)
 class NetConfig:
-    input_dim: int
-    hidden_dense: int = 32
-    hidden_lstm: int = 16
-    dropout_rate: float = 0.2
-    huber_delta: float = 1.0
-    adam_lr: float = 1e-3
-    epochs: int = 100
-    seq_len: int = 16
-    seed: int = 0
+    input_dim: int = integer(ge=1)
+    hidden_dense: int = integer(32, ge=1)
+    hidden_lstm: int = integer(16, ge=1)
+    dropout_rate: float = real(0.2, ge=0, lt=1)
+    huber_delta: float = real(1.0, gt=0)
+    adam_lr: float = real(1e-3, gt=0)
+    epochs: int = integer(100, ge=1)
+    seq_len: int = integer(16, ge=1)
+    seed: int = integer(0, ge=0)  # numpy's default_rng refuses a negative seed
 
-    def check(self) -> None:
-        require_finite(self, "dropout_rate", "huber_delta", "adam_lr")
-        require_int(self, "input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len", "seed")
-        for name in ("input_dim", "hidden_dense", "hidden_lstm", "epochs", "seq_len"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.huber_delta <= 0:
-            raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
-        if self.adam_lr <= 0:
-            raise ValueError(f"adam_lr must be positive, got {self.adam_lr}")
+    check = check_config
 
 
 def param_specs(config: NetConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
@@ -189,10 +178,9 @@ def init_net(config: NetConfig) -> ParallelNet:
 
 
 def huber_loss(residual: float, delta: float) -> float:
-    """0.5*r^2 inside |r| <= delta, delta*|r| - 0.5*delta^2 outside."""
-    check_finite("delta", delta)
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    """0.5*r^2 inside |r| <= delta, delta*|r| - 0.5*delta^2 outside; `delta`
+    has the range that NetConfig declares for huber_delta."""
+    dict(field_ranges(NetConfig))["huber_delta"].check("delta", delta)
     r = abs(residual)
     if r <= delta:
         return 0.5 * r * r
@@ -627,7 +615,6 @@ class TrainReport:
     test_mse: float
     per_repeat_mse: tuple[float, ...]
     config: NetConfig
-    seed: int
 
     def __post_init__(self):
         if any(not np.isfinite(v) or v < 0 for v in self.epoch_losses):
@@ -657,8 +644,7 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
     config.seed .. config.seed+repeats-1.
     """
     config.check()
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
+    check_int("repeats", repeats, minimum=1)
     xs_train, ys_train, xs_test, ys_test = [], [], [], []
     for timeline, dbwp, momentum in matches:
         features, targets = assemble_match_features(timeline, dbwp, momentum, variant)
@@ -698,13 +684,12 @@ def train_deep_lstm(matches, config: NetConfig, variant: str = "full",
         test_mse=float(np.mean(mses)),
         per_repeat_mse=tuple(mses),
         config=base_cfg,
-        seed=config.seed,
     )
 
 
 def train_report_to_json(report: TrainReport) -> str:
     doc = asdict(report)
-    doc["format_version"] = 2
+    doc["format_version"] = 3
     return json.dumps(doc, sort_keys=True)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import require_finite, require_int
+from ._checks import check_config, integer, real
 from .ingest import MatchTimeline, format_elapsed, prefix_counts
 
 __all__ = [
@@ -29,19 +29,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WinjudParams:
-    w_v: int = 5
-    w_s: int = 5
-    beta: float = 0.5
+    w_v: int = integer(5, ge=1)
+    w_s: int = integer(5, ge=1)
+    beta: float = real(0.5, ge=0)
 
-    def check(self) -> None:
-        require_int(self, "w_v", "w_s")
-        require_finite(self, "beta")
-        if self.w_v < 1:
-            raise ValueError(f"w_v must be >= 1, got {self.w_v}")
-        if self.w_s < 1:
-            raise ValueError(f"w_s must be >= 1, got {self.w_s}")
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
+    check = check_config
 
 
 @dataclass(frozen=True)

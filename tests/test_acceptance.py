@@ -376,15 +376,16 @@ def test_criterion_9_cli_runs_are_byte_deterministic(tmp_path):
          for s, mid in enumerate([1301, 1302, 1303, 1304, 1401, 1601, 1701])],
         str(pool))
 
+    seed = ["--seed", "1"]  # only the learners take one
     plans = [
         ("ingest", "--out", ".csv", single, []),
         ("winjud", "--out", ".csv", single, []),
         ("momentum", "--out", ".csv", single, []),
         ("dbwp", "--out", ".csv", single, []),
-        ("train-gbt", "--model-out", ".json", single, FAST_GBT),
-        ("ablate", "--out", ".csv", single, FAST_GBT),
-        ("train-lstm", "--out", ".json", single, FAST_LSTM),
-        ("maml", "--out", ".csv", pool, FAST_MAML),
+        ("train-gbt", "--model-out", ".json", single, FAST_GBT + seed),
+        ("ablate", "--out", ".csv", single, FAST_GBT + seed),
+        ("train-lstm", "--out", ".json", single, FAST_LSTM + seed),
+        ("maml", "--out", ".csv", pool, FAST_MAML + seed),
         ("correlate", "--out", ".csv", single, []),
     ]
     for name, out_flag, suffix, source, extra in plans:
@@ -392,8 +393,7 @@ def test_criterion_9_cli_runs_are_byte_deterministic(tmp_path):
         for run in ("one", "two"):
             out = tmp_path / f"{name}-{run}{suffix}"
             argv = [name, "--input", str(source), out_flag, str(out),
-                    "--manifest", str(tmp_path / f"{name}-{run}.manifest.json"),
-                    "--seed", "1"] + extra
+                    "--manifest", str(tmp_path / f"{name}-{run}.manifest.json")] + extra
             assert run_cli(argv) == 0, f"{name} exited non-zero"
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1], f"{name}: repeat run output differs"

@@ -127,6 +127,8 @@ class TestExitCodes:
         ("correlate", ["--ace-bonus", "1e308"], "overflows"),
         ("correlate", ["--unforced-error-penalty", "1e308", "--grid-step", "1e308"],
          "overflows"),
+        # numpy's own error for a negative seed does not name it
+        ("train-lstm", ["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_unusable_scoring_settings(self, single_csv, tmp_path, capsys,
                                        command, flags, field):
@@ -379,7 +381,7 @@ class TestManifest:
         assert doc["command"] == "winjud"
         assert doc["config"]["beta"] == 0.25
         assert doc["outputs"] == [str(out)]
-        assert doc["seed"] == 0
+        assert "seed" not in doc  # only the learners take --seed
         assert doc["duration_s"] >= 0.0
         # the digest taken as the CSV reader pulls the file through is the file's
         assert doc["inputs"] == {single_csv: hashlib.sha256(Path(single_csv).read_bytes())
@@ -464,10 +466,11 @@ class TestParserPinned:
     COMMON = [
         ("--input", "input", None, None, None, True),
         ("--match-id", "match_id", None, None, None, False),
-        ("--seed", "seed", "int", 0, None, False),
         ("--config", "config", None, None, None, False),
         ("--manifest", "manifest", None, None, None, False),
     ]
+    # The learners take --seed, after --match-id.
+    LEARNER = COMMON[:2] + [("--seed", "seed", "int", 0, None, False)] + COMMON[2:]
     OUT = [("--out", "out", None, None, None, True)]
     DBWP = [
         ("--wv", "wv", "int", 5, None, False),
@@ -512,17 +515,17 @@ class TestParserPinned:
         ],
         "momentum": COMMON + OUT + MOMENTUM,
         "dbwp": COMMON + OUT + DBWP + [("--player", "player", "int", 1, (1, 2), False)],
-        "train-gbt": COMMON + [
+        "train-gbt": LEARNER + [
             ("--model-out", "model_out", None, None, None, True),
             ("--variant", "variant", None, "both",
              ("both", "none", "psych_only", "strat_only"), False),
         ] + GBT,
-        "ablate": COMMON + OUT + GBT,
-        "train-lstm": COMMON + OUT + NEURAL_VARIANT + [
+        "ablate": LEARNER + OUT + GBT,
+        "train-lstm": LEARNER + OUT + NEURAL_VARIANT + [
             ("--repeats", "repeats", "int", 1, None, False),
             ("--loss-csv", "loss_csv", None, None, None, False),
         ] + NET + DBWP,
-        "maml": COMMON + OUT + [
+        "maml": LEARNER + OUT + [
             ("--support", "support", "_id_list", None, None, False),
             ("--query", "query", "_id_list", None, None, False),
         ] + NEURAL_VARIANT + [
@@ -573,12 +576,14 @@ class TestConfigFile:
         assert read_rows(out)[1][0] == "9"
 
     def test_unknown_config_key(self, single_csv, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        code = run_cli(["winjud", "--input", single_csv,
-                        "--out", str(tmp_path / "x.csv"), "--config", str(cfg)])
-        assert code == 1
-        assert "nonsense" in capsys.readouterr().err
+        # A scoring command has no --seed, so a seed key is unknown to it too.
+        for key in ("nonsense", "seed"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: 1}))
+            code = run_cli(["winjud", "--input", single_csv,
+                            "--out", str(tmp_path / "x.csv"), "--config", str(cfg)])
+            assert code == 1
+            assert repr(key) in capsys.readouterr().err
 
     def test_unreadable_config(self, single_csv, tmp_path, capsys):
         code = run_cli(["winjud", "--input", single_csv,
@@ -665,15 +670,14 @@ class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, single_csv, pool_csv, tmp_path):
         for cmd, source, extra, side_outputs in (
                 ("winjud", single_csv, [], ()),
-                ("train-lstm", single_csv, LSTM_FAST, ()),
-                ("maml", pool_csv, MAML_FAST, ("--state-out",))):
+                ("train-lstm", single_csv, LSTM_FAST + ["--seed", "3"], ()),
+                ("maml", pool_csv, MAML_FAST + ["--seed", "3"], ("--state-out",))):
             runs = []
             for run in ("one", "two"):
                 out = tmp_path / f"{cmd}-{run}.out"
                 sides = [tmp_path / f"{cmd}-{run}{flag}.json" for flag in side_outputs]
                 args = [cmd, "--input", source, "--out", str(out),
-                        "--manifest", str(tmp_path / f"{cmd}-{run}.manifest.json"),
-                        "--seed", "3"] + extra
+                        "--manifest", str(tmp_path / f"{cmd}-{run}.manifest.json")] + extra
                 for flag, side in zip(side_outputs, sides):
                     args += [flag, str(side)]
                 assert run_cli(args) == 0

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import warnings
 
 import pytest
@@ -14,8 +15,15 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from matchkit._checks import field_ranges  # noqa: E402
 from matchkit.cli import build_parser, run_cli  # noqa: E402
+from matchkit.dbwp import DbwpParams  # noqa: E402
+from matchkit.gbtree import GbtConfig  # noqa: E402
 from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv  # noqa: E402
+from matchkit.maml import MamlConfig  # noqa: E402
+from matchkit.momentum import MomentumConfig  # noqa: E402
+from matchkit.neural import NetConfig  # noqa: E402
+from matchkit.winjud import WinjudParams  # noqa: E402
 
 # Flags that name the files a command reads and writes, which the test sets.
 FILE_FLAGS = {"--input", "--out", "--model-out", "--state-out", "--loss-csv", "--config",
@@ -39,6 +47,31 @@ FUZZED_FLAGS = {
     name: sorted(flag for action in sub._actions for flag in action.option_strings
                  if flag.startswith("--") and flag not in FILE_FLAGS | {"--help"})
     for name, sub in SUBCOMMANDS.items()
+}
+# Flags whose dest is not their config field's name.
+RENAMED = {"wv": "w_v", "ws": "w_s", "grid_step": "grid_step_s"}
+
+
+def _boundary_values(rng) -> set[str]:
+    """Each declared bound and choice, with its neighbours on either side."""
+    values = set()
+    for value in (*rng.choices, rng.ge, rng.gt, rng.le, rng.lt):
+        if value is not None:
+            values |= ({value - 1, value, value + 1} if rng.kind is int else
+                       {math.nextafter(value, -math.inf), value, math.nextafter(value, math.inf)})
+    return {repr(v) for v in values}
+
+
+# The boundary values declared for each field name, over every config that has it.
+_BOUNDARIES: dict[str, set[str]] = {}
+for _cls in (WinjudParams, MomentumConfig, DbwpParams, GbtConfig, NetConfig, MamlConfig):
+    for _name, _rng in field_ranges(_cls):
+        _BOUNDARIES.setdefault(_name, set()).update(_boundary_values(_rng))
+FLAG_VALUES = {
+    (name, flag): VALUES + tuple(sorted(_BOUNDARIES.get(RENAMED.get(action.dest, action.dest),
+                                                        ())))
+    for name, sub in SUBCOMMANDS.items() for action in sub._actions
+    for flag in action.option_strings
 }
 
 
@@ -67,8 +100,9 @@ def test_fuzzed_flags_end_in_one_stderr_line(command, inputs):
     argv = [command, "--input", pool if command == "maml" else single,
             OUT_FLAG.get(command, "--out"), str(root / f"{command}.out"),
             "--manifest", str(root / f"{command}.manifest.json"), *SMALL.get(command, [])]
-    flags = st.lists(st.tuples(st.sampled_from(FUZZED_FLAGS[command]), st.sampled_from(VALUES)),
-                     min_size=1, max_size=3)
+    flags = st.lists(st.sampled_from(FUZZED_FLAGS[command]).flatmap(
+        lambda flag: st.tuples(st.just(flag), st.sampled_from(FLAG_VALUES[command, flag]))),
+        min_size=1, max_size=3)
 
     @settings(derandomize=True, max_examples=200, deadline=None, database=None)
     @given(flags)

@@ -51,6 +51,8 @@ class TestWindowedWinRate:
         (2.5, 1, "w_v must be an integer, got 2.5"),
         (0, 1, "w_v must be >= 1, got 0"),
         (2, 3, "player must be 1 or 2, got 3"),
+        (2, True, "player must be an integer, got True"),
+        (2, 1.0, "player must be an integer, got 1.0"),
     ])
     def test_bad_window_or_player_names_it(self, w_v, player, message):
         tl = make_timeline(victors=[1] * 10)

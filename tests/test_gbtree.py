@@ -229,7 +229,7 @@ class TestTrainGbt:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             GbtConfig(**{field: value}).check()
 
-    @pytest.mark.parametrize("field", ["n_trees", "max_depth"])
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth", "seed"])
     def test_sizes_must_be_integers(self, field):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             GbtConfig(**{field: 2.5}).check()
@@ -809,6 +809,9 @@ class TestSerialization:
         doc = json.loads(model_to_json(train_gbt(x, y, GbtConfig(n_trees=1))))
         doc["config"]["lam"] = float("nan")
         with pytest.raises(ValueError, match="lam must be finite"):
+            model_from_json(json.dumps(doc))
+        doc["config"].update(lam=1.0, seed="x")
+        with pytest.raises(ValueError, match="seed must be an integer, got 'x'"):
             model_from_json(json.dumps(doc))
 
     def test_deterministic_document(self):

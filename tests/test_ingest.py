@@ -311,6 +311,7 @@ class TestSyntheticMatch:
         (dict(p_serve_win=float("nan")), "p_serve_win"),
         (dict(unf_err_rate=float("inf")), "unf_err_rate"),
         (dict(mean_point_duration_s=1.5e308), "mean_point_duration_s"),
+        (dict(seed=-7), "seed"),  # random.Random(-7) would repeat seed 7
     ])
     def test_spec_error_names_the_field(self, fields, name):
         spec = SyntheticSpec(**{"n_points": 5, **fields})

@@ -119,6 +119,7 @@ class TestConfigAndParams:
         dict(dropout_rate=float("nan")),
         dict(epochs=2.5), dict(hidden_lstm=2.5), dict(input_dim=3.0),
         dict(hidden_dense=4.5), dict(seq_len=6.0), dict(seed=0.5),
+        dict(epochs=True), dict(seed=-1),
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
@@ -992,6 +993,8 @@ class TestTrainDeepLstm:
         cfg = tiny_config(input_dim=3, seq_len=6, epochs=2)
         with pytest.raises(ValueError):
             train_deep_lstm([bundle], cfg, variant="full", repeats=0)
+        with pytest.raises(ValueError, match="^repeats must be an integer, got 2.5$"):
+            train_deep_lstm([bundle], cfg, variant="full", repeats=2.5)
 
     def test_report_serialization(self, bundle):
         import json
@@ -999,7 +1002,8 @@ class TestTrainDeepLstm:
         cfg = tiny_config(input_dim=3, hidden_dense=6, hidden_lstm=3, seq_len=6, epochs=3)
         report = train_deep_lstm([bundle], cfg, variant="full")
         doc = json.loads(train_report_to_json(report))
-        assert doc["format_version"] == 2
+        assert doc["format_version"] == 3
+        assert "seed" not in doc  # config.seed holds it
         assert doc["variant"] == "full"
         assert doc["test_mse"] == report.test_mse
         assert train_report_to_json(report) == train_report_to_json(report)
