@@ -2,7 +2,7 @@
 
 Every subcommand reads a point-by-point CSV, writes its outputs with
 deterministic byte-level formatting, and records a run manifest (command,
-resolved configuration, input digests, the learners' seed, output paths,
+resolved configuration with a learner's seed, input digests, output paths,
 wall-clock duration) next to its primary output.  Identical inputs and flags
 produce byte-identical output files.
 """
@@ -124,8 +124,8 @@ def _pick_timeline(timelines, match_id):
 
 
 def _config(cls, args, **given):
-    """A `cls` config from the parsed flags: every field with a flag (and
-    `seed` from --seed) is read from it, and `given` supplies the rest."""
+    """A `cls` config from the parsed flags: every field with a flag is read
+    from it, and `given` supplies the rest."""
     flags = vars(args)
     return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags}, **given)
 
@@ -310,12 +310,10 @@ _DISPATCH = {
 # ---------------------------------------------------------------------------
 # parser construction
 
-def _add_common(sub, out_required=True, out_help="output CSV path", seed=False):
+def _add_common(sub, out_required=True, out_help="output CSV path"):
     sub.add_argument("--input", required=True, help="point-by-point CSV file")
     sub.add_argument("--match-id", default=None,
                      help="select one match when the file has several")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="the learner's seed (default 0)")
     sub.add_argument("--config", default=None,
                      help="JSON file of flag defaults (explicit flags win)")
     sub.add_argument("--manifest", default=None,
@@ -324,9 +322,8 @@ def _add_common(sub, out_required=True, out_help="output CSV path", seed=False):
         sub.add_argument("--out", required=out_required, help=out_help)
 
 
-# Fields with no flag of their own: --seed is shared by the learners, and
-# the grid search picks lam and rho.
-_UNFLAGGED = frozenset({"seed", "lam", "rho"})
+# Fields with no flag of their own: the grid search picks lam and rho.
+_UNFLAGGED = frozenset({"lam", "rho"})
 
 
 def _add_config_flags(sub, cls):
@@ -382,17 +379,17 @@ def build_parser():
     db.add_argument("--player", type=int, choices=(1, 2), default=DbwpParams().player)
 
     tg = subs.add_parser("train-gbt", help="grid-searched boosted trees")
-    _add_common(tg, out_required=None, seed=True)
+    _add_common(tg, out_required=None)
     tg.add_argument("--model-out", required=True, help="model JSON path")
     tg.add_argument("--variant", choices=sorted(FEATURE_SETS), default="both")
     _add_gbt_flags(tg)
 
     ab = subs.add_parser("ablate", help="accuracy for every feature variant")
-    _add_common(ab, out_help="ablation report CSV", seed=True)
+    _add_common(ab, out_help="ablation report CSV")
     _add_gbt_flags(ab)
 
     tl = subs.add_parser("train-lstm", help="two-branch regressor on fluctuation targets")
-    _add_common(tl, out_help="training report JSON", seed=True)
+    _add_common(tl, out_help="training report JSON")
     tl.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
     tl.add_argument("--repeats", type=int, default=1)
     tl.add_argument("--loss-csv", default=None, help="optional per-epoch loss CSV")
@@ -400,7 +397,7 @@ def build_parser():
     _add_dbwp_flags(tl)
 
     mm = subs.add_parser("maml", help="meta-train, fine-tune, and compare")
-    _add_common(mm, out_help="query comparison CSV", seed=True)
+    _add_common(mm, out_help="query comparison CSV")
     mm.add_argument("--support", type=_id_list, default=None,
                     help="comma-separated support match ids")
     mm.add_argument("--query", type=_id_list, default=None,
@@ -453,8 +450,7 @@ def _typed_config(sub_parser, overrides):
     return typed
 
 
-def _write_manifest(path, command, config, input_path, input_digest, seed, outputs,
-                    duration):
+def _write_manifest(path, command, config, input_path, input_digest, outputs, duration):
     doc = {
         "command": command,
         "config": config,
@@ -462,8 +458,6 @@ def _write_manifest(path, command, config, input_path, input_digest, seed, outpu
         "outputs": list(outputs),
         "duration_s": duration,
     }
-    if seed is not None:
-        doc["seed"] = seed
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -543,7 +537,7 @@ def run_cli(argv=None) -> int:
         manifest_path = (outputs[0] if outputs else args.command) + ".manifest.json"
     try:
         _write_manifest(manifest_path, args.command, config_doc, args.input, input_digest,
-                        getattr(args, "seed", None), outputs, duration)
+                        outputs, duration)
     except OSError as exc:
         print(f"error: cannot write manifest: {exc}", file=sys.stderr)
         return 1

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_config, integer, real
-from .ingest import MatchTimeline, prefix_counts
+from ._checks import check_config, check_int, field_ranges, integer, real
+from .ingest import MatchTimeline, _text_dest, prefix_counts
 
 __all__ = [
     "DbwpParams",
@@ -71,6 +71,7 @@ class DbwpSeries:
 def windowed_win_rate(timeline: MatchTimeline, i: int, w_v: int, player: int = 1) -> float:
     """Fraction of the 2*w_v points in [i-w_v, i+w_v) won by `player`."""
     DbwpParams(w_v=w_v, player=player).check()
+    check_int("i", i)
     n = len(timeline)
     if not w_v <= i <= n - w_v:
         raise ValueError(f"index {i} out of range: valid indices are [{w_v}, {n - w_v}]")
@@ -150,15 +151,15 @@ def grid_time_derivative(times_s, values, step_s: float):
 
     times_s must be strictly increasing with at least two entries and span
     at most 2**53 s; values are read as float64.  The grid starts at
-    times_s[0] with spacing step_s and covers the last knot.  Returns (grid
+    times_s[0] with spacing step_s, which has the range that DbwpParams
+    declares for grid_step_s, and covers the last knot.  Returns (grid
     offsets from times_s[0], derivative at each node).  Central differences
     at interior nodes, one-sided at the two ends.  Every arithmetic step is
     sign-symmetric in `values`.  This is the full-grid form of what
     `dbwp_scores` evaluates only at the nodes its points read, with the same
     kernel.
     """
-    if not (math.isfinite(step_s) and step_s > 0):
-        raise ValueError(f"step_s must be finite and positive, got {step_s!r}")
+    dict(field_ranges(DbwpParams))["grid_step_s"].check("step_s", step_s)
     tau, values = _knot_offsets(times_s, values)
     n_nodes = _node_count(float(tau[-1]), step_s)
     grid = [k * step_s for k in range(n_nodes)]
@@ -220,10 +221,7 @@ def dbwp_scores(timeline: MatchTimeline, params: DbwpParams | None = None) -> Db
 
 
 def write_dbwp_csv(series: DbwpSeries, dest) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_dbwp_csv(series, fh)
-            return
     rows = map("{},{},{!r},{!r}\n".format,
                series.indices, series.elapsed_s, series.win_rate, series.dbwp)
-    dest.write("point_index,elapsed_s,win_rate,dbwp\n" + "".join(rows))
+    with _text_dest(dest) as fh:
+        fh.write("point_index,elapsed_s,win_rate,dbwp\n" + "".join(rows))

@@ -48,6 +48,7 @@ grid search equals one train_gbt per cell.  The rules that keep it so:
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -58,7 +59,7 @@ import numpy as np
 
 from . import _fork
 from ._checks import check_config, dataclass_from_doc, finite_real, integer, real
-from .ingest import MatchTimeline
+from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
 __all__ = [
@@ -820,13 +821,8 @@ def model_from_json(text: str) -> GbtModel:
 
 
 def write_ablation_csv(report: AblationReport, dest) -> None:
-    import csv
-
     rows = [["match_id", "variant", "test_accuracy", "lambda", "rho"]]
     rows += [[report.match_id, r.variant, repr(r.test_accuracy), repr(r.chosen_lambda),
               repr(r.chosen_rho)] for r in report.rows]
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
-    else:
-        csv.writer(dest, lineterminator="\n").writerows(rows)
+    with _text_dest(dest) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)

@@ -29,6 +29,7 @@ between points), so every error keeps its message and row number.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -609,10 +610,15 @@ def load_match_csv(source, schema: dict[str, str] | None = None) -> list[MatchTi
     An integer cell, or a clock in seconds, must fit in int64.
     """
     colmap = dict(DEFAULT_SCHEMA)
-    if schema:
-        unknown = sorted(set(schema) - set(DEFAULT_SCHEMA))
+    if schema is not None:
+        if not isinstance(schema, dict):
+            raise SchemaError(f"schema must be a dict of field to column name, got {schema!r}")
+        unknown = sorted(map(str, set(schema) - set(DEFAULT_SCHEMA)))
         if unknown:
             raise SchemaError(f"schema maps unknown canonical fields: {', '.join(unknown)}")
+        for field, column in schema.items():
+            if not isinstance(column, str):
+                raise SchemaError(f"schema maps {field!r} to {column!r}, not a column name")
         colmap.update(schema)
 
     if isinstance(source, str):
@@ -774,21 +780,29 @@ _WRITE_COLUMNS = tuple((DEFAULT_SCHEMA[cell], name, _cell_format(name))
                        for name, cell in zip(_COLUMNS, _COLUMN_CELLS))
 
 
+@contextlib.contextmanager
+def _text_dest(dest):
+    """The text stream a writer writes to: `dest` itself, or the file at path
+    `dest` opened as UTF-8 with no newline translation, closed afterwards."""
+    if isinstance(dest, str):
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield dest
+
+
 def write_timeline_csv(timeline, dest) -> None:
     """Write one timeline (or an iterable of them) back to CSV in the default
     schema (round-trip safe)."""
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_timeline_csv(timeline, fh)
-            return
     timelines = [timeline] if isinstance(timeline, MatchTimeline) else list(timeline)
-    writer = csv.writer(dest, lineterminator="\n")
-    # csv.writer quotes a cell that holds "\n" but not one that holds "\r",
-    # which a reader then takes for a line end: such timelines quote every cell.
-    quote_all = csv.writer(dest, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    writer.writerow(["match_id", "player1", "player2"] + [c for c, _, _ in _WRITE_COLUMNS])
-    for tl in timelines:
-        _write_timeline_rows(tl, writer, quote_all)
+    with _text_dest(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        # csv.writer quotes a cell that holds "\n" but not one that holds "\r",
+        # which a reader then takes for a line end: such timelines quote every cell.
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["match_id", "player1", "player2"] + [c for c, _, _ in _WRITE_COLUMNS])
+        for tl in timelines:
+            _write_timeline_rows(tl, writer, quote_all)
 
 
 def _write_timeline_rows(timeline: MatchTimeline, writer, quote_all) -> None:

@@ -17,10 +17,12 @@ drawn task indices, and the main process adds the returned losses and
 gradients in draw order, as one process would, so every output is
 byte-identical for any helper count.
 
-A saved meta-state is format 3: the parameters use the fused LSTM gate
-layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`), and the net config has
-no Adam betas or `l2_mix`.  Format 1 held twelve per-gate arrays and format
-2 those three config fields; both are rejected.
+A saved meta-state is format 4: the parameters use the fused LSTM gate
+layout of `neural` (`lstm_w`, `lstm_u`, `lstm_b`), the net config has no
+Adam betas or `l2_mix`, and `net.seed`, which draws both the initialization
+and the tasks, is the one seed.  Format 1 held twelve per-gate arrays,
+format 2 those three net config fields and format 3 a `seed` of its own
+for the tasks; all three are rejected.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _fork
-from ._checks import (check_config, check_finite, check_int, dataclass_from_doc, finite_real,
-                      integer, real, setting)
+from ._checks import (check_config, check_finite, check_int, dataclass_from_doc, field_ranges,
+                      finite_real, integer, real, setting)
 from .dbwp import DbwpSeries
-from .ingest import MatchTimeline
+from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumSeries
 from .neural import (
     NetConfig,
@@ -89,7 +91,6 @@ class MamlConfig:
     train_fraction: float = real(0.8, gt=0, lt=1)
     fine_tune_epochs: int = integer(5, ge=0)
     meta_iterations: int = integer(100, ge=1)
-    seed: int = integer(0, ge=0)  # numpy's default_rng refuses a negative seed
 
     check = check_config
 
@@ -203,7 +204,9 @@ def make_task(timeline: MatchTimeline, dbwp: DbwpSeries, momentum: MomentumSerie
 
 
 def split_task(task: Task, train_fraction: float):
-    """Chronological (train, validation) views of a task's sequences."""
+    """Chronological (train, validation) views of a task's sequences;
+    `train_fraction` has the range that MamlConfig declares."""
+    dict(field_ranges(MamlConfig))["train_fraction"].check("train_fraction", train_fraction)
     m = task.x.shape[0]
     n_train = int(train_fraction * m)
     if n_train < 1 or m - n_train < 1:
@@ -278,7 +281,8 @@ def _run_tasks(params, tasks, indices, config) -> list:
 def meta_train(tasks, config: MamlConfig) -> MetaState:
     """Meta-train a shared initialization over the support tasks.
 
-    Per iteration: draw tasks_per_batch tasks without replacement, adapt the
+    Per iteration: draw tasks_per_batch tasks without replacement (seeded
+    by config.net.seed, as the initialization is), adapt the
     current initialization to each, take the Huber gradient of each adapted
     net on its task's validation split, and apply the mean gradient to the
     initialization with Adam at meta_lr (first-order approximation).  The
@@ -292,7 +296,7 @@ def meta_train(tasks, config: MamlConfig) -> MetaState:
             f"{len(tasks)} support tasks cannot fill a batch of "
             f"{config.tasks_per_batch}"
         )
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.net.seed)
     params = init_net(config.net).params
     state = init_adam_state(config.net)
     history = []
@@ -365,7 +369,7 @@ def evaluate_queries(meta: MetaState, tasks, config: MamlConfig) -> tuple[QueryE
 
 def meta_state_to_json(meta: MetaState) -> str:
     doc = {
-        "format_version": 3,
+        "format_version": 4,
         "params": {k: v.tolist() for k, v in meta.params.items()},
         "loss_history": list(meta.loss_history),
         "config": asdict(meta.config),
@@ -374,7 +378,7 @@ def meta_state_to_json(meta: MetaState) -> str:
 
 
 def meta_state_from_json(text: str) -> MetaState:
-    """Load a format 3 meta-state, checking every field.
+    """Load a format 4 meta-state, checking every field.
 
     The config must hold exactly the fields of `MamlConfig` (and `net` those
     of `NetConfig`) and pass `check()`; `params` must hold exactly the names
@@ -386,7 +390,7 @@ def meta_state_from_json(text: str) -> MetaState:
     if not isinstance(doc, dict):
         raise ValueError("meta state document must be a JSON object")
     version = doc.get("format_version")
-    if version != 3:
+    if version != 4:
         raise ValueError(f"unsupported meta state format version: {version!r}")
     missing = [k for k in ("config", "loss_history", "params") if k not in doc]
     if missing:
@@ -422,11 +426,8 @@ def meta_state_from_json(text: str) -> MetaState:
 
 
 def write_meta_eval_csv(rows, dest) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_meta_eval_csv(rows, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["match_id", "maml_mse", "scratch_mse"])
-    for row in rows:
-        writer.writerow([row.match_id, repr(row.maml_mse), repr(row.scratch_mse)])
+    with _text_dest(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["match_id", "maml_mse", "scratch_mse"])
+        for row in rows:
+            writer.writerow([row.match_id, repr(row.maml_mse), repr(row.scratch_mse)])

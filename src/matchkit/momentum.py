@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_config, real
-from .ingest import MatchTimeline
+from ._checks import check_config, check_int, real
+from .ingest import MatchTimeline, _text_dest
 
 __all__ = [
     "MomentumConfig",
@@ -63,8 +63,7 @@ class MomentumSeries:
 
 def fibonacci(n: int) -> int:
     """F(1) = F(2) = 1, F(n) = F(n-1) + F(n-2)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    check_int("n", n, minimum=1)
     a, b = 1, 1
     for _ in range(n - 1):
         a, b = b, a + b
@@ -209,10 +208,7 @@ def build_feature_matrix(timeline: MatchTimeline, momentum: MomentumSeries,
 
 
 def write_momentum_csv(series: MomentumSeries, dest) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_momentum_csv(series, fh)
-            return
     rows = map("{},{},{!r},{!r}\n".format,
                series.indices, series.elapsed_s, series.strategic, series.psychological)
-    dest.write("point_index,elapsed_s,strategic,psychological\n" + "".join(rows))
+    with _text_dest(dest) as fh:
+        fh.write("point_index,elapsed_s,strategic,psychological\n" + "".join(rows))

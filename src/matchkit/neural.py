@@ -74,7 +74,7 @@ import numpy as np
 from . import _fork
 from ._checks import check_config, check_finite, check_int, field_ranges, integer, real
 from .dbwp import DbwpSeries
-from .ingest import MatchTimeline
+from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumSeries
 
 __all__ = [
@@ -694,11 +694,8 @@ def train_report_to_json(report: TrainReport) -> str:
 
 
 def write_loss_csv(report: TrainReport, dest) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_loss_csv(report, fh)
-            return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(["epoch", "loss"])
-    for k, loss in enumerate(report.epoch_losses, start=1):
-        writer.writerow([k, repr(loss)])
+    with _text_dest(dest) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["epoch", "loss"])
+        for k, loss in enumerate(report.epoch_losses, start=1):
+            writer.writerow([k, repr(loss)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_config, integer, real
-from .ingest import MatchTimeline, format_elapsed, prefix_counts
+from .ingest import MatchTimeline, _text_dest, format_elapsed, prefix_counts
 
 __all__ = [
     "WinjudParams",
@@ -120,10 +120,7 @@ def best_performance_times(series: WinjudSeries, timeline: MatchTimeline) -> tup
 
 def write_winjud_csv(series: WinjudSeries, dest) -> None:
     """Long-form CSV: one row per (point, player), ready for heatmap plotting."""
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_winjud_csv(series, fh)
-            return
     rows = map("{0},{1},1,{2!r}\n{0},{1},2,{3!r}\n".format,
                series.indices, series.elapsed_s, series.score_p1, series.score_p2)
-    dest.write("point_index,elapsed_s,player,score\n" + "".join(rows))
+    with _text_dest(dest) as fh:
+        fh.write("point_index,elapsed_s,player,score\n" + "".join(rows))

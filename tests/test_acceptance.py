@@ -302,7 +302,7 @@ def test_criterion_8_maml_property_suite():
                         dropout_rate=0.0, seed=trial)
         cfg = MamlConfig(net=net, meta_lr=0.01, inner_lr=0.05, inner_epochs=3,
                          tasks_per_batch=4, meta_iterations=100,
-                         fine_tune_epochs=5, seed=trial)
+                         fine_tune_epochs=5)
         tasks = [linear_task(rng.uniform(-1, 1), 30, 6, rng, f"s{k}")
                  for k in range(6)]
         meta = meta_train(tasks, cfg)
@@ -324,13 +324,12 @@ def test_criterion_8_maml_property_suite():
     net = NetConfig(input_dim=1, hidden_dense=3, hidden_lstm=2, seq_len=3,
                     dropout_rate=0.0, seed=0)
     cfg0 = MamlConfig(net=net, meta_lr=0.01, inner_lr=0.05, inner_epochs=0,
-                      tasks_per_batch=2, meta_iterations=8, fine_tune_epochs=0,
-                      seed=0)
+                      tasks_per_batch=2, meta_iterations=8, fine_tune_epochs=0)
     rng = np.random.default_rng(7)
     tasks = [linear_task(rng.uniform(-1, 1), 12, 3, rng, f"d{k}") for k in range(3)]
     meta = meta_train(tasks, cfg0)
 
-    sel = np.random.default_rng(cfg0.seed)
+    sel = np.random.default_rng(cfg0.net.seed)
     params = init_net(cfg0.net).params
     state = init_adam_state(cfg0.net)
     for t in range(1, cfg0.meta_iterations + 1):

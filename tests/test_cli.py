@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import pytest
 
 from matchkit import _fork, cli, gbtree
 from matchkit.cli import build_parser, run_cli
-from matchkit.dbwp import DbwpParams
+from matchkit.dbwp import DbwpParams, dbwp_scores
 from matchkit.gbtree import GbtConfig
 from matchkit.ingest import (
     SyntheticSpec,
@@ -22,9 +23,17 @@ from matchkit.ingest import (
     load_match_csv,
     write_timeline_csv,
 )
-from matchkit.maml import MamlConfig
-from matchkit.momentum import MomentumConfig
-from matchkit.neural import NetConfig
+from matchkit.maml import (
+    MamlConfig,
+    evaluate_queries,
+    make_task,
+    meta_state_to_json,
+    meta_train,
+    split_support_query,
+    write_meta_eval_csv,
+)
+from matchkit.momentum import MomentumConfig, momentum_series
+from matchkit.neural import VARIANT_COLUMNS, NetConfig
 from matchkit.winjud import WinjudParams
 
 
@@ -351,7 +360,7 @@ class TestTrainingCommands:
         assert rows[0] == ["match_id", "maml_mse", "scratch_mse"]
         assert sorted(r[0] for r in rows[1:]) == ["demo-1601", "demo-1701"]
         doc = json.loads(Path(state).read_text())
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         assert len(doc["loss_history"]) == 5
 
     def test_maml_explicit_partition(self, pool_csv, tmp_path):
@@ -362,6 +371,26 @@ class TestTrainingCommands:
         assert code == 0
         rows = read_rows(out)
         assert [r[0] for r in rows[1:]] == ["demo-1701"]
+
+    def test_maml_seed_is_the_library_net_seed(self, pool_csv, tmp_path):
+        # --seed sets NetConfig.seed, which draws both the initialization and
+        # the meta-training tasks: the CLI run equals the library run.
+        out, state = tmp_path / "queries.csv", tmp_path / "state.json"
+        assert run_cli(["maml", "--input", pool_csv, "--out", str(out),
+                        "--state-out", str(state), "--seed", "3"] + MAML_FAST) == 0
+        net = NetConfig(input_dim=len(VARIANT_COLUMNS["full"]), hidden_dense=4, hidden_lstm=2,
+                        seq_len=4, dropout_rate=0.0, seed=3)
+        config = MamlConfig(net=net, meta_iterations=5, meta_lr=0.01, inner_lr=0.05)
+        by_id = {tl.match_id: tl for tl in load_match_csv(pool_csv)}
+        tasks = {mid: make_task(tl, dbwp_scores(tl, DbwpParams(w_v=3)),
+                                momentum_series(tl, MomentumConfig()), config)
+                 for mid, tl in by_id.items()}
+        support, query = split_support_query(list(by_id))
+        meta = meta_train([tasks[mid] for mid in support], config)
+        buf = io.StringIO()
+        write_meta_eval_csv(evaluate_queries(meta, [tasks[mid] for mid in query], config), buf)
+        assert out.read_text() == buf.getvalue()
+        assert state.read_text() == meta_state_to_json(meta) + "\n"
 
     def test_maml_no_query_errors(self, single_csv, tmp_path, capsys):
         code = run_cli(["maml", "--input", single_csv,
@@ -431,6 +460,27 @@ class TestManifest:
             assert not manifest.exists()
 
 
+    @pytest.mark.parametrize("cmd, source, out_flag, extra, seed_at", [
+        ("train-gbt", "single_csv", "--model-out", GBT_FAST, ()),
+        ("ablate", "single_csv", "--out", GBT_FAST, ()),
+        ("train-lstm", "single_csv", "--out", LSTM_FAST, ()),
+        ("maml", "pool_csv", "--out", MAML_FAST, ("net",)),
+    ])
+    def test_learner_manifest_holds_the_seed_once(self, request, tmp_path, cmd, source,
+                                                  out_flag, extra, seed_at):
+        manifest = tmp_path / "run.json"
+        assert run_cli([cmd, "--input", request.getfixturevalue(source),
+                        out_flag, str(tmp_path / "out"), "--manifest", str(manifest),
+                        "--seed", "3"] + extra) == 0
+        doc = json.loads(manifest.read_text())
+        assert "seed" not in doc
+        config = doc["config"]
+        for key in seed_at:
+            assert "seed" not in config
+            config = config[key]
+        assert config["seed"] == 3
+
+
 class TestFlagDefaults:
     # Flags whose dest is not the field's name.
     RENAMED = {"wv": "w_v", "ws": "w_s", "grid_step": "grid_step_s"}
@@ -469,8 +519,6 @@ class TestParserPinned:
         ("--config", "config", None, None, None, False),
         ("--manifest", "manifest", None, None, None, False),
     ]
-    # The learners take --seed, after --match-id.
-    LEARNER = COMMON[:2] + [("--seed", "seed", "int", 0, None, False)] + COMMON[2:]
     OUT = [("--out", "out", None, None, None, True)]
     DBWP = [
         ("--wv", "wv", "int", 5, None, False),
@@ -491,6 +539,7 @@ class TestParserPinned:
         ("--max-depth", "max_depth", "int", 4, None, False),
         ("--min-child-weight", "min_child_weight", "float", 1.0, None, False),
         ("--min-gain", "min_gain", "float", 0.0, None, False),
+        ("--seed", "seed", "int", 0, None, False),  # GbtConfig.seed
         ("--lambda-grid", "lambda_grid", "_float_list", (0.0, 0.01, 0.1, 1.0, 10.0), None, False),
         ("--rho-grid", "rho_grid", "_float_list", (0.0, 0.25, 0.5, 0.75, 1.0), None, False),
     ]
@@ -502,6 +551,7 @@ class TestParserPinned:
         ("--adam-lr", "adam_lr", "float", 0.001, None, False),
         ("--epochs", "epochs", "int", 100, None, False),
         ("--seq-len", "seq_len", "int", 16, None, False),
+        ("--seed", "seed", "int", 0, None, False),  # NetConfig.seed
     ]
     NEURAL_VARIANT = [
         ("--variant", "variant", None, "full", ("full", "no_momentum", "no_server"), False),
@@ -515,17 +565,17 @@ class TestParserPinned:
         ],
         "momentum": COMMON + OUT + MOMENTUM,
         "dbwp": COMMON + OUT + DBWP + [("--player", "player", "int", 1, (1, 2), False)],
-        "train-gbt": LEARNER + [
+        "train-gbt": COMMON + [
             ("--model-out", "model_out", None, None, None, True),
             ("--variant", "variant", None, "both",
              ("both", "none", "psych_only", "strat_only"), False),
         ] + GBT,
-        "ablate": LEARNER + OUT + GBT,
-        "train-lstm": LEARNER + OUT + NEURAL_VARIANT + [
+        "ablate": COMMON + OUT + GBT,
+        "train-lstm": COMMON + OUT + NEURAL_VARIANT + [
             ("--repeats", "repeats", "int", 1, None, False),
             ("--loss-csv", "loss_csv", None, None, None, False),
         ] + NET + DBWP,
-        "maml": LEARNER + OUT + [
+        "maml": COMMON + OUT + [
             ("--support", "support", "_id_list", None, None, False),
             ("--query", "query", "_id_list", None, None, False),
         ] + NEURAL_VARIANT + [

@@ -42,6 +42,12 @@ class TestWindowedWinRate:
         with pytest.raises(ValueError, match=r"\[2, 4\]"):
             windowed_win_rate(tl, 5, 2)
 
+    @pytest.mark.parametrize("i", [3.5, True])
+    def test_non_integer_index_names_it(self, i):
+        tl = make_timeline(victors=[1] * 10)
+        with pytest.raises(ValueError, match=f"^i must be an integer, got {i}$"):
+            windowed_win_rate(tl, i, 1)
+
     def test_boundary_indices_are_valid(self):
         tl = make_timeline(victors=[1] * 6)
         assert windowed_win_rate(tl, 2, 2) == 1.0
@@ -283,7 +289,8 @@ class TestGridDerivative:
         with pytest.raises(ValueError, match="at least 2"):
             grid_time_derivative([0], [1.0], 1.0)
 
-    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf"),
+                                      pytest.param(10**400, id="10**400"), True, "1"])
     def test_rejects_unusable_step(self, step):
         with pytest.raises(ValueError, match="step_s"):
             grid_time_derivative([0, 5], [0.0, 1.0], step)

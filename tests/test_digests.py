@@ -7,7 +7,9 @@ arrays.  A change that moves one output byte of `ingest`, `winjud`,
 `momentum`, `dbwp`, `correlate`, `train-gbt` (its model JSON) or `ablate`
 (or a manifest field other than `duration_s`) fails here, not only in the
 benchmark's reference check.  The scoring manifests were re-pinned when the
-scoring commands lost `--seed` and their manifests its `seed` key.
+scoring commands lost `--seed` and their manifests its `seed` key, and the
+`train-gbt` and `ablate` manifests when their top-level `seed` key went (the
+seed stays in `config`).
 """
 
 from __future__ import annotations
@@ -123,13 +125,13 @@ DIGESTS = {
     'dbwp-c-p2.manifest': '2712d4d150c75b5ac75942f65383f5735501f1b92fafd09cd3ff29c7a7dbed7c',
     'train-gbt-pin-b': '829e7775cd381c455f445e0f928f112bdcbfea87d036e38584c8a5bec49801fd',
     'train-gbt-pin-b.stdout': 'c46b10a77b7c8400f8b86e98cc93872357d12d9fba62e030a81da70ed8fa8341',
-    'train-gbt-pin-b.manifest': '1f8a03f1a1af1ef81e1be96afbdc5faba08b122246e2a4dacf21267de3d97011',
+    'train-gbt-pin-b.manifest': '76e8fb5569445529edd5748713d5d6ccfa3fbaba7db552090cd50d1cc8474ace',
     'train-gbt-a-flags': '1eba8fda89c09c42cb51390272c85e35cd46d5ec3bb8528fb61aa01e962aea9e',
     'train-gbt-a-flags.stdout': '2ec7b0b042d7be7b5b9d1ff8b4c211da5985933edbe1f1bee493dfc9b2c8b795',
-    'train-gbt-a-flags.manifest': '893fdde73a6b5c6141584775a65373d2a114eb1d8a9b486212193a7f5214becf',
+    'train-gbt-a-flags.manifest': '67edbe76401ffc0064e76f4cde48741b3641af876834332fc3c005dba516052f',
     'ablate-pin-c': '09fb4c5b9b4eeef0f4f6489a309c2132d36a60a44b359bb586b973b11aa2c4ac',
     'ablate-pin-c.stdout': '44f0bf9961b08a4a56000067871558c0c9b9d0f7fa6f31a006e3f92244acc1b3',
-    'ablate-pin-c.manifest': '6c461edda2f63ab50a4805e25707a6b0742696969396c91539d22c54938d8355',
+    'ablate-pin-c.manifest': 'b3bd89b3219f7faf04cfe9c0a7a62ff4d11289fbf495aa726a5fa067cf33d086',
 }
 
 

@@ -6,6 +6,7 @@ import gc
 import io
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -115,6 +116,16 @@ class TestLoadMatchCsv:
     def test_unknown_schema_key_rejected(self):
         with pytest.raises(SchemaError, match="nonsense"):
             load_match_csv(make_csv(row()), schema={"nonsense": "x"})
+
+    @pytest.mark.parametrize("schema, message", [
+        ({"point_victor": 5}, "schema maps 'point_victor' to 5, not a column name"),
+        ([("point_victor", "winner")], "schema must be a dict"),
+        ("point_victor", "schema must be a dict"),
+        ({1: "x"}, "schema maps unknown canonical fields: 1"),
+    ])
+    def test_malformed_schema_rejected(self, schema, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}"):
+            load_match_csv(make_csv(row()), schema=schema)
 
     def test_extra_columns_ignored(self):
         stream = io.BytesIO(f"{HEADER},junk\n{row()},zzz\n".encode())

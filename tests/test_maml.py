@@ -54,7 +54,7 @@ def tiny_net(**kw):
 def tiny_config(**kw):
     net = kw.pop("net", tiny_net())
     base = dict(net=net, meta_lr=0.01, inner_lr=0.05, inner_epochs=2,
-                tasks_per_batch=2, meta_iterations=5, fine_tune_epochs=3, seed=0)
+                tasks_per_batch=2, meta_iterations=5, fine_tune_epochs=3)
     base.update(kw)
     return MamlConfig(**base)
 
@@ -152,6 +152,18 @@ class TestTasks:
         (xt, yt), (xv, yv) = split_task(task, 0.8)
         assert xt.shape[0] == 8 and xv.shape[0] == 2
         np.testing.assert_array_equal(np.concatenate([yt, yv]), task.y)
+
+    @pytest.mark.parametrize("fraction, message", [
+        (math.inf, "must be finite, got inf"),
+        (math.nan, "must be finite, got nan"),
+        (1e308, r"must be in \(0, 1\), got 1e\+308"),
+        (True, "must be a number, got True"),
+        ("0.5", "must be a number, got '0.5'"),
+    ])
+    def test_split_task_fraction_names_it(self, fraction, message):
+        task = linear_task(0.5, 10, 3, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=f"^train_fraction {message}$"):
+            split_task(task, fraction)
 
     def test_split_task_too_small(self):
         rng = np.random.default_rng(0)
@@ -294,7 +306,7 @@ class TestMetaTrain:
         tasks = self.make_tasks(3, seed=7)
         meta = meta_train(tasks, cfg)
 
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.net.seed)
         params = init_net(cfg.net).params
         state = init_adam_state(cfg.net)
         for t in range(1, cfg.meta_iterations + 1):
@@ -347,7 +359,7 @@ class TestMetaTrain:
             net_cfg = tiny_net(seed=trial)
             assert sum(v.size for v in init_net(net_cfg).params.values()) <= 100
             cfg = tiny_config(net=net_cfg, inner_lr=0.05, inner_epochs=3,
-                              tasks_per_batch=1, meta_iterations=1, seed=trial)
+                              tasks_per_batch=1, meta_iterations=1)
             task = linear_task(rng.uniform(-1, 1), 15, 3, rng)
             params = {k: v + rng.normal(0, 0.3, v.shape)
                       for k, v in init_net(net_cfg).params.items()}
@@ -423,7 +435,7 @@ class TestHelpers:
             tasks[k].x[0, 0, 0] = np.nan
         messages, places = set(), set()
         for seed in range(6):
-            cfg = tiny_config(tasks_per_batch=4, seed=seed)
+            cfg = tiny_config(net=tiny_net(seed=seed), tasks_per_batch=4)
             chosen = list(np.random.default_rng(seed).choice(4, size=4, replace=False))
             # with two processes, even draw positions run here, odd in the helper
             places.add(tuple(chosen.index(k) % 2 for k in sorted((1, 3), key=chosen.index)))
@@ -501,7 +513,7 @@ class TestHelpers:
             chosen = list(np.random.default_rng(seed).choice(4, size=4, replace=False))
             places.add(chosen.index(2) % 2)  # 0: the main process, 1: the helper
             with pytest.raises(ValueError, match="meta-training diverged: task 'u2'"):
-                meta_train(tasks, tiny_config(tasks_per_batch=4, seed=seed))
+                meta_train(tasks, tiny_config(net=tiny_net(seed=seed), tasks_per_batch=4))
         assert places == {0, 1}
         assert multiprocessing.active_children() == []
 
@@ -562,7 +574,7 @@ class TestFineTuneAndEval:
                         dropout_rate=0.0, seed=trial)
         cfg = MamlConfig(net=net, meta_lr=0.01, inner_lr=0.05, inner_epochs=3,
                          tasks_per_batch=4, meta_iterations=100,
-                         fine_tune_epochs=5, seed=trial)
+                         fine_tune_epochs=5)
         tasks = [linear_task(rng.uniform(-1, 1), 30, 6, rng, f"s{k}") for k in range(6)]
         meta = meta_train(tasks, cfg)
         query = linear_task(rng.uniform(-1, 1), 30, 6, rng, "q")
@@ -602,10 +614,18 @@ class TestSerializationAndReports:
             np.testing.assert_array_equal(back.params[k], meta.params[k])
         assert meta_state_to_json(back) == text
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 5])
     def test_version_guard(self, version):
         with pytest.raises(ValueError, match="version"):
             meta_state_from_json(json.dumps({"format_version": version}))
+
+    def test_format_3_state_refused_by_its_version(self):
+        # Format 3 held the task seed twice, as config.seed beside config.net.seed.
+        doc = self._state_doc()
+        doc["format_version"] = 3
+        doc["config"]["seed"] = doc["config"]["net"]["seed"]
+        with pytest.raises(ValueError, match="^unsupported meta state format version: 3$"):
+            meta_state_from_json(json.dumps(doc))
 
     @staticmethod
     def _state_doc():
@@ -660,7 +680,12 @@ class TestSerializationAndReports:
         with pytest.raises(ValueError, match="config.net has unknown keys: bogus"):
             self._load_edited(lambda d: d["config"]["net"].update(bogus=1))
 
-    @pytest.mark.parametrize("key", ["seed", "net", "meta_lr"])
+    def test_config_seed_key_rejected(self):
+        # A format-4 config holds one seed, in net.
+        with pytest.raises(ValueError, match="config has unknown keys: seed"):
+            self._load_edited(lambda d: d["config"].update(seed=0))
+
+    @pytest.mark.parametrize("key", ["fine_tune_epochs", "net", "meta_lr"])
     def test_missing_config_key_rejected(self, key):
         with pytest.raises(ValueError, match=f"config is missing keys: {key}"):
             self._load_edited(lambda d: d["config"].pop(key))
@@ -711,7 +736,7 @@ class TestConfigValidation:
         dict(inner_lr=float("nan")), dict(inner_lr=float("inf")),
         dict(train_fraction=float("nan")),
         dict(inner_epochs=1.5), dict(fine_tune_epochs=2.0), dict(tasks_per_batch=2.5),
-        dict(meta_iterations=5.0), dict(seed=1.5),
+        dict(meta_iterations=5.0), dict(net="x"),
     ])
     def test_bad_fields(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):

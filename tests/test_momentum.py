@@ -82,6 +82,11 @@ class TestFibonacci:
         with pytest.raises(ValueError):
             fibonacci(-3)
 
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_non_integer_names_it(self, n):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {n!r}$"):
+            fibonacci(n)
+
 
 class TestStrategicMomentum:
     def test_tied_baseline(self):
