@@ -4,76 +4,70 @@ The modules mirror the pipeline: `ingest` loads and validates point-by-point
 CSVs, `winjud` and `momentum` score performance and momentum, `dbwp` turns
 win rates into a time derivative, `gbtree` and `neural` fit from-scratch
 learners on those features, `maml` meta-learns an initialization across
-matches, and `cli` ties it all together behind subcommands.
+matches, `configs` declares the learners' settings, and `cli` ties it all
+together behind subcommands.
+
+The package exports its names lazily (PEP 562): `import matchkit` loads no
+module, and `matchkit.train_gbt` imports `matchkit.gbtree` on first access,
+so a scoring command never pays for the learners.
 """
 
-from .dbwp import DbwpParams, DbwpSeries, dbwp_scores
-from .gbtree import GbtConfig, GbtModel, grid_search, predict, run_ablation, train_gbt
-from .ingest import (
-    IngestError,
-    MatchTimeline,
-    PointRecord,
-    SyntheticSpec,
-    generate_synthetic_match,
-    load_match_csv,
-    write_timeline_csv,
-)
-from .maml import (
-    MamlConfig,
-    MetaState,
-    evaluate_queries,
-    fine_tune_and_eval,
-    meta_train,
-    split_support_query,
-)
-from .momentum import (
-    MomentumConfig,
-    MomentumSeries,
-    build_feature_matrix,
-    fibonacci,
-    momentum_series,
-)
-from .neural import NetConfig, ParallelNet, TrainReport, train_deep_lstm, train_net
-from .winjud import WinjudParams, WinjudSeries, best_performance_times, winjud_scores
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "IngestError",
-    "MatchTimeline",
-    "PointRecord",
-    "SyntheticSpec",
-    "load_match_csv",
-    "write_timeline_csv",
-    "generate_synthetic_match",
-    "WinjudParams",
-    "WinjudSeries",
-    "winjud_scores",
-    "best_performance_times",
-    "MomentumConfig",
-    "MomentumSeries",
-    "fibonacci",
-    "momentum_series",
-    "build_feature_matrix",
-    "DbwpParams",
-    "DbwpSeries",
-    "dbwp_scores",
-    "GbtConfig",
-    "GbtModel",
-    "train_gbt",
-    "predict",
-    "grid_search",
-    "run_ablation",
-    "NetConfig",
-    "ParallelNet",
-    "TrainReport",
-    "train_net",
-    "train_deep_lstm",
-    "MamlConfig",
-    "MetaState",
-    "meta_train",
-    "fine_tune_and_eval",
-    "evaluate_queries",
-    "split_support_query",
-]
+# Each exported name and the module that defines it.
+_EXPORTS = {
+    "IngestError": "ingest",
+    "MatchTimeline": "ingest",
+    "PointRecord": "ingest",
+    "SyntheticSpec": "ingest",
+    "load_match_csv": "ingest",
+    "write_timeline_csv": "ingest",
+    "generate_synthetic_match": "ingest",
+    "WinjudParams": "winjud",
+    "WinjudSeries": "winjud",
+    "winjud_scores": "winjud",
+    "best_performance_times": "winjud",
+    "MomentumConfig": "momentum",
+    "MomentumSeries": "momentum",
+    "fibonacci": "momentum",
+    "momentum_series": "momentum",
+    "build_feature_matrix": "momentum",
+    "DbwpParams": "dbwp",
+    "DbwpSeries": "dbwp",
+    "dbwp_scores": "dbwp",
+    "GbtConfig": "configs",
+    "GbtModel": "gbtree",
+    "train_gbt": "gbtree",
+    "predict": "gbtree",
+    "grid_search": "gbtree",
+    "run_ablation": "gbtree",
+    "NetConfig": "configs",
+    "ParallelNet": "neural",
+    "TrainReport": "neural",
+    "train_net": "neural",
+    "train_deep_lstm": "neural",
+    "MamlConfig": "configs",
+    "MetaState": "maml",
+    "meta_train": "maml",
+    "fine_tune_and_eval": "maml",
+    "evaluate_queries": "maml",
+    "split_support_query": "maml",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

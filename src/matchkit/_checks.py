@@ -83,11 +83,16 @@ class Range:
     choices: tuple = ()
 
     def describe(self) -> str:
-        """The range as an error states it: "1 or 2", ">= 1", "< 1" or "in (0, 1]"."""
+        """The range as an error states it: "1 or 2", ">= 1", "< 1" or "in (0, 1]",
+        and for a field with no bound "any integer", "any finite number",
+        "any str" or "a NetConfig"."""
         if self.choices:
             return " or ".join(map(str, self.choices))
         ends = [(op, bound) for op, bound in ((">=", self.ge), (">", self.gt),
                                               ("<=", self.le), ("<", self.lt)) if bound is not None]
+        if not ends:
+            unbounded = {int: "any integer", float: "any finite number", str: "any str"}
+            return unbounded.get(self.kind, f"a {self.kind.__name__}")
         if len(ends) == 1:
             return f"{ends[0][0]} {ends[0][1]}"
         (low_op, low), (high_op, high) = ends

@@ -5,6 +5,10 @@ deterministic byte-level formatting, and records a run manifest (command,
 resolved configuration with a learner's seed, input digests, output paths,
 wall-clock duration) next to its primary output.  Identical inputs and flags
 produce byte-identical output files.
+
+Start-up loads only the scoring modules and the learners' settings
+(`configs`); `gbtree`, `neural` and `maml` load when a learner subcommand
+first calls into them.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -21,27 +26,17 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
-from .dbwp import DbwpParams, dbwp_scores, write_dbwp_csv
-from .gbtree import (
+from .configs import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_RHO_GRID,
+    NEURAL_VARIANTS,
+    VARIANT_COLUMNS,
     GbtConfig,
-    accuracy_score,
-    grid_search,
-    model_to_json,
-    run_ablation,
-    write_ablation_csv,
-)
-from .ingest import IngestError, format_elapsed, load_match_csv, write_timeline_csv
-from .maml import (
     MamlConfig,
-    evaluate_queries,
-    make_task,
-    meta_state_to_json,
-    meta_train,
-    split_support_query,
-    write_meta_eval_csv,
+    NetConfig,
 )
+from .dbwp import DbwpParams, dbwp_scores, write_dbwp_csv
+from .ingest import IngestError, format_elapsed, load_match_csv, write_timeline_csv
 from .momentum import (
     FEATURE_SETS,
     MomentumConfig,
@@ -49,17 +44,48 @@ from .momentum import (
     momentum_series,
     write_momentum_csv,
 )
-from .neural import (
-    NEURAL_VARIANTS,
-    VARIANT_COLUMNS,
-    NetConfig,
-    train_deep_lstm,
-    train_report_to_json,
-    write_loss_csv,
-)
 from .winjud import WinjudParams, best_performance_times, winjud_scores, write_winjud_csv
 
 __all__ = ["build_parser", "run_cli", "main"]
+
+
+def _learner(module: str, name: str):
+    """`name` of learner module `module`, which is imported on the first call,
+    so that a command that trains nothing never loads it.
+
+    The command bodies call these by their `cli` names, where a caller may
+    wrap them, as the benchmark's tracer does.  The call goes to the function
+    the module defines, bound once: a wrapper later put on the module's own
+    attribute (for the module's internal calls) is not run a second time.
+    """
+    target = None
+
+    def call(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(f".{module}", __package__), name)
+            while hasattr(target, "__wrapped__"):
+                target = target.__wrapped__
+        return target(*args, **kwargs)
+
+    call.__name__ = call.__qualname__ = name
+    return call
+
+
+accuracy_score = _learner("gbtree", "accuracy_score")
+grid_search = _learner("gbtree", "grid_search")
+model_to_json = _learner("gbtree", "model_to_json")
+run_ablation = _learner("gbtree", "run_ablation")
+write_ablation_csv = _learner("gbtree", "write_ablation_csv")
+train_deep_lstm = _learner("neural", "train_deep_lstm")
+train_report_to_json = _learner("neural", "train_report_to_json")
+write_loss_csv = _learner("neural", "write_loss_csv")
+evaluate_queries = _learner("maml", "evaluate_queries")
+make_task = _learner("maml", "make_task")
+meta_state_to_json = _learner("maml", "meta_state_to_json")
+meta_train = _learner("maml", "meta_train")
+split_support_query = _learner("maml", "split_support_query")
+write_meta_eval_csv = _learner("maml", "write_meta_eval_csv")
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -328,11 +354,12 @@ _UNFLAGGED = frozenset({"lam", "rho"})
 
 def _add_config_flags(sub, cls):
     """A --field-name flag, of its default's type, for each field of `cls`
-    that has a default."""
+    that has a default, its help the default and the declared range."""
     for f in fields(cls):
         if f.default is not MISSING and f.name not in _UNFLAGGED:
             sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                             default=f.default)
+                             default=f.default,
+                             help=f"default {f.default}; {f.metadata['range'].describe()}")
 
 
 def _add_gbt_flags(sub):

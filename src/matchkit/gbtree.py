@@ -58,7 +58,8 @@ from itertools import chain
 import numpy as np
 
 from . import _fork
-from ._checks import check_config, dataclass_from_doc, finite_real, integer, real
+from ._checks import dataclass_from_doc, finite_real
+from .configs import DEFAULT_LAMBDA_GRID, DEFAULT_RHO_GRID, GbtConfig
 from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumConfig, build_feature_matrix, momentum_series
 
@@ -86,25 +87,8 @@ __all__ = [
     "write_ablation_csv",
 ]
 
-DEFAULT_LAMBDA_GRID = (0.0, 0.01, 0.1, 1.0, 10.0)
-DEFAULT_RHO_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
 # Report order for the four-way momentum ablation.
 ABLATION_VARIANTS = ("none", "strat_only", "psych_only", "both")
-
-
-@dataclass(frozen=True)
-class GbtConfig:
-    n_trees: int = integer(100, ge=1)
-    learning_rate: float = real(0.1, gt=0, le=1)
-    max_depth: int = integer(4, ge=1)
-    min_child_weight: float = real(1.0, ge=0)
-    lam: float = real(1.0, ge=0)
-    rho: float = real(0.5, ge=0, le=1)
-    min_gain: float = real(0.0, ge=0)
-    seed: int = integer(0)
-
-    check = check_config
 
 
 # What a node array's values must be, and the dtype kinds that can hold them.

@@ -35,13 +35,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _fork
-from ._checks import (check_config, check_finite, check_int, dataclass_from_doc, field_ranges,
-                      finite_real, integer, real, setting)
+from ._checks import check_finite, check_int, dataclass_from_doc, field_ranges, finite_real
+from .configs import MamlConfig, NetConfig
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumSeries
 from .neural import (
-    NetConfig,
     ParallelNet,
     _standardize,
     adam_step,
@@ -79,20 +78,6 @@ SUPPORT_MATCH_NUMBERS = frozenset(
     list(range(1301, 1317)) + list(range(1401, 1409)) + list(range(1501, 1505))
 )
 QUERY_MATCH_NUMBERS = frozenset({1601, 1602, 1701})
-
-
-@dataclass(frozen=True)
-class MamlConfig:
-    net: NetConfig = setting(NetConfig)
-    meta_lr: float = real(1e-4, ge=0)
-    inner_lr: float = real(1e-4, gt=0)
-    inner_epochs: int = integer(3, ge=0)
-    tasks_per_batch: int = integer(4, ge=1)
-    train_fraction: float = real(0.8, gt=0, lt=1)
-    fine_tune_epochs: int = integer(5, ge=0)
-    meta_iterations: int = integer(100, ge=1)
-
-    check = check_config
 
 
 @dataclass(eq=False)

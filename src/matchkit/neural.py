@@ -72,7 +72,8 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import _fork
-from ._checks import check_config, check_finite, check_int, field_ranges, integer, real
+from ._checks import check_finite, check_int, field_ranges
+from .configs import NEURAL_VARIANTS, VARIANT_COLUMNS, NetConfig
 from .dbwp import DbwpSeries
 from .ingest import MatchTimeline, _text_dest
 from .momentum import MomentumSeries
@@ -111,30 +112,6 @@ SELU_LAMBDA = 1.0507009873554805
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-# Feature columns of each variant; the drop variants mirror the two-column ablation.
-VARIANT_COLUMNS = {
-    "full": ("psychological", "strategic", "server_signed"),
-    "no_momentum": ("server_signed",),
-    "no_server": ("psychological", "strategic"),
-}
-NEURAL_VARIANTS = tuple(VARIANT_COLUMNS)
-
-
-@dataclass(frozen=True)
-class NetConfig:
-    input_dim: int = integer(ge=1)
-    hidden_dense: int = integer(32, ge=1)
-    hidden_lstm: int = integer(16, ge=1)
-    dropout_rate: float = real(0.2, ge=0, lt=1)
-    huber_delta: float = real(1.0, gt=0)
-    adam_lr: float = real(1e-3, gt=0)
-    epochs: int = integer(100, ge=1)
-    seq_len: int = integer(16, ge=1)
-    seed: int = integer(0, ge=0)  # numpy's default_rng refuses a negative seed
-
-    check = check_config
-
 
 def param_specs(config: NetConfig) -> tuple[tuple[str, tuple[int, ...]], ...]:
     """Ordered (name, shape) pairs for every trainable array."""

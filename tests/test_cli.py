@@ -510,6 +510,17 @@ class TestFlagDefaults:
             assert checked, cls.__name__
 
 
+    def test_maml_help_shows_each_generated_flags_default(self, capsys):
+        assert run_cli(["maml", "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        generated = [f for cls in (MamlConfig, NetConfig) for f in fields(cls)
+                     if f.default is not MISSING]
+        assert len(generated) == 15
+        for f in generated:
+            flag = f"--{f.name.replace('_', '-')} {f.name.upper()}"
+            assert f"{flag} default {f.default}; {f.metadata['range'].describe()}" in text
+
+
 class TestParserPinned:
     # Every subcommand's flags as (option, dest, type, default, choices,
     # required), in parser order; the help flag is left out.
@@ -779,6 +790,98 @@ class TestImportCost:
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False"]
+
+    # A scoring or ingest command loads none of these: the learners load on
+    # their subcommand's first call, and multiprocessing on the first fork.
+    LEARNERS = ("matchkit.gbtree", "matchkit.neural", "matchkit.maml", "matchkit._fork",
+                "multiprocessing")
+    SCORING_SCRIPT = textwrap.dedent("""
+        import json, os, sys
+        learners = json.loads(sys.argv[2])
+        loaded = lambda: [name for name in learners if name in sys.modules]
+        import matchkit.cli
+        matchkit.cli.build_parser()
+        after_parser = loaded()
+        from matchkit.ingest import SyntheticSpec, generate_synthetic_match, write_timeline_csv
+        path = os.path.join(sys.argv[1], "match.csv")
+        write_timeline_csv(generate_synthetic_match(SyntheticSpec(n_points=60, seed=5)), path)
+        codes = [matchkit.cli.run_cli(["ingest", "--input", path,
+                                       "--out", os.path.join(sys.argv[1], "norm.csv")]),
+                 matchkit.cli.run_cli(["winjud", "--input", path,
+                                       "--out", os.path.join(sys.argv[1], "wj.csv")])]
+        print(json.dumps([after_parser, codes, loaded()]))
+    """)
+    PACKAGE_SCRIPT = textwrap.dedent("""
+        import json, sys
+        import matchkit
+        bare = sorted(name for name in sys.modules if name.startswith("matchkit."))
+        from matchkit import train_gbt, GbtConfig, meta_train
+        from matchkit import configs, gbtree, maml
+        same = [train_gbt is gbtree.train_gbt, GbtConfig is configs.GbtConfig,
+                meta_train is maml.meta_train]
+        print(json.dumps([bare, same, sorted(set(matchkit.__all__) - set(dir(matchkit)))]))
+    """)
+
+    def _run(self, script, *args):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", script, *args],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout.splitlines()[-1])  # after the commands' own lines
+
+    def test_parser_and_scoring_commands_load_no_learner(self, tmp_path):
+        after_parser, codes, after_commands = self._run(
+            self.SCORING_SCRIPT, str(tmp_path), json.dumps(self.LEARNERS))
+        assert after_parser == []
+        assert codes == [0, 0]
+        assert after_commands == []
+
+    def test_package_exports_lazily(self):
+        bare, same, undir = self._run(self.PACKAGE_SCRIPT)
+        assert bare == []
+        assert same == [True, True, True]
+        assert undir == []
+
+    def test_unknown_package_name_is_an_attribute_error(self):
+        import matchkit
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            matchkit.no_such_name
+
+
+class TestLearnersFromColdStart:
+    """Each learner subcommand in a fresh interpreter, where its module is
+    imported at the command's first call, writes what the same command
+    writes in-process, where this suite has imported every learner already."""
+
+    COMMANDS = {
+        "train-gbt": (["--model-out", "model.json", "--n-trees", "2"], ["model.json"]),
+        "ablate": (["--out", "ablation.csv", "--n-trees", "2"], ["ablation.csv"]),
+        "train-lstm": (["--out", "report.json", "--loss-csv", "loss.csv", "--epochs", "2"]
+                       + LSTM_FAST[:4], ["report.json", "loss.csv"]),
+        "maml": (["--out", "queries.csv", "--state-out", "state.json", "--epochs", "2",
+                  "--meta-iterations", "2"] + MAML_FAST[:6], ["queries.csv", "state.json"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_cold_run_equals_in_process_run(self, command, single_csv, pool_csv, tmp_path,
+                                            capsys, monkeypatch):
+        flags, outputs = self.COMMANDS[command]
+        data = pool_csv if command == "maml" else single_csv
+        cold, warm = tmp_path / "cold", tmp_path / "warm"
+        cold.mkdir()
+        warm.mkdir()
+        argv = [command, "--input", data] + flags
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run([sys.executable, "-c", "from matchkit.cli import main; main()",
+                               *argv], cwd=cold, env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        monkeypatch.chdir(warm)
+        assert run_cli(argv) == 0
+        assert done.stdout == capsys.readouterr().out
+        for name in outputs:
+            assert (cold / name).read_bytes() == (warm / name).read_bytes(), name
 
 
 class TestFreedHeapKept:

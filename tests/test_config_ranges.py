@@ -158,6 +158,24 @@ def test_values_inside_the_range_pass(cls, name):
     check()
 
 
+@pytest.mark.parametrize("cls, name", FIELDS)
+def test_every_range_describes_itself(cls, name):
+    rng = declared(cls, name)
+    low, low_open, high, high_open = ends(rng)
+    if rng.choices:
+        expected = " or ".join(map(str, rng.choices))
+    elif low is not None and high is not None:
+        expected = f"in {'(['[not low_open]}{low}, {high}{')]'[not high_open]}"
+    elif low is not None:
+        expected = f"{'>' if low_open else '>='} {low}"
+    elif high is not None:
+        expected = f"{'<' if high_open else '<='} {high}"
+    else:
+        expected = {int: "any integer", float: "any finite number",
+                    str: "any str"}.get(rng.kind, f"a {rng.kind.__name__}")
+    assert rng.describe() == expected
+
+
 def test_nested_config_is_checked_with_its_own_ranges():
     bad = dataclasses.replace(NetConfig(input_dim=3), hidden_lstm=0)
     with pytest.raises(ValueError, match="^hidden_lstm must be >= 1, got 0$"):
