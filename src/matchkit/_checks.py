@@ -5,6 +5,8 @@ A config field declares its range where it is defined, with `integer`, `real`
 or `setting` in place of a plain default, and its class sets
 `check = check_config`, which reads every field's declaration.  The
 direct-call arguments use `check_finite` and `check_int`, as `Range` does.
+`cli` makes a flag of each field with a default, `--n-trees` for `n_trees`;
+a field's `flag` names another dest: `integer(5, ge=1, flag="wv")` gives `--wv`.
 """
 
 from __future__ import annotations
@@ -118,9 +120,10 @@ class Range:
             raise ValueError(f"{name} must be {self.describe()}, got {value}")
 
 
-def setting(kind: type, default=dataclasses.MISSING, **bounds):
-    """A dataclass field of `kind` with a default and the `Range` of `bounds`."""
-    return dataclasses.field(default=default, metadata={"range": Range(kind, **bounds)})
+def setting(kind: type, default=dataclasses.MISSING, flag: str | None = None, **bounds):
+    """A dataclass field of `kind` with a default, the `Range` of `bounds` and a `flag` dest."""
+    return dataclasses.field(default=default,
+                             metadata={"range": Range(kind, **bounds), "flag": flag})
 
 
 integer = functools.partial(setting, int)

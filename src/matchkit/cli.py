@@ -26,6 +26,7 @@ from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
+from ._checks import field_ranges
 from .configs import (
     DEFAULT_LAMBDA_GRID,
     DEFAULT_RHO_GRID,
@@ -149,11 +150,15 @@ def _pick_timeline(timelines, match_id):
     raise ValueError(f"file holds several matches; pass --match-id (present: {ids})")
 
 
+def _dest(f) -> str:
+    return f.metadata["flag"] or f.name
+
+
 def _config(cls, args, **given):
     """A `cls` config from the parsed flags: every field with a flag is read
     from it, and `given` supplies the rest."""
     flags = vars(args)
-    return cls(**{f.name: flags[f.name] for f in fields(cls) if f.name in flags}, **given)
+    return cls(**{f.name: flags[_dest(f)] for f in fields(cls) if _dest(f) in flags}, **given)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +181,7 @@ def _cmd_ingest(args, timelines):
 
 def _cmd_winjud(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
-    params = WinjudParams(w_v=args.wv, w_s=args.ws, beta=args.beta)
+    params = _config(WinjudParams, args)
     series = winjud_scores(timeline, params)
     write_winjud_csv(series, args.out)
     for best in best_performance_times(series, timeline):
@@ -196,7 +201,7 @@ def _cmd_momentum(args, timelines):
 
 def _cmd_dbwp(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
-    params = DbwpParams(w_v=args.wv, grid_step_s=args.grid_step, player=args.player)
+    params = _config(DbwpParams, args)
     series = dbwp_scores(timeline, params)
     write_dbwp_csv(series, args.out)
     print(f"{timeline.match_id}: fluctuation series for {len(series.indices)} points")
@@ -238,7 +243,7 @@ def _cmd_ablate(args, timelines):
 def _cmd_train_lstm(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     momentum = momentum_series(timeline, MomentumConfig())
-    series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
+    series = dbwp_scores(timeline, _config(DbwpParams, args))
     config = _config(NetConfig, args, input_dim=len(VARIANT_COLUMNS[args.variant]))
     report = train_deep_lstm([(timeline, series, momentum)], config,
                              variant=args.variant, repeats=args.repeats)
@@ -271,7 +276,7 @@ def _cmd_maml(args, timelines):
     def task_for(mid):
         tl = by_id[mid]
         momentum = momentum_series(tl, MomentumConfig())
-        series = dbwp_scores(tl, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
+        series = dbwp_scores(tl, _config(DbwpParams, args))
         return make_task(tl, series, momentum, config, variant=args.variant)
 
     support_tasks = [task_for(mid) for mid in support_ids]
@@ -298,7 +303,7 @@ def _cmd_correlate(args, timelines):
     timeline = _pick_timeline(timelines, args.match_id)
     config = _config(MomentumConfig, args)
     momentum = momentum_series(timeline, config)
-    series = dbwp_scores(timeline, DbwpParams(w_v=args.wv, grid_step_s=args.grid_step))
+    series = dbwp_scores(timeline, _config(DbwpParams, args))
     dbwp_vals = list(series.dbwp)
     pairs = (
         ("psychological", [momentum.psychological[i] for i in series.indices]),
@@ -348,33 +353,24 @@ def _add_common(sub, out_required=True, out_help="output CSV path"):
         sub.add_argument("--out", required=out_required, help=out_help)
 
 
-# Fields with no flag of their own: the grid search picks lam and rho.
-_UNFLAGGED = frozenset({"lam", "rho"})
-
-
-def _add_config_flags(sub, cls):
-    """A --field-name flag, of its default's type, for each field of `cls`
-    that has a default, its help the default and the declared range."""
+def _add_config_flags(sub, cls, skip=()):
+    """A --dest flag, of its default's type and declared choices, for each field of
+    `cls` that has a default and is not in `skip`, its help the default and range."""
     for f in fields(cls):
-        if f.default is not MISSING and f.name not in _UNFLAGGED:
-            sub.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                             default=f.default,
+        if f.default is not MISSING and f.name not in skip:
+            sub.add_argument("--" + _dest(f).replace("_", "-"), type=type(f.default),
+                             default=f.default, choices=f.metadata["range"].choices or None,
                              help=f"default {f.default}; {f.metadata['range'].describe()}")
 
 
 def _add_gbt_flags(sub):
-    _add_config_flags(sub, GbtConfig)
-    sub.add_argument("--lambda-grid", type=_float_list,
-                     default=DEFAULT_LAMBDA_GRID, dest="lambda_grid")
-    sub.add_argument("--rho-grid", type=_float_list,
-                     default=DEFAULT_RHO_GRID, dest="rho_grid")
-
-
-def _add_dbwp_flags(sub):
-    cfg = DbwpParams()
-    sub.add_argument("--wv", type=int, default=cfg.w_v, help="half window in points")
-    sub.add_argument("--grid-step", type=float, default=cfg.grid_step_s,
-                     help="uniform time grid step in seconds")
+    _add_config_flags(sub, GbtConfig, skip=("lam", "rho"))
+    ranges = dict(field_ranges(GbtConfig))
+    for flag, name, default in (("--lambda-grid", "lam", DEFAULT_LAMBDA_GRID),
+                                ("--rho-grid", "rho", DEFAULT_RHO_GRID)):
+        sub.add_argument(flag, type=_float_list, default=default,
+                         help=f"default {','.join(map(str, default))}; comma-separated "
+                              f"{name} values to search, each {ranges[name].describe()}")
 
 
 def build_parser():
@@ -391,10 +387,7 @@ def build_parser():
 
     wj = subs.add_parser("winjud", help="sliding-window performance scores")
     _add_common(wj)
-    wj_cfg = WinjudParams()
-    wj.add_argument("--wv", type=int, default=wj_cfg.w_v, help="point-victor window")
-    wj.add_argument("--ws", type=int, default=wj_cfg.w_s, help="serve window")
-    wj.add_argument("--beta", type=float, default=wj_cfg.beta, help="serve factor")
+    _add_config_flags(wj, WinjudParams)
 
     mo = subs.add_parser("momentum", help="strategic + psychological series")
     _add_common(mo)
@@ -402,13 +395,13 @@ def build_parser():
 
     db = subs.add_parser("dbwp", help="fluctuation (win-rate derivative) series")
     _add_common(db)
-    _add_dbwp_flags(db)
-    db.add_argument("--player", type=int, choices=(1, 2), default=DbwpParams().player)
+    _add_config_flags(db, DbwpParams)
 
     tg = subs.add_parser("train-gbt", help="grid-searched boosted trees")
     _add_common(tg, out_required=None)
     tg.add_argument("--model-out", required=True, help="model JSON path")
-    tg.add_argument("--variant", choices=sorted(FEATURE_SETS), default="both")
+    tg.add_argument("--variant", choices=sorted(FEATURE_SETS), default="both",
+                    help="default both; the momentum series among the features")
     _add_gbt_flags(tg)
 
     ab = subs.add_parser("ablate", help="accuracy for every feature variant")
@@ -417,11 +410,13 @@ def build_parser():
 
     tl = subs.add_parser("train-lstm", help="two-branch regressor on fluctuation targets")
     _add_common(tl, out_help="training report JSON")
-    tl.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
-    tl.add_argument("--repeats", type=int, default=1)
+    tl.add_argument("--variant", choices=NEURAL_VARIANTS, default="full",
+                    help="default full; all feature columns, or all but momentum or server")
+    tl.add_argument("--repeats", type=int, default=1,
+                    help="default 1; >= 1, test MSE averaged over seeds seed..seed+repeats-1")
     tl.add_argument("--loss-csv", default=None, help="optional per-epoch loss CSV")
     _add_config_flags(tl, NetConfig)
-    _add_dbwp_flags(tl)
+    _add_config_flags(tl, DbwpParams, skip=("player",))
 
     mm = subs.add_parser("maml", help="meta-train, fine-tune, and compare")
     _add_common(mm, out_help="query comparison CSV")
@@ -429,15 +424,16 @@ def build_parser():
                     help="comma-separated support match ids")
     mm.add_argument("--query", type=_id_list, default=None,
                     help="comma-separated query match ids")
-    mm.add_argument("--variant", choices=NEURAL_VARIANTS, default="full")
+    mm.add_argument("--variant", choices=NEURAL_VARIANTS, default="full",
+                    help="default full; all feature columns, or all but momentum or server")
     _add_config_flags(mm, MamlConfig)
     mm.add_argument("--state-out", default=None, help="optional meta state JSON")
     _add_config_flags(mm, NetConfig)
-    _add_dbwp_flags(mm)
+    _add_config_flags(mm, DbwpParams, skip=("player",))
 
     co = subs.add_parser("correlate", help="Pearson r of fluctuation vs momentum")
     _add_common(co, out_required=False, out_help="optional correlation CSV")
-    _add_dbwp_flags(co)
+    _add_config_flags(co, DbwpParams, skip=("player",))
     _add_config_flags(co, MomentumConfig)
 
     for name, sub_parser in subs.choices.items():

@@ -47,8 +47,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DbwpParams:
-    w_v: int = integer(5, ge=1)
-    grid_step_s: float = real(1.0, gt=0)
+    w_v: int = integer(5, ge=1, flag="wv")
+    grid_step_s: float = real(1.0, gt=0, flag="grid_step")
     player: int = integer(1, choices=(1, 2))
 
     check = check_config

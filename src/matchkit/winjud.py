@@ -29,8 +29,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WinjudParams:
-    w_v: int = integer(5, ge=1)
-    w_s: int = integer(5, ge=1)
+    w_v: int = integer(5, ge=1, flag="wv")
+    w_s: int = integer(5, ge=1, flag="ws")
     beta: float = real(0.5, ge=0)
 
     check = check_config

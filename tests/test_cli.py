@@ -509,16 +509,25 @@ class TestFlagDefaults:
                     checked += 1
             assert checked, cls.__name__
 
-
-    def test_maml_help_shows_each_generated_flags_default(self, capsys):
-        assert run_cli(["maml", "--help"]) == 0
+    @pytest.mark.parametrize("command", sorted(["ingest", *SOURCES]))
+    def test_help_shows_each_flags_default(self, command, capsys):
+        # Every flag with a default shows it, and a config field's flag its range too.
+        assert run_cli([command, "--help"]) == 0
         text = " ".join(capsys.readouterr().out.split())
-        generated = [f for cls in (MamlConfig, NetConfig) for f in fields(cls)
-                     if f.default is not MISSING]
-        assert len(generated) == 15
-        for f in generated:
-            flag = f"--{f.name.replace('_', '-')} {f.name.upper()}"
-            assert f"{flag} default {f.default}; {f.metadata['range'].describe()}" in text
+        dest_of = {name: dest for dest, name in self.RENAMED.items()}
+        ranges = {dest_of.get(f.name, f.name): f.metadata["range"]
+                  for cls in self.SOURCES.get(command, ()) for f in fields(cls)}
+        for action in build_parser()[1][command]._actions:
+            if action.default is None or action.dest == "help":
+                continue
+            default = action.default
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+            metavar = ("{" + ",".join(map(str, action.choices)) + "}" if action.choices
+                       else action.dest.upper())
+            line = f"{action.option_strings[0]} {metavar} default {shown};"
+            if action.dest in ranges:
+                line += f" {ranges[action.dest].describe()}"
+            assert line in text
 
 
 class TestParserPinned:
@@ -637,14 +646,46 @@ class TestConfigFile:
         assert read_rows(out)[1][0] == "9"
 
     def test_unknown_config_key(self, single_csv, tmp_path, capsys):
-        # A scoring command has no --seed, so a seed key is unknown to it too.
-        for key in ("nonsense", "seed"):
+        # A scoring command has no --seed, so a seed key is unknown to it too,
+        # and a key is the flag's dest, so the field name w_v is unknown.
+        for key in ("nonsense", "seed", "w_v"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: 1}))
             code = run_cli(["winjud", "--input", single_csv,
                             "--out", str(tmp_path / "x.csv"), "--config", str(cfg)])
             assert code == 1
             assert repr(key) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,doc,flags,params", [
+        ("winjud", {"wv": 7, "ws": 3, "beta": 0.3}, ["--wv", "7", "--ws", "3", "--beta", "0.3"],
+         {"w_v": 7, "w_s": 3, "beta": 0.3}),
+        ("dbwp", {"wv": 4, "grid_step": 7.3, "player": 2},
+         ["--wv", "4", "--grid-step", "7.3", "--player", "2"],
+         {"w_v": 4, "grid_step_s": 7.3, "player": 2}),
+    ])
+    def test_config_keys_are_the_flag_dests(self, single_csv, tmp_path, capsys,
+                                            command, doc, flags, params):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        runs = []
+        for name, extra in (("config", ["--config", str(cfg)]), ("flags", flags)):
+            out, manifest = tmp_path / f"{name}.csv", tmp_path / f"{name}.manifest.json"
+            assert run_cli([command, "--input", single_csv, "--out", str(out),
+                            "--manifest", str(manifest)] + extra) == 0
+            runs.append((out.read_bytes(), capsys.readouterr().out,
+                         json.loads(manifest.read_text())["config"]))
+        assert runs[0] == runs[1]
+        assert runs[0][2] == params
+
+    def test_config_value_outside_the_flag_choices(self, single_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"player": 3}))
+        code = run_cli(["dbwp", "--input", single_csv, "--out", str(tmp_path / "x.csv"),
+                        "--config", str(cfg)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "player" in err
 
     def test_unreadable_config(self, single_csv, tmp_path, capsys):
         code = run_cli(["winjud", "--input", single_csv,

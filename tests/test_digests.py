@@ -65,6 +65,7 @@ RUNS += [
                             "--game-factor", "1.37", "--ace-bonus", "0.4"]),
     ("dbwp-c-p2", ["dbwp", "--match-id", "pin-c", "--player", "2", "--grid-step", "7.3",
                    "--wv", "4"]),
+    ("correlate-c-wide", ["correlate", "--match-id", "pin-c", "--wv", "4", "--grid-step", "7.3"]),
     ("train-gbt-pin-b", ["train-gbt", "--match-id", "pin-b"]),
     ("train-gbt-a-flags", ["train-gbt", "--match-id", "pin-a", "--variant", "strat_only",
                            "--n-trees", "30", "--max-depth", "3", "--min-child-weight", "2",
@@ -123,6 +124,9 @@ DIGESTS = {
     'dbwp-c-p2': '352206412e61a6d370efaed1386dfcc50adbab8fb2f8e883780182d879e3031d',
     'dbwp-c-p2.stdout': 'da2b43da8a33153f2b5ffee2ce4299aae4eeb25a6e800e0e068d552cc21c0d29',
     'dbwp-c-p2.manifest': '2712d4d150c75b5ac75942f65383f5735501f1b92fafd09cd3ff29c7a7dbed7c',
+    'correlate-c-wide': '6e72e5eae3adaea8fbbd3dea5d2cee81c5dd19306115fa479b7e9d17845b1d35',
+    'correlate-c-wide.stdout': 'f92ec72ce9a20963d6b5d2a14e45be86aa86141e8243eb328b407712bfd19f37',
+    'correlate-c-wide.manifest': '06bfc9d31c65720630423ab7d82eaa0db7907c79e3e4ddf9dd0dce2742e1e11b',
     'train-gbt-pin-b': '829e7775cd381c455f445e0f928f112bdcbfea87d036e38584c8a5bec49801fd',
     'train-gbt-pin-b.stdout': 'c46b10a77b7c8400f8b86e98cc93872357d12d9fba62e030a81da70ed8fa8341',
     'train-gbt-pin-b.manifest': '76e8fb5569445529edd5748713d5d6ccfa3fbaba7db552090cd50d1cc8474ace',
